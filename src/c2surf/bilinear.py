@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
-from .f2 import F2Matrix, F2Vector, block_diag, isometries, solve
+from .f2 import F2Matrix, F2Vector, block_diag
 
 
 class FormKind(enum.Enum):
@@ -61,10 +60,8 @@ def classify_space(space: BilinearSpace) -> FormKind:
 
 
 def omega_vector(space: BilinearSpace) -> F2Vector:
-    """The unique Omega with b(v, Omega) = b(v, v) for all v; solves G x = diag(G)."""
-    if space.dim == 0:
-        return F2Vector.zero(0)
-    return solve(space.gram, space.gram.diag())
+    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G)."""
+    return space.gram.inverse().mul_vec(space.gram.diag())
 
 
 def standard_space(kind: str, dim: int) -> BilinearSpace:
@@ -104,18 +101,8 @@ class Involution:
         return Involution(self.space, p.inverse() @ self.matrix @ p)
 
 
-def make_involution(space: BilinearSpace, matrix: F2Matrix) -> Involution:
-    """Validated involution; raises NotAnIsometry or NotOrderTwo accordingly."""
-    return Involution(space, matrix)
-
-
 def identity_involution(space: BilinearSpace) -> Involution:
     return Involution(space, F2Matrix.identity(space.dim))
-
-
-def enumerate_isometries(space: BilinearSpace, bound: int = 6) -> Tuple[F2Matrix, ...]:
-    """All matrices preserving the gram exactly; refuses above the dimension bound."""
-    return isometries(space.gram, bound=bound)
 
 
 __all__ = [
@@ -127,7 +114,5 @@ __all__ = [
     "omega_vector",
     "standard_space",
     "Involution",
-    "make_involution",
     "identity_involution",
-    "enumerate_isometries",
 ]

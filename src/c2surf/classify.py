@@ -178,10 +178,6 @@ def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
     return None
 
 
-def dd_of_action(a: Action) -> Optional[DDTuple]:
-    return a.dd
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -373,7 +369,6 @@ __all__ = [
     "Action",
     "identity_dd",
     "dd_of_word",
-    "dd_of_action",
     "taxonomy_cells",
     "iter_nonorientable",
     "enumerate_nonorientable",

@@ -16,7 +16,7 @@ from . import classify, counting, gl2, orbits, words
 from .bilinear import standard_space
 from .dd import dd_classifies
 from .classify import Action
-from .words import InvalidWordError, Surface, WordSyntaxError
+from .words import Surface, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,6 +164,8 @@ def cmd_gl2(args: argparse.Namespace) -> int:
 
 
 def _verify_orbits(n_max: int) -> Iterable[Tuple[str, bool]]:
+    if not 2 <= n_max <= 12:
+        raise CliError("--n must lie in 2..12 (census bound)", EXIT_USAGE)
     for n in range(2, n_max + 1):
         expected = 3 if n == 2 else 4
         got = orbits.orbit_census("orthogonal", n)
@@ -197,14 +199,14 @@ def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
     for r in range(1, max_r + 1):
         try:
             rep = counting.phi_counts(r)
+            ok = (
+                counting.paths_agree(r)
+                and rep.A + rep.B == counting.ab_sum_closed(r)
+                and rep.total == counting.total_count(Surface(False, r))
+            )
         except counting.CountMismatch:
             ok = False
-            break
-        if rep.A + rep.B != counting.ab_sum_closed(r):
-            ok = False
-            break
-        if rep.total != counting.total_count(Surface(False, r)):
-            ok = False
+        if not ok:
             break
     yield f"three-way A/B agreement and totals r<={max_r}", ok
     enum_max = min(max_r, 80)
@@ -340,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # InvalidWordError, dimension bounds, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (counting.CountMismatch, words.RewriteNonTermination) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

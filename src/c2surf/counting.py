@@ -2,9 +2,10 @@
 
 Two auxiliary sequences drive everything: A(r) counts admissible invariant
 tuples [F, C:(C+,C-)] with F + 2C <= r, and B(r) those with F + 2C <= r + 2
-and F + 2C = r + 2 (mod 4); in both cases F = C- = r (mod 2).  Each sequence
-is computed three independent ways (direct enumeration, closed form,
-recursion) and the paths must agree exactly.
+and F + 2C = r + 2 (mod 4); in both cases F = C- = r (mod 2).  The counts
+use the closed forms.  Direct enumeration and recursion compute the same
+sequences independently; `paths_agree` is the oracle that checks all three
+paths against each other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .words import Surface
 
 
 class CountMismatch(AssertionError):
-    """Two computation paths for the same quantity disagreed."""
+    """A closed form or recursion step did not divide exactly."""
 
 
 @dataclass(frozen=True)
@@ -144,25 +145,19 @@ def ab_sum_closed(r: int) -> int:
     return _exact_div((r + 1) * (r + 3) * (r + 5), 64)
 
 
-def _a_value(r: int) -> int:
-    vals = {A_direct(r), A_closed(r), A_recursive(r)}
-    if len(vals) != 1:
-        raise CountMismatch(f"A({r}) paths disagree: {sorted(vals)}")
-    return vals.pop()
-
-
-def _b_value(r: int) -> int:
-    vals = {B_direct(r), B_closed(r), B_recursive(r)}
-    if len(vals) != 1:
-        raise CountMismatch(f"B({r}) paths disagree: {sorted(vals)}")
-    return vals.pop()
+def paths_agree(r: int) -> bool:
+    """Whether the direct, closed and recursive paths give the same A(r) and B(r)."""
+    return (
+        A_direct(r) == A_closed(r) == A_recursive(r)
+        and B_direct(r) == B_closed(r) == B_recursive(r)
+    )
 
 
 def phi_counts(r: int) -> CountReport:
     """Nontrivial action counts by quotient sign; A and B enter with the
     even-genus corrections for repeated and unrealizable tuples."""
-    a = _a_value(r)
-    b = _b_value(r)
+    a = A_closed(r)
+    b = B_closed(r)
     if r % 2:
         phi_minus, phi_plus = a, b
     else:
@@ -198,6 +193,7 @@ __all__ = [
     "B_closed",
     "B_recursive",
     "ab_sum_closed",
+    "paths_agree",
     "phi_counts",
     "total_count",
 ]

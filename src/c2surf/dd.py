@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .bilinear import (
-    BilinearSpace,
-    FormKind,
-    Involution,
-    enumerate_isometries,
-    omega_vector,
-)
-from .f2 import F2Matrix, F2Vector
+from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
+from .f2 import F2Matrix, F2Vector, isometries
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +114,7 @@ def involutions_in(space: BilinearSpace, bound: int = 6) -> Tuple[Involution, ..
     ident = F2Matrix.identity(space.dim)
     return tuple(
         Involution(space, m)
-        for m in enumerate_isometries(space, bound=bound)
+        for m in isometries(space.gram, bound=bound)
         if m @ m == ident
     )
 
@@ -130,7 +124,7 @@ def conjugacy_oracle(a: Involution, b: Involution, bound: int = 6) -> bool:
     if a.space.gram != b.space.gram:
         raise ValueError("involutions live on different spaces")
     target = b.matrix
-    for p in enumerate_isometries(a.space, bound=bound):
+    for p in isometries(a.space.gram, bound=bound):
         if a.matrix @ p == p @ target:
             return True
     return False
@@ -182,7 +176,7 @@ def isometry_generators(space: BilinearSpace, bound: int = 6) -> List[F2Matrix]:
         return _orthonormal_generators(n)
     if space.kind == FormKind.SYMP and _is_standard_symplectic(space.gram):
         return _transvection_generators(space)
-    return list(enumerate_isometries(space, bound=bound))
+    return list(isometries(space.gram, bound=bound))
 
 
 def _is_standard_symplectic(gram: F2Matrix) -> bool:

@@ -272,11 +272,6 @@ def rank(m: F2Matrix) -> int:
     return rk
 
 
-def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Product over GF(2); inner dimensions must match."""
-    return a @ b
-
-
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """Block-diagonal sum of two square matrices."""
     if not (a.is_square() and b.is_square()):
@@ -284,36 +279,6 @@ def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     n = a.ncols
     rows = list(a.rows) + [r << n for r in b.rows]
     return F2Matrix(tuple(rows), n + b.ncols)
-
-
-def solve(a: F2Matrix, b: F2Vector) -> F2Vector:
-    """Solve ``a @ x = b`` for invertible square ``a``."""
-    if not a.is_square() or a.nrows != b.n:
-        raise DimensionMismatch("solve needs a square system")
-    n = a.ncols
-    work = [a.rows[i] | (((b.bits >> i) & 1) << n) for i in range(n)]
-    row_idx = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_idx, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("singular system")
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(n):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        row_idx += 1
-    bits = 0
-    for col in range(n):
-        for w in work:
-            if (w >> col) & 1:
-                if (w >> n) & 1:
-                    bits |= 1 << col
-                break
-    return F2Vector(bits, n)
 
 
 def _affine_solutions(eqs: List[Tuple[int, int]], n: int) -> Optional[Tuple[int, List[int]]]:
@@ -462,9 +427,7 @@ __all__ = [
     "F2Vector",
     "F2Matrix",
     "rank",
-    "mat_mul",
     "block_diag",
-    "solve",
     "isometries",
     "group_closure",
 ]

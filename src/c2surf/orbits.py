@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .bilinear import standard_space
-from .dd import _orthonormal_generators, _transvection_generators
+from .dd import isometry_generators
 from .f2 import F2Matrix, F2Vector, group_closure, isometries
 from .words import Surface
 
@@ -61,22 +61,12 @@ def symplectic_orbit(v: F2Vector) -> SymplecticOrbit:
     return SymplecticOrbit.ZERO if v.is_zero() else SymplecticOrbit.NONZERO
 
 
-def _census_generators(kind: str, n: int) -> List[F2Matrix]:
-    if kind == "orthogonal":
-        return _orthonormal_generators(n)
-    if kind == "symplectic":
-        if n % 2:
-            raise ValueError("symplectic dimension must be even")
-        return _transvection_generators(standard_space("symplectic", n))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def orbit_census(kind: str, n: int, bound: int = 12) -> int:
     """Number of orbits of the full isometry group on GF(2)^n, by brute-force
     partition of all vectors under a generating set."""
     if n > bound:
         raise ValueError(f"dimension {n} above census bound {bound}")
-    gens = _census_generators(kind, n)
+    gens = isometry_generators(standard_space(kind, n))
     seen = [False] * (1 << n)
     orbits = 0
     for start in range(1 << n):
@@ -98,18 +88,13 @@ def orbit_census(kind: str, n: int, bound: int = 12) -> int:
     return orbits
 
 
-def all_orthogonal_matrices(n: int, bound: int = 6) -> Tuple[F2Matrix, ...]:
-    """Every M with M M^T = I, enumerated independently of any generator claim."""
-    return isometries(F2Matrix.identity(n), bound=bound)
-
-
 def verify_orthogonal_generators(n: int, bound: int = 6) -> bool:
     """Check that permutations (plus the complement-of-identity 4x4 block when
     n >= 4) generate the whole orthogonal group."""
     if n < 1 or n > bound:
         raise ValueError(f"n must lie in 1..{bound}")
-    closure = group_closure(_orthonormal_generators(n))
-    return closure == frozenset(all_orthogonal_matrices(n, bound=bound))
+    closure = group_closure(isometry_generators(standard_space("orthogonal", n)))
+    return closure == frozenset(isometries(F2Matrix.identity(n), bound=bound))
 
 
 class FreeKind(enum.Enum):
@@ -247,7 +232,6 @@ __all__ = [
     "orthogonal_orbit",
     "symplectic_orbit",
     "orbit_census",
-    "all_orthogonal_matrices",
     "verify_orthogonal_generators",
     "FreeKind",
     "FreeActionDescriptor",

@@ -32,6 +32,10 @@ class InvalidWordError(ValueError):
     """Structurally valid text describing an impossible word."""
 
 
+class RewriteNonTermination(RuntimeError):
+    """Directed rewriting hit its step fuse before reaching a fixpoint."""
+
+
 class Sign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
@@ -241,15 +245,8 @@ class SurgeryWord:
     def is_trivial(self) -> bool:
         return self.base.kind == BaseKind.TRIVIAL
 
-    def text(self) -> str:
-        return format_word(self)
-
     def __repr__(self) -> str:
         return f"<{format_word(self)}>"
-
-
-def word(base: BaseSpace, **counts: int) -> SurgeryWord:
-    return SurgeryWord(base, **counts)
 
 
 def beta(w: SurgeryWord) -> int:
@@ -406,10 +403,6 @@ class RewriteRule:
     instances: Callable[[int], Iterator[Tuple[SurgeryWord, SurgeryWord]]]
 
 
-def _with(w: SurgeryWord, **kw: int) -> SurgeryWord:
-    return replace(w, **kw)
-
-
 def _ctx_words(max_beta: int) -> Iterator[SurgeryWord]:
     """Small library of context words for the connected-sum rule."""
     bases = [
@@ -542,10 +535,10 @@ def rewrite_equivalences() -> List[RewriteRule]:
     def dcc_absorbs_dt(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # X + DCC + DT  ~  X + 3 DCC  (crosscapped sums absorb handles)
         for ctx in _ctx_words(mb - 6):
-            u = _with(ctx, dcc=ctx.dcc + 1, dt=ctx.dt + 1)
+            u = replace(ctx, dcc=ctx.dcc + 1, dt=ctx.dt + 1)
             if beta(u) > mb:
                 continue
-            yield u, _with(ctx, dcc=ctx.dcc + 3)
+            yield u, replace(ctx, dcc=ctx.dcc + 3)
 
     return [
         RewriteRule("fundiso_dcc", fundiso_dcc),
@@ -568,7 +561,7 @@ def _normalize_step(w: SurgeryWord) -> SurgeryWord:
 
     # antipodal antitubes become crosscaps (S22) or a torus base (S2a)
     if w.s1aat and k == BaseKind.S22:
-        return _with(w, s1aat=w.s1aat - 1, dcc=w.dcc + 1)
+        return replace(w, s1aat=0, dcc=w.dcc + w.s1aat)
     if w.s1aat and k == BaseKind.S2A:
         return replace(w, base=BaseSpace.tanti(1), s1aat=w.s1aat - 1)
 
@@ -588,9 +581,9 @@ def _normalize_step(w: SurgeryWord) -> SurgeryWord:
             dt=w.dt + (w.base.g + 1 - w.base.c) // 2,
         )
 
-    # a crosscapped sum absorbs dual tori
+    # a crosscapped sum absorbs dual tori, two crosscap pairs per torus pair
     if w.dcc and w.dt:
-        return _with(w, dcc=w.dcc + 2, dt=w.dt - 1)
+        return replace(w, dcc=w.dcc + 2 * w.dt, dt=0)
 
     # free torus bases shed crosscaps down to S2a / Tanti(1)
     if k == BaseKind.T_ROT and w.dcc:
@@ -646,19 +639,19 @@ def normalize(w: SurgeryWord) -> SurgeryWord:
         if nxt == w:
             return w
         w = nxt
-    raise RuntimeError(f"rewriting did not terminate on {w!r}")
+    raise RewriteNonTermination(f"rewriting did not terminate on {w!r}")
 
 
 __all__ = [
     "WordSyntaxError",
     "InvalidWordError",
+    "RewriteNonTermination",
     "Sign",
     "Epsilon",
     "Surface",
     "BaseKind",
     "BaseSpace",
     "SurgeryWord",
-    "word",
     "beta",
     "fixed_data",
     "q_sign",

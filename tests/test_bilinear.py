@@ -9,13 +9,12 @@ from c2surf.bilinear import (
     FormKind,
     NotAnIsometry,
     NotOrderTwo,
+    Involution,
     classify_space,
-    enumerate_isometries,
-    make_involution,
     omega_vector,
     standard_space,
 )
-from c2surf.f2 import F2Matrix, F2Vector
+from c2surf.f2 import F2Matrix, F2Vector, isometries
 
 
 def random_invertible(rng: random.Random, n: int) -> F2Matrix:
@@ -97,17 +96,17 @@ def test_symplectic_classification_basis_invariant():
 def test_make_involution_cases():
     evo2 = standard_space("orthogonal", 2)
     swap = F2Matrix.from_rows([[0, 1], [1, 0]])
-    assert make_involution(evo2, swap).matrix == swap
+    assert Involution(evo2, swap).matrix == swap
     shear = F2Matrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(NotAnIsometry):
-        make_involution(evo2, shear)
+        Involution(evo2, shear)
     symp2 = standard_space("symplectic", 2)
-    assert make_involution(symp2, shear).matrix == shear  # transvection
+    assert Involution(symp2, shear).matrix == shear  # transvection
     not_order_two = F2Matrix.from_rows(
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     )  # 3-cycle, orthogonal
     with pytest.raises(NotOrderTwo):
-        make_involution(standard_space("orthogonal", 3), not_order_two)
+        Involution(standard_space("orthogonal", 3), not_order_two)
 
 
 def test_every_isometry_fixes_omega():
@@ -115,5 +114,5 @@ def test_every_isometry_fixes_omega():
         for n in dims:
             space = standard_space(kind, n)
             omega = omega_vector(space)
-            for m in enumerate_isometries(space):
+            for m in isometries(space.gram):
                 assert m.mul_vec(omega) == omega

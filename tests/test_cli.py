@@ -4,8 +4,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from c2surf import counting
 from c2surf.cli import main
-from c2surf.words import parse_word
+from c2surf.words import format_word, normalize, parse_word
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -225,3 +226,45 @@ def test_verify_suites_fast():
     assert code == 2 and "2..6" in err
     code, _, err = run(["verify", "generators", "--n", "9"])
     assert code == 2 and "1..6" in err
+
+
+@pytest.mark.parametrize(
+    "text, normal",
+    [("S22+20000S1aAT", "S2a+19999DCC+S11AT"), ("S2a+DCC+20000DT", "S2a+40001DCC")],
+)
+def test_inv_answers_long_op_runs(text, normal):
+    code, out, err = run(["inv", text])
+    assert code == 0 and err == ""
+    assert f"word={text}" in out
+    assert format_word(normalize(parse_word(text))) == normal
+
+
+def test_inv_rewrite_fuse_exits_4():
+    code, out, err = run(["inv", "S2a+S11AT+6000S1aAT"])
+    assert code == 4 and out == ""
+    assert err.startswith("error: rewriting did not terminate")
+    assert len(err.splitlines()) == 1
+
+
+def test_count_mismatch_exits_4(monkeypatch):
+    def broken(r):
+        raise counting.CountMismatch(f"A({r}) is off")
+
+    monkeypatch.setattr(counting, "phi_counts", broken)
+    code, _, err = run(["count", "N5"])
+    assert code == 4
+    assert err == "error: A(5) is off\n"
+
+
+def test_verify_orbits_bound_checked_up_front():
+    code, out, err = run(["verify", "orbits", "--n", "13"])
+    assert code == 2 and out == ""
+    assert "2..12" in err
+
+
+def test_verify_counts_fails_when_a_path_is_off(monkeypatch):
+    recursive = counting.A_recursive
+    monkeypatch.setattr(counting, "A_recursive", lambda r: recursive(r) + (r == 17))
+    code, out, _ = run(["verify", "counts", "--max-r", "40"])
+    assert code == 4
+    assert out.splitlines() == ["FAIL three-way A/B agreement and totals r<=40"]

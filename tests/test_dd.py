@@ -6,9 +6,7 @@ from c2surf.bilinear import (
     BilinearSpace,
     FormKind,
     Involution,
-    enumerate_isometries,
     identity_involution,
-    make_involution,
     standard_space,
 )
 from c2surf.dd import (
@@ -25,11 +23,11 @@ from c2surf.dd import (
     isometry_generators,
     mirror,
 )
-from c2surf.f2 import F2Matrix, block_diag, group_closure
+from c2surf.f2 import F2Matrix, block_diag, group_closure, isometries
 
 
 def swap_on_evo2() -> Involution:
-    return make_involution(
+    return Involution(
         standard_space("orthogonal", 2), F2Matrix.from_rows([[0, 1], [1, 0]])
     )
 
@@ -86,7 +84,7 @@ def test_dd_spot_values():
     assert dd(swap_on_evo2()) == DDTuple(1, 0, 0, 1)
     # a |-> a, b |-> a+b on the symplectic plane
     symp2 = standard_space("symplectic", 2)
-    transvection = make_involution(symp2, F2Matrix.from_rows([[1, 1], [0, 1]]))
+    transvection = Involution(symp2, F2Matrix.from_rows([[1, 1], [0, 1]]))
     assert dd(transvection) == DDTuple(1, 1, 1, 1)
 
 
@@ -119,7 +117,7 @@ def test_dd_is_conjugation_invariant():
     rng = random.Random(2)
     for kind, n in (("orthogonal", 4), ("symplectic", 4), ("orthogonal", 5)):
         space = standard_space(kind, n)
-        group = enumerate_isometries(space)
+        group = isometries(space.gram)
         invs = involutions_in(space)
         for _ in range(60):
             inv = rng.choice(invs)
@@ -137,7 +135,7 @@ def test_conjugacy_oracle_small():
 
 def test_conjugacy_oracle_detects_conjugates():
     space = standard_space("orthogonal", 4)
-    group = enumerate_isometries(space)
+    group = isometries(space.gram)
     rng = random.Random(9)
     theta = block_swap_involution(space)
     for _ in range(10):
@@ -160,7 +158,7 @@ def test_transvections_generate_symplectic_group():
     for n in (2, 4):
         space = standard_space("symplectic", n)
         closure = group_closure(isometry_generators(space))
-        assert closure == frozenset(enumerate_isometries(space))
+        assert closure == frozenset(isometries(space.gram))
 
 
 def test_conjugacy_classes_partition():

@@ -1,6 +1,6 @@
 import pytest
 
-from c2surf.f2 import F2Vector
+from c2surf.f2 import F2Matrix, F2Vector, isometries
 from c2surf.orbits import (
     FreeActionDescriptor,
     FreeKind,
@@ -31,10 +31,8 @@ def test_content():
 
 
 def test_content_preserved_by_orthogonal_group():
-    from c2surf.orbits import all_orthogonal_matrices
-
     for n in (2, 3, 4):
-        for m in all_orthogonal_matrices(n):
+        for m in isometries(F2Matrix.identity(n)):
             for bits in range(1 << n):
                 vec = F2Vector(bits, n)
                 assert content(m.mul_vec(vec)) == content(vec)

@@ -6,7 +6,7 @@ Moebius trades (FM).  The enumeration emits one representative per
 isomorphism class, organised by taxonomy [F, C:(C+,C-)] and quotient sign.
 """
 
-from c2surf.classify import enumerate_nonorientable, enumerate_torus, taxonomy_cells
+from c2surf.classify import enumerate_torus, iter_nonorientable, taxonomy_cells
 from c2surf.words import format_word
 
 
@@ -17,7 +17,7 @@ def main() -> None:
         print(f"  {format_word(action.word):<14} {tax}")
 
     print("\nThe Klein bottle N_2, nontrivial actions:")
-    for action in enumerate_nonorientable(2, include_trivial=False):
+    for action in iter_nonorientable(2, include_trivial=False):
         print(
             f"  {format_word(action.word):<12} {action.taxonomy!r:<16} "
             f"eps={action.epsilon.value:<7} dd={action.dd}"

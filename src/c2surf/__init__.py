@@ -14,9 +14,9 @@ from .classify import (
     Action,
     Taxonomy,
     decide_isomorphic,
-    enumerate_nonorientable,
-    enumerate_sphere,
+    enumerate_surface,
     enumerate_torus,
+    iter_nonorientable,
     scherrer_admissible,
 )
 from .counting import phi_counts, total_count
@@ -27,9 +27,9 @@ __all__ = [
     "Action",
     "Taxonomy",
     "decide_isomorphic",
-    "enumerate_nonorientable",
-    "enumerate_sphere",
+    "enumerate_surface",
     "enumerate_torus",
+    "iter_nonorientable",
     "scherrer_admissible",
     "phi_counts",
     "total_count",

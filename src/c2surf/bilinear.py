@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, block_diag
+from .f2 import F2Matrix, F2Vector, block_diag, rank
 
 
 class FormKind(enum.Enum):
@@ -37,7 +37,7 @@ class BilinearSpace:
     def __post_init__(self) -> None:
         if not self.gram.is_symmetric():
             raise ValueError("gram matrix must be symmetric")
-        if self.gram.rank() != self.gram.ncols:
+        if rank(self.gram) != self.gram.ncols:
             raise ValueError("gram matrix must be invertible (nondegenerate form)")
 
     @property
@@ -46,17 +46,13 @@ class BilinearSpace:
 
     @property
     def kind(self) -> FormKind:
-        return classify_space(self)
+        """SYMP when all diagonal gram entries vanish, else ODDO/EVO by parity."""
+        if self.gram.diag().is_zero():
+            return FormKind.SYMP
+        return FormKind.ODDO if self.dim % 2 else FormKind.EVO
 
     def pairing(self, v: F2Vector, w: F2Vector) -> int:
         return v.dot(self.gram.mul_vec(w))
-
-
-def classify_space(space: BilinearSpace) -> FormKind:
-    """SYMP when all diagonal gram entries vanish, else ODDO/EVO by parity."""
-    if space.gram.diag().is_zero():
-        return FormKind.SYMP
-    return FormKind.ODDO if space.dim % 2 else FormKind.EVO
 
 
 def omega_vector(space: BilinearSpace) -> F2Vector:
@@ -110,7 +106,6 @@ __all__ = [
     "NotAnIsometry",
     "NotOrderTwo",
     "BilinearSpace",
-    "classify_space",
     "omega_vector",
     "standard_space",
     "Involution",

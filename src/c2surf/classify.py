@@ -113,35 +113,23 @@ class Action:
 # derived DD values
 
 
-# All six involutions on the Klein bottle, keyed by normalized word text.
+_ZERO_DD = DDTuple(0, 0, 0, 0)
+# Antipodal sphere or torus with C trivial-circle antitubes: the induced map
+# is a single symplectic transvection block, independent of C.
+_TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
+# The Klein-bottle involutions outside the crosscap families, keyed by
+# normalized word text.
 _KLEIN_DD: Dict[str, DDTuple] = {
-    "Triv(N2)": DDTuple(0, 1, 1, 0),
-    "S2a+DCC": DDTuple(1, 0, 0, 1),
-    "S21+DCC": DDTuple(1, 0, 0, 1),
     "S2a+S11AT": DDTuple(1, 0, 0, 1),
     "S22+S10AT": DDTuple(0, 1, 1, 0),
     "S22+2FM": DDTuple(0, 1, 1, 0),
 }
 
-_SPHERE_DD = DDTuple(0, 0, 0, 0)
-# D and alpha of the induced map on first cohomology mod 2, for the bases
-# whose homology action is known: the sphere actions and the torus actions
-# all act trivially except S2a + S10AT (handled in the tube family below).
-_SYMPLECTIC_BASE_DD = {
-    BaseKind.S2A: DDTuple(0, 0, 0, 0),
-    BaseKind.T_ANTI: DDTuple(0, 0, 0, 0),  # g = 1 only
-    BaseKind.S21: DDTuple(0, 0, 0, 0),
-    BaseKind.S22: DDTuple(0, 0, 0, 0),
-}
-# Antipodal sphere or torus with C trivial-circle antitubes: the induced map
-# is a single symplectic transvection block, independent of C.
-_TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
-
 
 def identity_dd(surface: Surface) -> DDTuple:
     """DD of the trivial action: the identity isometry of H^1(X; Z/2)."""
     if surface.orientable or surface.genus % 2 == 1:
-        return DDTuple(0, 0, 0, 0)
+        return _ZERO_DD
     return DDTuple(0, 1, 1, 0)
 
 
@@ -149,32 +137,33 @@ def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
     """DD whenever a derived formula covers the word, else None.
 
     Covered: trivial actions; everything on S^2, RP^2, T_1, and the Klein
-    bottle; and the antipodal-base families S2a/Tanti(1) + k DCC + C S10AT
-    (plus S21 + k DCC), where the crosscap pairs enter through the
-    direct-sum rule.
+    bottle; and the crosscap families S2a/Tanti(1) + k DCC + C S10AT and
+    S21 + k DCC, where the crosscap pairs enter through the direct-sum rule.
     """
     w = normalize(w)
     if w.is_trivial():
         return identity_dd(w.base.surface)
     surf = underlying_surface(w)
-    if surf.beta == 0:
-        return _SPHERE_DD
-    if surf == Surface(False, 1):
-        # H^1 is one-dimensional, so every involution induces the identity
-        return identity_dd(surf)
+    if surf.beta <= 1:
+        # H^1 has dimension at most one, so every involution induces the identity
+        return _ZERO_DD
+    if surf == Surface(True, 1):
+        # the signed taxonomy is complete on T_1, and only the class of
+        # S2a + S10AT acts nontrivially on H^1
+        if Taxonomy(*fixed_data(w), q_sign(w)) == Taxonomy(0, 1, 0, Sign.MINUS):
+            return _TUBE_FAMILY_DD[BaseKind.S2A]
+        return _ZERO_DD
+    kind, k, c = w.base.kind, w.dcc, w.s10at
+    family = (
+        kind == BaseKind.S2A
+        or (kind == BaseKind.T_ANTI and w.base.g == 1)
+        or (kind == BaseKind.S21 and c == 0)
+    )
+    if family and not (w.dt or w.s11at or w.s1aat or w.fm):
+        base = _TUBE_FAMILY_DD[kind] if c else _ZERO_DD
+        return base if k == 0 else dd_direct_sum(base, k)
     if surf == Surface(False, 2):
         return _KLEIN_DD.get(format_word(w))
-    only_dcc_and_tubes = not (w.dt or w.s11at or w.s1aat or w.fm)
-    k, c = w.dcc, w.s10at
-    is_s2a = w.base.kind == BaseKind.S2A
-    is_t1a = w.base.kind == BaseKind.T_ANTI and w.base.g == 1
-    if only_dcc_and_tubes and (is_s2a or is_t1a):
-        base = _TUBE_FAMILY_DD[w.base.kind] if c else _SYMPLECTIC_BASE_DD[w.base.kind]
-        return base if k == 0 else dd_direct_sum(base, k)
-    if only_dcc_and_tubes and w.base.kind == BaseKind.S21 and c == 0 and k >= 1:
-        return dd_direct_sum(_SYMPLECTIC_BASE_DD[BaseKind.S21], k)
-    if surf.orientable and surf.genus == 1:
-        return DDTuple(0, 0, 0, 0)  # remaining T_1 words act trivially on H^1
     return None
 
 
@@ -271,10 +260,6 @@ def iter_nonorientable(r: int, include_trivial: bool = True) -> Iterator[Action]
             yield Action.from_word(w)
 
 
-def enumerate_nonorientable(r: int, include_trivial: bool = True) -> List[Action]:
-    return list(iter_nonorientable(r, include_trivial))
-
-
 def count_nonorientable(r: int, include_trivial: bool = True) -> int:
     """Size of the enumeration without building the actions."""
     if r < 1:
@@ -308,20 +293,10 @@ def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
     return out
 
 
-def enumerate_sphere(include_trivial: bool = True) -> List[Action]:
-    """The four involutions on the 2-sphere."""
-    words = [SurgeryWord(BaseSpace.s2a()), SurgeryWord(BaseSpace.s21()), SurgeryWord(BaseSpace.s22())]
-    out = []
-    if include_trivial:
-        out.append(Action.from_word(SurgeryWord(BaseSpace.trivial(Surface(True, 0)))))
-    out.extend(Action.from_word(w) for w in words)
-    return out
-
-
 def enumerate_surface(surface: Surface, include_trivial: bool = True) -> List[Action]:
     if surface.orientable:
         return enumerate_torus(surface.genus, include_trivial)
-    return enumerate_nonorientable(surface.genus, include_trivial)
+    return list(iter_nonorientable(surface.genus, include_trivial))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +346,8 @@ __all__ = [
     "dd_of_word",
     "taxonomy_cells",
     "iter_nonorientable",
-    "enumerate_nonorientable",
     "count_nonorientable",
     "enumerate_torus",
-    "enumerate_sphere",
     "enumerate_surface",
     "decide_isomorphic",
 ]

@@ -15,6 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from . import classify, counting, gl2, orbits, words
 from .bilinear import standard_space
 from .dd import dd_classifies
+from .f2 import ISOMETRY_BOUND
 from .classify import Action
 from .words import Surface, WordSyntaxError
 
@@ -163,9 +164,13 @@ def cmd_gl2(args: argparse.Namespace) -> int:
 # verification suites
 
 
+def _check_range(flag: str, value: int, lo: int, hi: int, why: str) -> None:
+    if not lo <= value <= hi:
+        raise CliError(f"{flag} must lie in {lo}..{hi} ({why})", EXIT_USAGE)
+
+
 def _verify_orbits(n_max: int) -> Iterable[Tuple[str, bool]]:
-    if not 2 <= n_max <= 12:
-        raise CliError("--n must lie in 2..12 (census bound)", EXIT_USAGE)
+    _check_range("--n", n_max, 2, orbits.CENSUS_BOUND, "census bound")
     for n in range(2, n_max + 1):
         expected = 3 if n == 2 else 4
         got = orbits.orbit_census("orthogonal", n)
@@ -176,22 +181,20 @@ def _verify_orbits(n_max: int) -> Iterable[Tuple[str, bool]]:
 
 
 def _verify_generators(n_max: int) -> Iterable[Tuple[str, bool]]:
-    if not 1 <= n_max <= 6:
-        raise CliError("--n must lie in 1..6 (exhaustive-search bound)", EXIT_USAGE)
+    _check_range("--n", n_max, 1, ISOMETRY_BOUND, "exhaustive-search bound")
     for n in range(1, n_max + 1):
         ok = orbits.verify_orthogonal_generators(n)
         yield f"orthogonal group generated by permutations(+block) n={n}", ok
 
 
 def _verify_dd(max_dim: int) -> Iterable[Tuple[str, bool]]:
-    if not 2 <= max_dim <= 6:
-        raise CliError("--max-dim must lie in 2..6 (exhaustive-search bound)", EXIT_USAGE)
+    _check_range("--max-dim", max_dim, 2, ISOMETRY_BOUND, "exhaustive-search bound")
     for n in range(2, max_dim + 1):
         space = standard_space("orthogonal", n)
-        yield f"DD classifies orthogonal dim {n}", dd_classifies(space, bound=max_dim)
+        yield f"DD classifies orthogonal dim {n}", dd_classifies(space)
     for n in range(2, max_dim + 1, 2):
         space = standard_space("symplectic", n)
-        yield f"DD classifies symplectic dim {n}", dd_classifies(space, bound=max_dim)
+        yield f"DD classifies symplectic dim {n}", dd_classifies(space)
 
 
 def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
-from .f2 import F2Matrix, F2Vector, isometries
+from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
+from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, isometries, rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,13 +36,7 @@ class DDTuple:
 def d_invariant(inv: Involution) -> int:
     """Rank of M + Id over GF(2)."""
     n = inv.space.dim
-    return (inv.matrix + F2Matrix.identity(n)).rank()
-
-
-def _pairing_functional(inv: Involution) -> F2Vector:
-    """The linear functional v |-> b(v, M v), packed as diag(G M)."""
-    gm = inv.space.gram @ inv.matrix
-    return gm.diag()
+    return rank(inv.matrix + F2Matrix.identity(n))
 
 
 def alpha_invariant(inv: Involution) -> int:
@@ -51,7 +45,7 @@ def alpha_invariant(inv: Involution) -> int:
     The functional vanishes on the orthogonal complement of Omega exactly when
     it is a multiple of the functional v |-> b(v, Omega), i.e. of diag(G).
     """
-    f = _pairing_functional(inv)
+    f = (inv.space.gram @ inv.matrix).diag()  # v |-> b(v, Mv), packed
     if inv.space.dim % 2 == 0:
         return 0 if f.is_zero() else 1
     dg = inv.space.gram.diag()
@@ -109,7 +103,7 @@ def block_swap_involution(space: BilinearSpace) -> Involution:
     return Involution(space, F2Matrix.permutation(perm))
 
 
-def involutions_in(space: BilinearSpace, bound: int = 6) -> Tuple[Involution, ...]:
+def involutions_in(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> Tuple[Involution, ...]:
     """Every involution in the isometry group, by exhaustive filtering."""
     ident = F2Matrix.identity(space.dim)
     return tuple(
@@ -119,7 +113,7 @@ def involutions_in(space: BilinearSpace, bound: int = 6) -> Tuple[Involution, ..
     )
 
 
-def conjugacy_oracle(a: Involution, b: Involution, bound: int = 6) -> bool:
+def conjugacy_oracle(a: Involution, b: Involution, bound: int = ISOMETRY_BOUND) -> bool:
     """Whether some isometry P satisfies P^-1 a P = b, by exhaustive search."""
     if a.space.gram != b.space.gram:
         raise ValueError("involutions live on different spaces")
@@ -164,32 +158,21 @@ def _orthonormal_generators(n: int) -> List[F2Matrix]:
     return gens
 
 
-def isometry_generators(space: BilinearSpace, bound: int = 6) -> List[F2Matrix]:
+def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
     """A generating set of the isometry group for the two standard grams.
 
     Orthonormal grams use permutations plus the complement-of-identity block;
-    standard symplectic grams use the full set of transvections.  Any other
-    gram falls back to the exhaustively enumerated group.
+    standard symplectic grams use the full set of transvections.
     """
     n = space.dim
     if space.gram == F2Matrix.identity(n):
         return _orthonormal_generators(n)
-    if space.kind == FormKind.SYMP and _is_standard_symplectic(space.gram):
+    if space.kind == FormKind.SYMP and space.gram == standard_space("symplectic", n).gram:
         return _transvection_generators(space)
-    return list(isometries(space.gram, bound=bound))
+    raise ValueError("generators are known for the standard orthogonal and symplectic grams only")
 
 
-def _is_standard_symplectic(gram: F2Matrix) -> bool:
-    n = gram.ncols
-    if n % 2:
-        return False
-    expected = []
-    for i in range(0, n, 2):
-        expected += [1 << (i + 1), 1 << i]
-    return gram.rows == tuple(expected)
-
-
-def conjugacy_classes(space: BilinearSpace, bound: int = 6) -> List[List[Involution]]:
+def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List[List[Involution]]:
     """Partition of all involutions into conjugacy classes.
 
     Classes are the orbits of conjugation; closing each orbit under a
@@ -197,7 +180,7 @@ def conjugacy_classes(space: BilinearSpace, bound: int = 6) -> List[List[Involut
     class without materializing every conjugator.
     """
     invs = involutions_in(space, bound=bound)
-    gens = isometry_generators(space, bound=bound)
+    gens = isometry_generators(space)
     gen_pairs = [(g, g.inverse()) for g in gens]
     remaining = {inv.matrix for inv in invs}
     classes: List[List[Involution]] = []
@@ -221,9 +204,9 @@ def conjugacy_classes(space: BilinearSpace, bound: int = 6) -> List[List[Involut
     return classes
 
 
-def dd_classifies(space: BilinearSpace, bound: int = 6) -> bool:
+def dd_classifies(space: BilinearSpace) -> bool:
     """Whether DD equality matches conjugacy for every pair of involutions."""
-    classes = conjugacy_classes(space, bound=bound)
+    classes = conjugacy_classes(space)
     values: Dict[Tuple[int, int, int, int], int] = {}
     for idx, cls in enumerate(classes):
         vals = {dd(inv).as_tuple() for inv in cls}

@@ -157,16 +157,6 @@ class F2Matrix:
             raise IndexError((i, j))
         return (self.rows[i] >> j) & 1
 
-    def row(self, i: int) -> F2Vector:
-        return F2Vector(self.rows[i], self.ncols)
-
-    def col_bits(self, j: int) -> int:
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                bits |= 1 << i
-        return bits
-
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_cols(list(self.rows), self.ncols)
 
@@ -212,11 +202,8 @@ class F2Matrix:
                 bits |= 1 << i
         return F2Vector(bits, self.nrows)
 
-    def rank(self) -> int:
-        return rank(self)
-
     def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.ncols
+        return self.is_square() and rank(self) == self.ncols
 
     def inverse(self) -> "F2Matrix":
         if not self.is_square():
@@ -239,9 +226,6 @@ class F2Matrix:
             row_idx += 1
         mask = (1 << n) - 1
         return F2Matrix(tuple((w >> n) & mask for w in work), n)
-
-    def to_lists(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -322,10 +306,13 @@ def _affine_solutions(eqs: List[Tuple[int, int]], n: int) -> Optional[Tuple[int,
     return particular, basis
 
 
+# Largest dimension the exhaustive isometry search and the oracles built on it accept.
+ISOMETRY_BOUND = 6
+
 _ISOMETRY_CACHE: dict = {}
 
 
-def isometries(gram: F2Matrix, bound: int = 6) -> Tuple[F2Matrix, ...]:
+def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:
     """All M with M^T G M = G, by column-by-column constraint propagation.
 
     Every pairing constraint is linear over GF(2), including the diagonal one
@@ -428,6 +415,7 @@ __all__ = [
     "F2Matrix",
     "rank",
     "block_diag",
+    "ISOMETRY_BOUND",
     "isometries",
     "group_closure",
 ]

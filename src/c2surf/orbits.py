@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from .bilinear import standard_space
 from .dd import isometry_generators
-from .f2 import F2Matrix, F2Vector, group_closure, isometries
+from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries
 from .words import Surface
 
 
@@ -61,11 +61,15 @@ def symplectic_orbit(v: F2Vector) -> SymplecticOrbit:
     return SymplecticOrbit.ZERO if v.is_zero() else SymplecticOrbit.NONZERO
 
 
-def orbit_census(kind: str, n: int, bound: int = 12) -> int:
+# Largest dimension the orbit census partitions (2^n vectors).
+CENSUS_BOUND = 12
+
+
+def orbit_census(kind: str, n: int) -> int:
     """Number of orbits of the full isometry group on GF(2)^n, by brute-force
     partition of all vectors under a generating set."""
-    if n > bound:
-        raise ValueError(f"dimension {n} above census bound {bound}")
+    if n > CENSUS_BOUND:
+        raise ValueError(f"dimension {n} above census bound {CENSUS_BOUND}")
     gens = isometry_generators(standard_space(kind, n))
     seen = [False] * (1 << n)
     orbits = 0
@@ -88,13 +92,13 @@ def orbit_census(kind: str, n: int, bound: int = 12) -> int:
     return orbits
 
 
-def verify_orthogonal_generators(n: int, bound: int = 6) -> bool:
+def verify_orthogonal_generators(n: int) -> bool:
     """Check that permutations (plus the complement-of-identity 4x4 block when
     n >= 4) generate the whole orthogonal group."""
-    if n < 1 or n > bound:
-        raise ValueError(f"n must lie in 1..{bound}")
+    if n < 1 or n > ISOMETRY_BOUND:
+        raise ValueError(f"n must lie in 1..{ISOMETRY_BOUND}")
     closure = group_closure(isometry_generators(standard_space("orthogonal", n)))
-    return closure == frozenset(isometries(F2Matrix.identity(n), bound=bound))
+    return closure == frozenset(isometries(F2Matrix.identity(n)))
 
 
 class FreeKind(enum.Enum):
@@ -207,12 +211,9 @@ def classify_free_structures(x: Surface) -> List[FreeActionDescriptor]:
     ]
 
 
-def brute_orbit_partition(kind: str, n: int, bound: int = 6) -> Dict[int, int]:
+def brute_orbit_partition(kind: str, n: int) -> Dict[int, int]:
     """Vector -> orbit id under the exhaustively enumerated isometry group."""
-    if kind == "orthogonal":
-        group = isometries(F2Matrix.identity(n), bound=bound)
-    else:
-        group = isometries(standard_space("symplectic", n).gram, bound=bound)
+    group = isometries(standard_space(kind, n).gram)
     label: Dict[int, int] = {}
     next_id = 0
     for bits in range(1 << n):
@@ -231,6 +232,7 @@ __all__ = [
     "content",
     "orthogonal_orbit",
     "symplectic_orbit",
+    "CENSUS_BOUND",
     "orbit_census",
     "verify_orthogonal_generators",
     "FreeKind",

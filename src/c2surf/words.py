@@ -563,6 +563,9 @@ def _normalize_step(w: SurgeryWord) -> SurgeryWord:
     if w.s1aat and k == BaseKind.S22:
         return replace(w, s1aat=0, dcc=w.dcc + w.s1aat)
     if w.s1aat and k == BaseKind.S2A:
+        if w.s11at:
+            # each S1aAT would go S2a -> Tanti(1) and back via Tanti(1) + S11AT
+            return replace(w, s1aat=0, dcc=w.dcc + w.s1aat)
         return replace(w, base=BaseSpace.tanti(1), s1aat=w.s1aat - 1)
 
     # spit/reflection bases unroll when mixed with foreign surgeries

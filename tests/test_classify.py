@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from c2surf.classify import (
@@ -7,8 +9,6 @@ from c2surf.classify import (
     count_nonorientable,
     decide_isomorphic,
     dd_of_word,
-    enumerate_nonorientable,
-    enumerate_sphere,
     enumerate_torus,
     identity_dd,
     iter_nonorientable,
@@ -17,7 +17,16 @@ from c2surf.classify import (
 )
 from c2surf.counting import total_count
 from c2surf.dd import DDTuple
-from c2surf.words import Sign, Surface, format_word, parse_word
+from c2surf.words import (
+    BaseSpace,
+    InvalidWordError,
+    Sign,
+    Surface,
+    SurgeryWord,
+    format_word,
+    parse_word,
+    underlying_surface,
+)
 
 
 def act(text: str) -> Action:
@@ -33,7 +42,7 @@ def test_scherrer_admissible():
 
 
 def test_enumerate_sphere():
-    actions = enumerate_sphere()
+    actions = enumerate_torus(0)
     assert len(actions) == 4
     by_word = {format_word(a.word): a for a in actions}
     assert by_word["S22"].taxonomy == Taxonomy(2, 0, 0, Sign.PLUS)
@@ -49,8 +58,7 @@ def test_enumerate_torus_counts():
 
 def test_enumerate_torus_g0_matches_sphere():
     words_t0 = {format_word(a.word) for a in enumerate_torus(0)}
-    words_sphere = {format_word(a.word) for a in enumerate_sphere()}
-    assert words_t0 == words_sphere
+    assert words_t0 == {"Triv(T0)", "S2a", "S21", "S22"}
 
 
 def test_enumerate_torus_g1():
@@ -71,20 +79,20 @@ def test_enumerate_torus_g1():
 
 def test_enumerate_nonorientable_counts():
     for r in range(1, 60):
-        actions = enumerate_nonorientable(r)
+        actions = list(iter_nonorientable(r))
         assert len(actions) == total_count(Surface(False, r))
         assert count_nonorientable(r) == len(actions)
 
 
 def test_nonorientable_small_contents():
-    n1 = enumerate_nonorientable(1, include_trivial=False)
+    n1 = list(iter_nonorientable(1, include_trivial=False))
     assert [format_word(a.word) for a in n1] == ["S22+FM"]
     assert n1[0].taxonomy == Taxonomy(1, 0, 1, Sign.PLUS)
-    n2 = enumerate_nonorientable(2, include_trivial=False)
+    n2 = list(iter_nonorientable(2, include_trivial=False))
     assert len(n2) == 5
     n4_row = [
         a
-        for a in enumerate_nonorientable(4, include_trivial=False)
+        for a in iter_nonorientable(4, include_trivial=False)
         if a.taxonomy.unsigned() == Taxonomy(0, 1, 0)
     ]
     assert len(n4_row) == 3
@@ -132,7 +140,7 @@ def test_taxonomy_multiplicities():
 
 def test_duplicate_free():
     for r in range(1, 25):
-        actions = enumerate_nonorientable(r, include_trivial=False)
+        actions = list(iter_nonorientable(r, include_trivial=False))
         for i, a in enumerate(actions):
             for b in actions[i + 1 :]:
                 assert not decide_isomorphic(a, b), (a, b)
@@ -172,6 +180,36 @@ def test_dd_of_word_klein_and_torus():
     assert dd_of_word(parse_word("S2a+S10AT")) == DDTuple(1, 1, 1, 1)
     assert dd_of_word(parse_word("S2a+3S10AT")) == DDTuple(1, 1, 1, 1)
     assert dd_of_word(parse_word("Tanti(1)+2S10AT")) == DDTuple(2, 1, 2, 1)
+
+
+def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
+    # the signed taxonomy is complete on T_1: every word there gets the DD of
+    # the enumerated class with the same taxonomy
+    by_taxonomy = {a.taxonomy: a.dd for a in enumerate_torus(1, include_trivial=False)}
+    bases = (
+        BaseSpace.s2a(),
+        BaseSpace.s21(),
+        BaseSpace.s22(),
+        BaseSpace.tanti(1),
+        BaseSpace.trot(1),
+        BaseSpace.tspit(1, 4),
+        BaseSpace.trefl(1, 2),
+    )
+    checked = 0
+    for base in bases:
+        for counts in itertools.product(range(3), repeat=6):
+            try:
+                w = SurgeryWord(base, *counts)
+            except InvalidWordError:
+                continue
+            if underlying_surface(w) == Surface(True, 1):
+                a = Action.from_word(w)
+                assert a.dd == by_taxonomy[a.taxonomy], format_word(w)
+                checked += 1
+    assert checked == 9
+    a, b = act("S21+S1aAT"), act("S2a+S10AT")
+    assert decide_isomorphic(a, b)
+    assert a.dd == b.dd == DDTuple(1, 1, 1, 1)
 
 
 def test_dd_of_word_crosscapped_families():

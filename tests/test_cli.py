@@ -4,8 +4,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from c2surf import counting
+from c2surf import counting, words
+from c2surf.bilinear import standard_space
 from c2surf.cli import main
+from c2surf.dd import dd_classifies
+from c2surf.f2 import ISOMETRY_BOUND
+from c2surf.orbits import CENSUS_BOUND, orbit_census, verify_orthogonal_generators
 from c2surf.words import format_word, normalize, parse_word
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -230,7 +234,11 @@ def test_verify_suites_fast():
 
 @pytest.mark.parametrize(
     "text, normal",
-    [("S22+20000S1aAT", "S2a+19999DCC+S11AT"), ("S2a+DCC+20000DT", "S2a+40001DCC")],
+    [
+        ("S22+20000S1aAT", "S2a+19999DCC+S11AT"),
+        ("S2a+DCC+20000DT", "S2a+40001DCC"),
+        ("S2a+S11AT+6000S1aAT", "S2a+6000DCC+S11AT"),
+    ],
 )
 def test_inv_answers_long_op_runs(text, normal):
     code, out, err = run(["inv", text])
@@ -239,7 +247,8 @@ def test_inv_answers_long_op_runs(text, normal):
     assert format_word(normalize(parse_word(text))) == normal
 
 
-def test_inv_rewrite_fuse_exits_4():
+def test_inv_rewrite_fuse_exits_4(monkeypatch):
+    monkeypatch.setattr(words, "_NORMALIZE_FUSE", 1)
     code, out, err = run(["inv", "S2a+S11AT+6000S1aAT"])
     assert code == 4 and out == ""
     assert err.startswith("error: rewriting did not terminate")
@@ -257,9 +266,24 @@ def test_count_mismatch_exits_4(monkeypatch):
 
 
 def test_verify_orbits_bound_checked_up_front():
-    code, out, err = run(["verify", "orbits", "--n", "13"])
+    code, out, err = run(["verify", "orbits", "--n", str(CENSUS_BOUND + 1)])
     assert code == 2 and out == ""
     assert "2..12" in err
+
+
+def test_verify_bounds_are_the_library_constants():
+    for argv, text in (
+        (["verify", "generators", "--n", str(ISOMETRY_BOUND + 1)], "1..6"),
+        (["verify", "dd", "--max-dim", str(ISOMETRY_BOUND + 1)], "2..6"),
+    ):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and text in err, argv
+    with pytest.raises(ValueError):
+        orbit_census("orthogonal", CENSUS_BOUND + 1)
+    with pytest.raises(ValueError):
+        verify_orthogonal_generators(ISOMETRY_BOUND + 1)
+    with pytest.raises(ValueError):
+        dd_classifies(standard_space("orthogonal", ISOMETRY_BOUND + 1))
 
 
 def test_verify_counts_fails_when_a_path_is_off(monkeypatch):

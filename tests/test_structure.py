@@ -1,7 +1,9 @@
-"""Package structure: public names resolve, private names stay in their module."""
+"""Package structure: public names resolve, private names stay in their module,
+and the benchmark worker's calls into the package still bind."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -10,6 +12,7 @@ import c2surf
 
 MODULES = ("f2", "bilinear", "dd", "orbits", "words", "classify", "counting", "gl2", "cli")
 SRC = pathlib.Path(c2surf.__file__).parent
+BENCH_WORKER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
 
 @pytest.mark.parametrize("name", ("__init__",) + MODULES)
@@ -58,3 +61,54 @@ def test_private_import_check_sees_both_forms(tmp_path):
         "from dd import _helper",
         "f2._ISOMETRY_CACHE",
     ]
+
+
+def _bench_worker_references():
+    """The c2surf modules bench/worker.py binds with ``importlib.import_module``,
+    by alias, and every ``alias.name`` it reads, with the call when it calls it."""
+    tree = ast.parse(BENCH_WORKER.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        func, args = node.value.func, node.value.args
+        if (
+            getattr(func, "attr", None) == "import_module"
+            and args
+            and isinstance(args[0], ast.Constant)
+            and str(args[0].value).startswith("c2surf.")
+        ):
+            modules[node.targets[0].id] = importlib.import_module(args[0].value)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    refs = [
+        (node.value.id, node.attr, calls.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    return modules, refs
+
+
+def test_bench_worker_names_resolve():
+    modules, refs = _bench_worker_references()
+    assert len(modules) == 8
+    assert [f"{a}.{n}" for a, n, _ in refs if not hasattr(modules[a], n)] == []
+
+
+def test_bench_worker_calls_bind():
+    modules, refs = _bench_worker_references()
+    unbound, with_bound = [], set()
+    for alias, name, call in refs:
+        starred = call is not None and any(isinstance(arg, ast.Starred) for arg in call.args)
+        if call is None or starred or not hasattr(modules[alias], name):
+            continue
+        kwargs = {kw.arg: None for kw in call.keywords if kw.arg}
+        if "bound" in kwargs:
+            with_bound.add(f"{alias}.{name}")
+        try:
+            inspect.signature(getattr(modules[alias], name)).bind_partial(*call.args, **kwargs)
+        except TypeError as exc:
+            unbound.append((call.lineno, f"{alias}.{name}", str(exc)))
+    assert unbound == []
+    assert with_bound == {"dd.conjugacy_classes", "dd.conjugacy_oracle"}

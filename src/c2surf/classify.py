@@ -1,8 +1,13 @@
 """Complete enumeration of involutions on closed surfaces and the
 isomorphism-decision procedure.
 
-Every action is emitted as a surgery word whose invariants (taxonomy, sign,
-separation) follow from the word itself.  On orientable surfaces the signed
+Every action is emitted as a surgery word with its invariants (taxonomy,
+sign, separation, DD).  On N_r one rule table, `_cell_rules`, gives each
+taxonomy cell its classes, each with its word, sign, separation invariant and
+DD; the enumerator, the appendix tables and the count all read it.
+`Action.from_word` re-derives the same invariants from any word
+(`dd_of_word` normalizes it first): it builds the few classes on T_g, and on
+N_r it is the oracle that checks the table.  On orientable surfaces the signed
 taxonomy is already a complete invariant; on non-orientable surfaces the only
 repeated signed taxonomies are [0,C:(C,0),-], where the separation invariant
 and the double Dickson invariant finish the job.
@@ -11,7 +16,7 @@ and the double Dickson invariant finish the job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .dd import DDTuple, dd_direct_sum
 from .words import (
@@ -98,10 +103,11 @@ class Action:
     def verify(self) -> None:
         """Check that the stored invariants match the word they came from."""
         fresh = Action.from_word(self.word)
-        if (fresh.surface, fresh.taxonomy, fresh.epsilon) != (
+        if (fresh.surface, fresh.taxonomy, fresh.epsilon, fresh.dd) != (
             self.surface,
             self.taxonomy,
             self.epsilon,
+            self.dd,
         ):
             raise AssertionError(f"inconsistent action record for {self.word!r}")
 
@@ -124,6 +130,13 @@ _KLEIN_DD: Dict[str, DDTuple] = {
     "S22+S10AT": DDTuple(0, 1, 1, 0),
     "S22+2FM": DDTuple(0, 1, 1, 0),
 }
+
+
+def _family_dd(kind: BaseKind, tubes: int, k: int) -> DDTuple:
+    """DD of base + k DCC + `tubes` S10AT in a crosscap family: the tube block
+    (zero without tubes) plus k crosscap pairs through the direct-sum rule."""
+    base = _TUBE_FAMILY_DD[kind] if tubes else _ZERO_DD
+    return base if k == 0 else dd_direct_sum(base, k)
 
 
 def identity_dd(surface: Surface) -> DDTuple:
@@ -153,15 +166,14 @@ def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
         if Taxonomy(*fixed_data(w), q_sign(w)) == Taxonomy(0, 1, 0, Sign.MINUS):
             return _TUBE_FAMILY_DD[BaseKind.S2A]
         return _ZERO_DD
-    kind, k, c = w.base.kind, w.dcc, w.s10at
+    kind, c = w.base.kind, w.s10at
     family = (
         kind == BaseKind.S2A
         or (kind == BaseKind.T_ANTI and w.base.g == 1)
         or (kind == BaseKind.S21 and c == 0)
     )
     if family and not (w.dt or w.s11at or w.s1aat or w.fm):
-        base = _TUBE_FAMILY_DD[kind] if c else _ZERO_DD
-        return base if k == 0 else dd_direct_sum(base, k)
+        return _family_dd(kind, c, w.dcc)
     if surf == Surface(False, 2):
         return _KLEIN_DD.get(format_word(w))
     return None
@@ -171,102 +183,130 @@ def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
 # enumeration
 
 
-def _taxonomy_rows(r: int) -> Iterator[Tuple[int, int, int, int]]:
-    """(F, C, C+, C-) rows in display order: F descending, C ascending,
-    C- ascending; only rows passing the fixed-set bound and parities."""
-    f = r + 2
-    while f >= 0:
+def _fc_pairs(r: int) -> Iterator[Tuple[int, int]]:
+    """(F, C) pairs in display order, F descending and C ascending, that pass
+    the fixed-set bound F + 2C <= r + 2 with F = r (mod 2)."""
+    for f in range(r + 2, -1, -2):
         for c in range((r + 2 - f) // 2 + 1):
-            for cm in range(r % 2, c + 1, 2):
-                yield f, c, c - cm, cm
-        f -= 2
+            yield f, c
 
 
-def _negative_words(r: int, f: int, c: int, cp: int, cm: int) -> List[SurgeryWord]:
+def _taxonomy_rows(r: int) -> Iterator[Tuple[int, int, int, int]]:
+    """(F, C, C+, C-) rows in display order: the pairs of `_fc_pairs`, each split
+    by C- ascending with C- = r (mod 2)."""
+    for f, c in _fc_pairs(r):
+        for cm in range(r % 2, c + 1, 2):
+            yield f, c, c - cm, cm
+
+
+_S2A, _S21, _TANTI1 = BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.tanti(1)
+# What a class rule gives for one row (r, F, C, C+, C-) of its cell.
+_Class = Tuple[Sign, SurgeryWord, Epsilon, Optional[DDTuple]]
+
+
+def _ovals_epsilon(c: int) -> Epsilon:
+    """Separation invariant of a class that is not a doubled surface."""
+    return Epsilon.NON_SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
+
+
+def _low_genus_dd(r: int, w: SurgeryWord) -> Optional[DDTuple]:
+    """DD of a class outside the crosscap families: derived on N_1 and N_2 only."""
+    if r == 1:
+        return _ZERO_DD
+    return _KLEIN_DD.get(format_word(w)) if r == 2 else None
+
+
+def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(_S2A, dcc=(r - f - 2 * c) // 2, s10at=cp, s11at=(f + cm) // 2, fm=cm)
+    return Sign.MINUS, w, _ovals_epsilon(c), _low_genus_dd(r, w)
+
+
+def _doubled(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(_S21, dcc=r // 2 - c + 1, s10at=c - 1)
+    return Sign.MINUS, w, Epsilon.SEPARATING, _family_dd(BaseKind.S21, 0, w.dcc) if c == 1 else None
+
+
+def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(_S2A, dcc=r // 2 - c, s10at=c)
+    return Sign.MINUS, w, _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, w.dcc)
+
+
+def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(_TANTI1, dcc=r // 2 - c - 1, s10at=c)
+    return Sign.MINUS, w, _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, w.dcc)
+
+
+def _spit(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm), s10at=cp, fm=cm)
+    return Sign.PLUS, w, Epsilon.NON_SEPARATING, _low_genus_dd(r, w)
+
+
+def _rotation(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    w = SurgeryWord(BaseSpace.trot(r // 2 - c), s10at=c)
+    return Sign.PLUS, w, Epsilon.NON_SEPARATING, _low_genus_dd(r, w)
+
+
+def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
+    """The class rules of the cell [F, C:(C+,C-)] on N_r, negative sign first.
+    The guards read C- only through C- > 0, so one positive C- stands for all."""
+    rules: List[Callable[..., _Class]] = []
     if (cm > 0 or f > 0) and f + 2 * c <= r:
-        return [
-            SurgeryWord(
-                BaseSpace.s2a(),
-                dcc=(r - f - 2 * c) // 2,
-                s11at=(f + cm) // 2,
-                s10at=cp,
-                fm=cm,
-            )
-        ]
-    if f == 0 and cm == 0 and r % 2 == 0 and c <= r // 2:
-        out = []
-        if c >= 1:
-            out.append(SurgeryWord(BaseSpace.s21(), dcc=r // 2 - c + 1, s10at=c - 1))
-        if c < r // 2:
-            out.append(SurgeryWord(BaseSpace.s2a(), dcc=r // 2 - c, s10at=c))
-        if c < r // 2 - 1:
-            out.append(SurgeryWord(BaseSpace.tanti(1), dcc=r // 2 - c - 1, s10at=c))
-        return out
-    return []
-
-
-def _positive_words(r: int, f: int, c: int, cp: int, cm: int) -> List[SurgeryWord]:
-    if (f + 2 * c) % 4 != (r + 2) % 4:
-        return []
-    if cm > 0 or (0 < f <= r and c >= 1):
-        return [
-            SurgeryWord(
-                BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm),
-                s10at=cp,
-                fm=cm,
-            )
-        ]
-    if f == 0 and cm == 0 and 0 < c <= r // 2:
-        return [SurgeryWord(BaseSpace.trot(r // 2 - c), s10at=c)]
-    return []
-
-
-def _count_cell(r: int, f: int, c: int, cp: int, cm: int) -> int:
-    neg = 0
-    if (cm > 0 or f > 0) and f + 2 * c <= r:
-        neg = 1
+        rules.append(_antipodal_ovals)
     elif f == 0 and cm == 0 and r % 2 == 0 and c <= r // 2:
-        neg = int(c >= 1) + int(c < r // 2) + int(c < r // 2 - 1)
-    pos = 0
+        if c >= 1:
+            rules.append(_doubled)
+        if c < r // 2:
+            rules.append(_antipodal_tubes)
+        if c < r // 2 - 1:
+            rules.append(_torus_antipodal_tubes)
     if (f + 2 * c) % 4 == (r + 2) % 4:
         if cm > 0 or (0 < f <= r and c >= 1):
-            pos = 1
+            rules.append(_spit)
         elif f == 0 and cm == 0 and 0 < c <= r // 2:
-            pos = 1
-    return neg + pos
+            rules.append(_rotation)
+    return rules
 
 
 def taxonomy_cells(r: int) -> Iterator[Tuple[Taxonomy, List[SurgeryWord], List[SurgeryWord]]]:
     """Rows of the enumeration table: unsigned taxonomy with the negative and
     positive representative words (either list may be empty)."""
     for f, c, cp, cm in _taxonomy_rows(r):
+        built = [rule(r, f, c, cp, cm) for rule in _cell_rules(r, f, c, cm)]
         yield (
             Taxonomy(f, cp, cm),
-            _negative_words(r, f, c, cp, cm),
-            _positive_words(r, f, c, cp, cm),
+            [w for sign, w, _, _ in built if sign == Sign.MINUS],
+            [w for sign, w, _, _ in built if sign == Sign.PLUS],
         )
 
 
 def iter_nonorientable(r: int, include_trivial: bool = True) -> Iterator[Action]:
-    """All involutions on N_r, negative sign before positive within each row."""
+    """All involutions on N_r, negative sign before positive within each row,
+    each built with its invariants straight from its cell rule."""
     if r < 1:
         raise ValueError("r >= 1")
+    surface = Surface(False, r)
     if include_trivial:
-        yield Action.from_word(SurgeryWord(BaseSpace.trivial(Surface(False, r))))
-    for _, neg, pos in taxonomy_cells(r):
-        for w in neg:
-            yield Action.from_word(w)
-        for w in pos:
-            yield Action.from_word(w)
+        trivial = SurgeryWord(BaseSpace.trivial(surface))
+        yield Action(trivial, surface, None, None, identity_dd(surface))
+    for f, c, cp, cm in _taxonomy_rows(r):
+        for rule in _cell_rules(r, f, c, cm):
+            sign, w, eps, dd = rule(r, f, c, cp, cm)
+            yield Action(w, surface, Taxonomy(f, cp, cm, sign), eps, dd)
 
 
 def count_nonorientable(r: int, include_trivial: bool = True) -> int:
-    """Size of the enumeration without building the actions."""
+    """Size of the enumeration without building the actions: per (F, C) pair,
+    the rules of the C- = 0 row once, and those of one positive C- row times
+    the number of positive C- rows."""
     if r < 1:
         raise ValueError("r >= 1")
     total = 1 if include_trivial else 0
-    for f, c, cp, cm in _taxonomy_rows(r):
-        total += _count_cell(r, f, c, cp, cm)
+    for f, c in _fc_pairs(r):
+        if r % 2 == 0:
+            total += len(_cell_rules(r, f, c, 0))
+        positive = range(2 - r % 2, c + 1, 2)
+        if positive:
+            total += len(positive) * len(_cell_rules(r, f, c, positive[0]))
     return total
 
 
@@ -293,10 +333,11 @@ def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
     return out
 
 
-def enumerate_surface(surface: Surface, include_trivial: bool = True) -> List[Action]:
+def enumerate_surface(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
+    """The classes on any surface, one at a time."""
     if surface.orientable:
-        return enumerate_torus(surface.genus, include_trivial)
-    return list(iter_nonorientable(surface.genus, include_trivial))
+        return iter(enumerate_torus(surface.genus, include_trivial))
+    return iter_nonorientable(surface.genus, include_trivial)
 
 
 # ---------------------------------------------------------------------------

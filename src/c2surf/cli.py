@@ -121,8 +121,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 print(line)
             print()
             continue
-        actions = classify.enumerate_surface(s, include_trivial=args.include_trivial)
-        for a in actions:
+        for a in classify.enumerate_surface(s, include_trivial=args.include_trivial):
             if args.format == "record":
                 print(_record_line(a))
             else:

@@ -19,6 +19,7 @@ from c2surf.counting import total_count
 from c2surf.dd import DDTuple
 from c2surf.words import (
     BaseSpace,
+    Epsilon,
     InvalidWordError,
     Sign,
     Surface,
@@ -78,10 +79,24 @@ def test_enumerate_torus_g1():
 
 
 def test_enumerate_nonorientable_counts():
-    for r in range(1, 60):
+    for r in range(1, 61):
         actions = list(iter_nonorientable(r))
         assert len(actions) == total_count(Surface(False, r))
         assert count_nonorientable(r) == len(actions)
+        assert count_nonorientable(r, include_trivial=False) == len(actions) - 1
+
+
+def test_cell_built_actions_equal_word_built():
+    # the cell rules state each class's invariants and DD; re-deriving them
+    # from the word alone is the oracle
+    for r in list(range(1, 61)) + [120, 200]:
+        actions = list(iter_nonorientable(r))
+        assert actions == [Action.from_word(a.word) for a in actions], r
+
+
+def test_count_walk_matches_closed_form():
+    for r in range(1, 401):
+        assert count_nonorientable(r) == total_count(Surface(False, r)), r
 
 
 def test_nonorientable_small_contents():
@@ -272,6 +287,20 @@ def test_action_records_are_self_consistent():
             a.verify()
 
 
+def test_verify_checks_every_invariant():
+    a = act("S2a+2DCC+S10AT")
+    a.verify()
+    for wrong in (
+        Action(a.word, Surface(False, 5), a.taxonomy, a.epsilon, a.dd),
+        Action(a.word, a.surface, Taxonomy(0, 1, 0, Sign.PLUS), a.epsilon, a.dd),
+        Action(a.word, a.surface, a.taxonomy, Epsilon.SEPARATING, a.dd),
+        Action(a.word, a.surface, a.taxonomy, a.epsilon, DDTuple(3, 1, 2, 1)),
+        Action(a.word, a.surface, a.taxonomy, a.epsilon, None),
+    ):
+        with pytest.raises(AssertionError):
+            wrong.verify()
+
+
 def test_free_actions_match_the_cover_classification():
     # actions with empty fixed set in the enumeration = classified free actions
     from c2surf.orbits import classify_free_structures
@@ -310,7 +339,7 @@ def test_torus_taxonomy_chart():
 
 
 def test_separating_actions_are_exactly_the_doubled_family():
-    from c2surf.words import BaseKind, Epsilon
+    from c2surf.words import BaseKind
 
     for r in range(2, 31, 2):
         separating = [

@@ -112,3 +112,49 @@ def test_bench_worker_calls_bind():
             unbound.append((call.lineno, f"{alias}.{name}", str(exc)))
     assert unbound == []
     assert with_bound == {"dd.conjugacy_classes", "dd.conjugacy_oracle"}
+
+
+CLASSIFY = SRC / "classify.py"
+PRODUCTION_ROOTS = ("iter_nonorientable", "taxonomy_cells", "count_nonorientable", "_cell_rules")
+ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon"}
+
+
+def _oracle_references(path: pathlib.Path, roots=PRODUCTION_ROOTS):
+    """(function, name) for every oracle name that a module-level function
+    reachable from `roots` reads, as a plain name or as an attribute."""
+    functions = {
+        node.name: node
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, found = set(), list(roots), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref in functions:
+                todo.append(ref)
+            elif ref in ORACLE_NAMES:
+                found.append((name, ref))
+    return sorted(found)
+
+
+def test_enumeration_path_stays_off_the_oracle():
+    # the enumerator, the tables and the count take every invariant from the
+    # cell rules; re-deriving them from the word is the oracle's job
+    assert _oracle_references(CLASSIFY) == []
+
+
+def test_oracle_reference_check_follows_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def iter_nonorientable(r):\n    return _rule(r)\n"
+        "def _rule(r):\n    return Action.from_word(r), normalize(r)\n"
+        "def taxonomy_cells(r):\n    pass\n"
+        "def count_nonorientable(r):\n    pass\n"
+        "def _cell_rules(r):\n    pass\n"
+    )
+    assert _oracle_references(probe) == [("_rule", "from_word"), ("_rule", "normalize")]

@@ -3,7 +3,8 @@
 A free involution is a double cover of its quotient, hence a nonzero class
 in H^1(quotient; Z/2) up to the mapping class group -- which acts through
 the full isometry group of the intersection form.  Counting isometry orbits
-therefore counts free actions.
+therefore counts free actions.  Each free involution is a surgery word: an
+antipodal or rotation base plus crosscap pairs.
 """
 
 from c2surf.f2 import F2Vector
@@ -15,7 +16,7 @@ from c2surf.orbits import (
     orthogonal_orbit,
     verify_orthogonal_generators,
 )
-from c2surf.words import Surface
+from c2surf.words import Surface, format_word, underlying_surface
 
 
 def main() -> None:
@@ -35,20 +36,17 @@ def main() -> None:
         print(f"  {coords} -> {orthogonal_orbit(v).value}")
 
     print("\nFree actions covering N_5 (one per isometry orbit):")
-    for d in covers_of(Surface(False, 5)):
-        cls = characteristic_class(d)
+    for w in covers_of(Surface(False, 5)):
+        cls = characteristic_class(w)
         print(
-            f"  {d.kind.value}(g={d.g}, +{d.s} crosscap pairs): "
-            f"class {list(cls.coords)} in orbit {orthogonal_orbit(cls).value}, "
-            f"total space {d.total_space().name}"
+            f"  {format_word(w)}: class {list(cls.coords)} in orbit {orthogonal_orbit(cls).value}, "
+            f"total space {underlying_surface(w).name}"
         )
 
     print("\nFree involutions on the surfaces themselves:")
     for surf in (Surface(True, 3), Surface(True, 4), Surface(False, 6), Surface(False, 7)):
-        descs = classify_free_structures(surf)
-        names = [f"{d.kind.value}(s={d.s})" for d in descs] or ["none"]
+        names = [format_word(w) for w in classify_free_structures(surf)] or ["none"]
         print(f"  {surf.name}: {', '.join(names)}")
-
 
 if __name__ == "__main__":
     main()

@@ -163,9 +163,11 @@ def cmd_gl2(args: argparse.Namespace) -> int:
 # verification suites
 
 
-def _check_range(flag: str, value: int, lo: int, hi: int, why: str) -> None:
-    if not lo <= value <= hi:
-        raise CliError(f"{flag} must lie in {lo}..{hi} ({why})", EXIT_USAGE)
+def _check_range(flag: str, value: int, lo: int, hi: Optional[int], why: str) -> None:
+    """Reject a suite size up front; ``hi`` None means no upper bound."""
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"lie in {lo}..{hi}" if hi is not None else f"be at least {lo}"
+        raise CliError(f"{flag} must {bounds} ({why})", EXIT_USAGE)
 
 
 def _verify_orbits(n_max: int) -> Iterable[Tuple[str, bool]]:
@@ -197,6 +199,7 @@ def _verify_dd(max_dim: int) -> Iterable[Tuple[str, bool]]:
 
 
 def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
+    _check_range("--max-r", max_r, 1, None, "counts start at N1")
     ok = True
     for r in range(1, max_r + 1):
         try:
@@ -220,6 +223,7 @@ def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
 
 
 def _verify_gl2(trials: int, seed: int) -> Iterable[Tuple[str, bool]]:
+    _check_range("--trials", trials, 1, None, "a run needs a trial")
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):
@@ -242,6 +246,7 @@ def _verify_gl2(trials: int, seed: int) -> Iterable[Tuple[str, bool]]:
 
 
 def _verify_rewrites(max_beta: int) -> Iterable[Tuple[str, bool]]:
+    _check_range("--max-beta", max_beta, 6, None, "the least bound with an instance of every rule")
     for rule in words.rewrite_equivalences():
         ok = True
         for u, v in rule.instances(max_beta):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
-from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, isometries, rank
+from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, isometries, orbit, rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,21 +186,11 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
     classes: List[List[Involution]] = []
     while remaining:
         seed = next(iter(remaining))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g, ginv in gen_pairs:
-                    conj = ginv @ m @ g
-                    if conj not in orbit:
-                        orbit.add(conj)
-                        nxt.append(conj)
-            frontier = nxt
-        if not orbit <= remaining:
+        conjugates = orbit(seed, lambda m: [ginv @ m @ g for g, ginv in gen_pairs])
+        if not conjugates <= remaining:
             raise AssertionError("conjugation left the involution set")
-        remaining -= orbit
-        classes.append([Involution(space, m) for m in sorted(orbit, key=lambda m: m.rows)])
+        remaining -= conjugates
+        classes.append([Involution(space, m) for m in sorted(conjugates, key=lambda m: m.rows)])
     return classes
 
 

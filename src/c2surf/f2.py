@@ -8,7 +8,7 @@ lets matrices serve as dict keys and set members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 
 class DimensionMismatch(ValueError):
@@ -55,22 +55,6 @@ class F2Vector:
     @property
     def coords(self) -> Tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector lengths {self.n} != {other.n}")
-        return F2Vector(self.bits ^ other.bits, self.n)
 
     def dot(self, other: "F2Vector") -> int:
         if self.n != other.n:
@@ -209,23 +193,11 @@ class F2Matrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.ncols
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        row_idx = 0
-        for col in range(n):
-            pivot = None
-            for r in range(row_idx, n):
-                if (work[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            work[row_idx], work[pivot] = work[pivot], work[row_idx]
-            for r in range(n):
-                if r != row_idx and ((work[r] >> col) & 1):
-                    work[r] ^= work[row_idx]
-            row_idx += 1
-        mask = (1 << n) - 1
-        return F2Matrix(tuple((w >> n) & mask for w in work), n)
+        work = [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
+        if _eliminate(work, n) < n:
+            raise SingularMatrixError("matrix is singular")
+        work.sort(key=lambda w: w & -w)  # row i pivots on column i
+        return F2Matrix(tuple(w >> n for w in work), n)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -234,26 +206,33 @@ class F2Matrix:
         return f"F2Matrix[{body}]"
 
 
+def _eliminate(rows: List[int], ncols: int) -> int:
+    """Reduce ``rows`` in place to reduced echelon form on the coefficient
+    columns ``0..ncols-1``; higher bits ride along.  Returns the rank r: each
+    of ``rows[:r]`` has its pivot at its lowest set bit, clear in every other
+    row, and ``rows[r:]`` are zero on the coefficients."""
+    coeffs = (1 << ncols) - 1
+    echelon: List[int] = []
+    dependent: List[int] = []
+    for row in rows:
+        for prow in echelon:
+            if row & prow & -prow:
+                row ^= prow
+        (echelon if row & coeffs else dependent).append(row)
+    # back substitution, last pivot row first: each row meets only later pivots
+    reduced: List[int] = []
+    for row in reversed(echelon):
+        for prow in reduced:
+            if row & prow & -prow:
+                row ^= prow
+        reduced.append(row)
+    rows[:] = reduced + dependent
+    return len(reduced)
+
+
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2), by XOR elimination on packed rows."""
-    work = list(m.rows)
-    rk = 0
-    for col in range(m.ncols):
-        pivot = None
-        for r in range(rk, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for r in range(len(work)):
-            if r != rk and ((work[r] >> col) & 1):
-                work[r] ^= work[rk]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
+    return _eliminate(list(m.rows), m.ncols)
 
 
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -265,43 +244,30 @@ def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     return F2Matrix(tuple(rows), n + b.ncols)
 
 
-def _affine_solutions(eqs: List[Tuple[int, int]], n: int) -> Optional[Tuple[int, List[int]]]:
-    """Solutions of a linear system given as (mask, rhs-bit) rows over n unknowns.
-
-    Returns (particular, null-basis) or None when inconsistent.
+def _affine_solutions(rows: List[int], n: int) -> Optional[Tuple[int, List[int]]]:
+    """Solutions of a linear system over n unknowns, each equation packed as
+    ``mask | rhs << n``.  Returns (particular, null-basis) or None when
+    inconsistent.  The list is reduced in place.
     """
-    reduced: List[Tuple[int, int, int]] = []  # (mask, rhs, pivot)
-    for mask, rhs in eqs:
-        for rm, rr, rp in reduced:
-            if (mask >> rp) & 1:
-                mask ^= rm
-                rhs ^= rr
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        pivot = (mask & -mask).bit_length() - 1
-        new = []
-        for rm, rr, rp in reduced:
-            if (rm >> pivot) & 1:
-                new.append((rm ^ mask, rr ^ rhs, rp))
-            else:
-                new.append((rm, rr, rp))
-        reduced = new
-        reduced.append((mask, rhs, pivot))
-    pivots = {rp for _, _, rp in reduced}
-    particular = 0
-    for _, rr, rp in reduced:
-        if rr:
-            particular |= 1 << rp
+    rk = _eliminate(rows, n)
+    if any(rows[rk:]):
+        return None
+    leading = rows[:rk]
+    particular = pivots = 0
+    for row in leading:
+        pivot = row & -row
+        pivots |= pivot
+        if row >> n:
+            particular |= pivot
     basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for rm, _, rp in reduced:
-            if (rm >> free) & 1:
-                vec |= 1 << rp
+    free = ((1 << n) - 1) ^ pivots
+    while free:
+        bit = free & -free
+        free ^= bit
+        vec = bit
+        for row in leading:
+            if row & bit:
+                vec |= row & -row
         basis.append(vec)
     return particular, basis
 
@@ -351,8 +317,8 @@ def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, .
         if k == n:
             out_cols.append(tuple(cols))
             return
-        eqs = [(gcols[j], gram.entry(k, j)) for j in range(k)]
-        eqs.append((diag_bits, gram.entry(k, k)))
+        eqs = [gcols[j] | (gram.entry(k, j) << n) for j in range(k)]
+        eqs.append(diag_bits | (gram.entry(k, k) << n))
         sol = _affine_solutions(eqs, n)
         if sol is None:
             return
@@ -382,6 +348,25 @@ def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, .
     return result
 
 
+_Point = TypeVar("_Point", bound=Hashable)
+
+
+def orbit(start: _Point, images: Callable[[_Point], Iterable[_Point]]) -> Set[_Point]:
+    """Every point reachable from ``start``, by breadth-first closure;
+    ``images(x)`` returns every neighbour of x."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
     """Subgroup generated by invertible square matrices, by breadth-first closure."""
     gens = list(generators)
@@ -393,19 +378,7 @@ def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
             raise DimensionMismatch("generators must be square of equal dimension")
         if rank(g) != n:
             raise SingularMatrixError(f"singular generator {g!r}")
-    identity = F2Matrix.identity(n)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m @ g
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(orbit(F2Matrix.identity(n), lambda m: [m @ g for g in gens]))
 
 
 __all__ = [
@@ -417,5 +390,6 @@ __all__ = [
     "block_diag",
     "ISOMETRY_BOUND",
     "isometries",
+    "orbit",
     "group_closure",
 ]

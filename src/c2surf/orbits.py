@@ -5,19 +5,19 @@ A free action corresponds to a double cover of its quotient, hence to a
 nonzero class in H^1(quotient; Z/2) up to the isometry group of the
 intersection form.  The orthogonal orbits are pinned down by two invariants
 (content and being all-ones); the symplectic group is transitive on nonzero
-vectors.
+vectors.  Free involutions are surgery words: an antipodal base (S2a or
+Tanti(g)) or a rotation base (Trot(g)) plus s crosscap pairs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 from .bilinear import standard_space
 from .dd import isometry_generators
-from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries
-from .words import Surface
+from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
+from .words import BaseKind, BaseSpace, Sign, Surface, SurgeryWord, beta, format_word, q_sign
 
 
 class OrthOrbit(enum.Enum):
@@ -71,25 +71,18 @@ def orbit_census(kind: str, n: int) -> int:
     if n > CENSUS_BOUND:
         raise ValueError(f"dimension {n} above census bound {CENSUS_BOUND}")
     gens = isometry_generators(standard_space(kind, n))
-    seen = [False] * (1 << n)
-    orbits = 0
+
+    def images(bits: int) -> List[int]:
+        v = F2Vector(bits, n)
+        return [g.mul_vec(v).bits for g in gens]
+
+    seen: Set[int] = set()
+    found = 0
     for start in range(1 << n):
-        if seen[start]:
-            continue
-        orbits += 1
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for bits in frontier:
-                v = F2Vector(bits, n)
-                for g in gens:
-                    image = g.mul_vec(v).bits
-                    if not seen[image]:
-                        seen[image] = True
-                        nxt.append(image)
-            frontier = nxt
-    return orbits
+        if start not in seen:
+            found += 1
+            seen |= orbit(start, images)
+    return found
 
 
 def verify_orthogonal_generators(n: int) -> bool:
@@ -101,113 +94,79 @@ def verify_orthogonal_generators(n: int) -> bool:
     return closure == frozenset(isometries(F2Matrix.identity(n)))
 
 
-class FreeKind(enum.Enum):
-    TG_ANTI = "TgAnti"
-    T1_ANTI_DCC = "T1AntiPlusDCC"
-    S2A_DCC = "S2aPlusDCC"
-    TG_ROT = "TgRot"
+_FREE_BASES = (BaseKind.S2A, BaseKind.T_ANTI, BaseKind.T_ROT)
 
 
-@dataclass(frozen=True)
-class FreeActionDescriptor:
-    """A free involution given as an antipodal/rotation base plus s crosscap pairs."""
-
-    kind: FreeKind
-    g: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError("negative crosscap count")
-        if self.kind == FreeKind.TG_ROT and (self.g < 1 or self.g % 2 == 0):
-            raise ValueError("rotation actions need odd genus")
-        if self.kind == FreeKind.T1_ANTI_DCC and self.g != 1:
-            raise ValueError("T1-based descriptor must have g = 1")
-        if self.kind == FreeKind.S2A_DCC and self.g != 0:
-            raise ValueError("sphere-based descriptor must have g = 0")
-        if self.kind == FreeKind.TG_ANTI and self.g < 0:
-            raise ValueError("negative genus")
-
-    def total_space(self) -> Surface:
-        if self.kind == FreeKind.S2A_DCC:
-            return Surface(True, 0) if self.s == 0 else Surface(False, 2 * self.s)
-        g = self.g
-        if self.s == 0:
-            return Surface(True, g)
-        return Surface(False, 2 * g + 2 * self.s)
-
-    def quotient_space(self) -> Surface:
-        if self.kind == FreeKind.TG_ROT and self.s == 0:
-            return Surface(True, (1 + self.g) // 2)
-        if self.kind == FreeKind.S2A_DCC:
-            return Surface(False, 1 + self.s)
-        return Surface(False, self.g + 1 + self.s)
+def _genus_and_crosscaps(w: SurgeryWord) -> Tuple[int, int]:
+    """(g, s) of a free involution written base + s DCC on an antipodal or
+    rotation base; S2a has g = 0."""
+    if w.base.kind not in _FREE_BASES or any(w.op_counts[1:]):
+        raise ValueError(
+            f"{format_word(w)} is not an antipodal or rotation base plus crosscap pairs"
+        )
+    return w.base.g, w.dcc
 
 
-def tg_anti(g: int, s: int = 0) -> FreeActionDescriptor:
-    if g == 0:
-        return FreeActionDescriptor(FreeKind.S2A_DCC, 0, s)
-    if g == 1:
-        return FreeActionDescriptor(FreeKind.T1_ANTI_DCC, 1, s)
-    return FreeActionDescriptor(FreeKind.TG_ANTI, g, s)
-
-
-def characteristic_class(d: FreeActionDescriptor) -> F2Vector:
+def characteristic_class(w: SurgeryWord) -> F2Vector:
     """The double-cover class in an orthonormal basis of the quotient's H^1.
 
-    Antipodal tori contribute a block of ones, extra crosscaps contribute
-    zeros; rotation actions with crosscaps match the T1-antipodal family.
-    For a pure rotation action the quotient form is symplectic and any
-    nonzero vector represents the single nonzero orbit.
+    Antipodal bases contribute a block of g + 1 ones, extra crosscaps
+    contribute zeros; rotation actions with crosscaps match the T1-antipodal
+    family.  For a pure rotation action the quotient form is symplectic and
+    any nonzero vector represents the single nonzero orbit.
     """
-    k, g, s = d.kind, d.g, d.s
-    if k == FreeKind.TG_ANTI:
-        return F2Vector((1 << (g + 1)) - 1, g + 1 + s)
-    if k == FreeKind.S2A_DCC:
-        return F2Vector(1, s + 1)
-    if k == FreeKind.T1_ANTI_DCC:
-        return F2Vector(0b11, s + 2)
-    if s == 0:
-        return F2Vector(1, g + 1)
-    return F2Vector(0b11, g + s + 1)
+    g, s = _genus_and_crosscaps(w)
+    if w.base.kind == BaseKind.T_ROT:
+        return F2Vector(0b11 if s else 1, g + s + 1)
+    return F2Vector((1 << (g + 1)) - 1, g + 1 + s)
 
 
-def covers_of(quotient: Surface) -> List[FreeActionDescriptor]:
+def quotient_space(w: SurgeryWord) -> Surface:
+    """The quotient of a free involution: the Euler characteristic halves, so
+    beta(Q) = 1 + beta(X)/2, and Q is orientable exactly when the sign is +."""
+    _genus_and_crosscaps(w)
+    b = 1 + beta(w) // 2
+    if q_sign(w) == Sign.PLUS:
+        return Surface(True, b // 2)
+    return Surface(False, b)
+
+
+def covers_of(quotient: Surface) -> List[SurgeryWord]:
     """Representatives of all free actions with the given quotient."""
     if quotient.orientable:
         g = quotient.genus
         if g < 1:
             raise ValueError("the sphere is not a free quotient")
-        return [FreeActionDescriptor(FreeKind.TG_ROT, 2 * g - 1, 0)]
+        return [SurgeryWord(BaseSpace.trot(2 * g - 1))]
     r = quotient.genus
     if r == 1:
-        return [FreeActionDescriptor(FreeKind.S2A_DCC, 0, 0)]
+        return [SurgeryWord(BaseSpace.s2a())]
     if r == 2:
-        return [tg_anti(1), FreeActionDescriptor(FreeKind.S2A_DCC, 0, 1)]
+        return [SurgeryWord(BaseSpace.tanti(1)), SurgeryWord(BaseSpace.s2a(), dcc=1)]
     return [
-        tg_anti(r - 1),
-        FreeActionDescriptor(FreeKind.S2A_DCC, 0, r - 1),
-        FreeActionDescriptor(FreeKind.T1_ANTI_DCC, 1, r - 2),
+        SurgeryWord(BaseSpace.tanti(r - 1)),
+        SurgeryWord(BaseSpace.s2a(), dcc=r - 1),
+        SurgeryWord(BaseSpace.tanti(1), dcc=r - 2),
     ]
 
 
-def classify_free_structures(x: Surface) -> List[FreeActionDescriptor]:
+def classify_free_structures(x: Surface) -> List[SurgeryWord]:
     """All free involutions on the surface itself."""
     if x.orientable:
         g = x.genus
-        out = [tg_anti(g)]
+        out = [SurgeryWord(BaseSpace.tanti(g))]
         if g % 2:
-            out.append(FreeActionDescriptor(FreeKind.TG_ROT, g, 0))
+            out.append(SurgeryWord(BaseSpace.trot(g)))
         return out
     r = x.genus
     if r % 2:
         return []
     s = r // 2
     if s == 1:
-        return [FreeActionDescriptor(FreeKind.S2A_DCC, 0, 1)]
+        return [SurgeryWord(BaseSpace.s2a(), dcc=1)]
     return [
-        FreeActionDescriptor(FreeKind.S2A_DCC, 0, s),
-        FreeActionDescriptor(FreeKind.T1_ANTI_DCC, 1, s - 1),
+        SurgeryWord(BaseSpace.s2a(), dcc=s),
+        SurgeryWord(BaseSpace.tanti(1), dcc=s - 1),
     ]
 
 
@@ -235,10 +194,8 @@ __all__ = [
     "CENSUS_BOUND",
     "orbit_census",
     "verify_orthogonal_generators",
-    "FreeKind",
-    "FreeActionDescriptor",
-    "tg_anti",
     "characteristic_class",
+    "quotient_space",
     "covers_of",
     "classify_free_structures",
     "brute_orbit_partition",

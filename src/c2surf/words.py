@@ -364,20 +364,15 @@ def _parse_base(token: str) -> BaseSpace:
         return BaseSpace.s21()
     if token == "S22":
         return BaseSpace.s22()
-    try:
-        if token.startswith("Tanti"):
-            return BaseSpace.tanti(int(m.group(1)))
-        if token.startswith("Trot"):
-            return BaseSpace.trot(int(m.group(2)))
-        if token.startswith("Tspit"):
-            return BaseSpace.tspit(int(m.group(3)), int(m.group(4)))
-        if token.startswith("Trefl"):
-            return BaseSpace.trefl(int(m.group(5)), int(m.group(6)))
-        return BaseSpace.trivial(Surface.parse(m.group(7)))
-    except InvalidWordError:
-        raise
-    except ValueError as exc:  # surface parse
-        raise WordSyntaxError(str(exc)) from exc
+    if token.startswith("Tanti"):
+        return BaseSpace.tanti(int(m.group(1)))
+    if token.startswith("Trot"):
+        return BaseSpace.trot(int(m.group(2)))
+    if token.startswith("Tspit"):
+        return BaseSpace.tspit(int(m.group(3)), int(m.group(4)))
+    if token.startswith("Trefl"):
+        return BaseSpace.trefl(int(m.group(5)), int(m.group(6)))
+    return BaseSpace.trivial(Surface.parse(m.group(7)))
 
 
 def format_word(w: SurgeryWord) -> str:

@@ -9,6 +9,7 @@ from c2surf.classify import (
     count_nonorientable,
     decide_isomorphic,
     dd_of_word,
+    enumerate_surface,
     enumerate_torus,
     identity_dd,
     iter_nonorientable,
@@ -17,6 +18,7 @@ from c2surf.classify import (
 )
 from c2surf.counting import total_count
 from c2surf.dd import DDTuple
+from c2surf.orbits import classify_free_structures
 from c2surf.words import (
     BaseSpace,
     Epsilon,
@@ -25,6 +27,7 @@ from c2surf.words import (
     Surface,
     SurgeryWord,
     format_word,
+    normalize,
     parse_word,
     underlying_surface,
 )
@@ -303,22 +306,14 @@ def test_verify_checks_every_invariant():
 
 def test_free_actions_match_the_cover_classification():
     # actions with empty fixed set in the enumeration = classified free actions
-    from c2surf.orbits import classify_free_structures
-
-    for r in range(1, 30):
-        free = [
-            a
-            for a in iter_nonorientable(r, include_trivial=False)
+    surfaces = [Surface(False, r) for r in range(1, 30)] + [Surface(True, g) for g in range(15)]
+    for x in surfaces:
+        free = {
+            a.word
+            for a in enumerate_surface(x, include_trivial=False)
             if a.taxonomy.f == 0 and a.taxonomy.c == 0
-        ]
-        assert len(free) == len(classify_free_structures(Surface(False, r)))
-    for g in range(0, 15):
-        free = [
-            a
-            for a in enumerate_torus(g, include_trivial=False)
-            if a.taxonomy.f == 0 and a.taxonomy.c == 0
-        ]
-        assert len(free) == len(classify_free_structures(Surface(True, g)))
+        }
+        assert {normalize(w) for w in classify_free_structures(x)} == free, x
 
 
 def test_torus_taxonomy_chart():

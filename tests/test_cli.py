@@ -292,3 +292,52 @@ def test_verify_counts_fails_when_a_path_is_off(monkeypatch):
     code, out, _ = run(["verify", "counts", "--max-r", "40"])
     assert code == 4
     assert out.splitlines() == ["FAIL three-way A/B agreement and totals r<=40"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["verify", "counts", "--max-r", "0"], "--max-r must be at least 1"),
+        (["verify", "counts", "--max-r", "-5"], "--max-r must be at least 1"),
+        (["verify", "gl2", "--trials", "0"], "--trials must be at least 1"),
+        (["verify", "gl2", "--trials", "-1"], "--trials must be at least 1"),
+        (["verify", "rewrites", "--max-beta", "5"], "--max-beta must be at least 6"),
+        (["verify", "rewrites", "--max-beta", "0"], "--max-beta must be at least 6"),
+    ],
+)
+def test_verify_rejects_vacuous_sizes_up_front(argv, text):
+    # a suite that would check nothing must not print PASS
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {text}") and len(err.splitlines()) == 1
+
+
+def smallest_beta_with_every_rule():
+    """Least bound at which every rewrite rule yields a pair inside the bound."""
+    rules = words.rewrite_equivalences()
+    for mb in range(0, 40):
+        if all(
+            any(max(words.beta(u), words.beta(v)) <= mb for u, v in rule.instances(mb))
+            for rule in rules
+        ):
+            return mb
+    raise AssertionError("some rewrite rule has no instance with beta < 40")
+
+
+def test_verify_rewrites_lower_bound_is_the_first_full_bound():
+    mb = smallest_beta_with_every_rule()
+    code, out, err = run(["verify", "rewrites", "--max-beta", str(mb - 1)])
+    assert code == 2 and out == "" and f"at least {mb}" in err
+    code, out, err = run(["verify", "rewrites", "--max-beta", str(mb)])
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == len(words.rewrite_equivalences())
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_smallest_sizes_still_check():
+    for argv, lines in (
+        (["verify", "counts", "--max-r", "1"], 2),
+        (["verify", "gl2", "--trials", "1"], 1),
+    ):
+        code, out, _ = run(argv)
+        assert code == 0 and len(out.splitlines()) == lines, argv

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
+from c2surf.bilinear import standard_space
 from c2surf.f2 import (
     DimensionMismatch,
     F2Matrix,
     F2Vector,
     SingularMatrixError,
+    _affine_solutions,
     group_closure,
     isometries,
     rank,
@@ -130,6 +134,66 @@ def test_isometries_form_a_group_and_preserve_gram():
         assert m.transpose() @ gram @ m == gram
         assert m.inverse() in as_set
     assert F2Matrix.identity(2) in as_set
+
+
+def all_matrices(nrows, ncols):
+    for rows in itertools.product(range(1 << ncols), repeat=nrows):
+        yield F2Matrix(rows, ncols)
+
+
+ELIMINATION_SHAPES = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)] + [(1, 4), (4, 1)]
+
+
+@pytest.mark.parametrize("shape", ELIMINATION_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_rank_matches_brute_force_kernel(shape):
+    # rank-nullity: |kernel| = 2^(ncols - rank)
+    for m in all_matrices(*shape):
+        assert 1 << (m.ncols - rank(m)) == len(brute_kernel(m)), m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_matches_brute_force(n):
+    ident = F2Matrix.identity(n)
+    for m in all_matrices(n, n):
+        if brute_kernel(m) == [0]:
+            inv = m.inverse()
+            assert m @ inv == ident and inv @ m == ident, m
+        else:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_solutions_match_brute_force(n):
+    # every system of up to three (mask, rhs) equations in n unknowns
+    rows = [(mask, rhs) for mask in range(1 << n) for rhs in (0, 1)]
+    for k in range(4):
+        for eqs in itertools.product(rows, repeat=k):
+            brute = {
+                x
+                for x in range(1 << n)
+                if all((mask & x).bit_count() & 1 == rhs for mask, rhs in eqs)
+            }
+            sol = _affine_solutions([mask | (rhs << n) for mask, rhs in eqs], n)
+            if sol is None:
+                assert brute == set(), eqs
+                continue
+            particular, basis = sol
+            span = {particular}
+            for b in basis:
+                span |= {x ^ b for x in span}
+            assert len(span) == 1 << len(basis) and span == brute, eqs
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("orthogonal", n) for n in (1, 2, 3, 4)] + [("symplectic", 2), ("symplectic", 4)]
+)
+def test_isometries_match_brute_force_search(kind, n):
+    gram = standard_space(kind, n).gram
+    brute = {m for m in all_matrices(n, n) if m.transpose() @ gram @ m == gram}
+    found = isometries(gram)
+    assert len(found) == len(set(found))
+    assert set(found) == brute
 
 
 def test_isometries_bound():

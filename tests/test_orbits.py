@@ -2,8 +2,6 @@ import pytest
 
 from c2surf.f2 import F2Matrix, F2Vector, isometries
 from c2surf.orbits import (
-    FreeActionDescriptor,
-    FreeKind,
     OrthOrbit,
     SymplecticOrbit,
     brute_orbit_partition,
@@ -13,11 +11,11 @@ from c2surf.orbits import (
     covers_of,
     orbit_census,
     orthogonal_orbit,
+    quotient_space,
     symplectic_orbit,
-    tg_anti,
     verify_orthogonal_generators,
 )
-from c2surf.words import Surface
+from c2surf.words import Surface, parse_word, underlying_surface
 
 
 def v(*coords):
@@ -84,79 +82,103 @@ def test_verify_orthogonal_generators():
         verify_orthogonal_generators(9)
 
 
+def words(*texts):
+    return [parse_word(t) for t in texts]
+
+
 def test_characteristic_classes():
-    assert characteristic_class(tg_anti(2)) == v(1, 1, 1)
-    assert characteristic_class(FreeActionDescriptor(FreeKind.S2A_DCC, 0, 3)) == v(1, 0, 0, 0)
-    assert characteristic_class(FreeActionDescriptor(FreeKind.TG_ROT, 1, 1)) == v(1, 1, 0)
-    assert characteristic_class(tg_anti(3, 2)) == v(1, 1, 1, 1, 0, 0)
+    assert characteristic_class(parse_word("Tanti(2)")) == v(1, 1, 1)
+    assert characteristic_class(parse_word("S2a+3DCC")) == v(1, 0, 0, 0)
+    assert characteristic_class(parse_word("Trot(1)+DCC")) == v(1, 1, 0)
+    assert characteristic_class(parse_word("Tanti(3)+2DCC")) == v(1, 1, 1, 1, 0, 0)
+    # T1 and S2a follow the antipodal block of g + 1 ones
+    assert characteristic_class(parse_word("Tanti(1)+2DCC")) == v(1, 1, 0, 0)
+    assert characteristic_class(parse_word("S2a")) == v(1)
+    assert characteristic_class(parse_word("Trot(3)")) == v(1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["S22", "S21+DCC", "Trefl(1,2)", "Tspit(1,4)", "S2a+S11AT", "Tanti(2)+DT", "S2a+S1aAT",
+     "Trot(1)+S10AT", "Triv(T2)"],
+)
+def test_characteristic_class_rejects_other_words(text):
+    # fixed points, other surgeries, or a trivial action: not base + s DCC on a free base
+    with pytest.raises(ValueError):
+        characteristic_class(parse_word(text))
+    with pytest.raises(ValueError):
+        quotient_space(parse_word(text))
 
 
 def test_covers_of():
     n3 = covers_of(Surface(False, 3))
-    assert len(n3) == 3
-    classes = [characteristic_class(d) for d in n3]
+    assert n3 == words("Tanti(2)", "S2a+2DCC", "Tanti(1)+DCC")
+    classes = [characteristic_class(w) for w in n3]
     orbits = [orthogonal_orbit(c) for c in classes]
     assert set(orbits) == {OrthOrbit.OMEGA, OrthOrbit.A1, OrthOrbit.A2}
-    assert len(covers_of(Surface(True, 2))) == 1
-    assert covers_of(Surface(True, 2))[0].kind == FreeKind.TG_ROT
-    assert covers_of(Surface(True, 2))[0].g == 3
-    assert len(covers_of(Surface(False, 2))) == 2
-    assert len(covers_of(Surface(False, 1))) == 1
+    assert covers_of(Surface(True, 2)) == [parse_word("Trot(3)")]
+    assert covers_of(Surface(True, 1)) == [parse_word("Trot(1)")]
+    assert covers_of(Surface(False, 2)) == words("Tanti(1)", "S2a+DCC")
+    assert covers_of(Surface(False, 1)) == [parse_word("S2a")]
     with pytest.raises(ValueError):
         covers_of(Surface(True, 0))
 
 
 def test_covers_distinguished_by_orbit():
-    for r in range(3, 9):
-        descs = covers_of(Surface(False, r))
-        orbits = [orthogonal_orbit(characteristic_class(d)) for d in descs]
-        assert len(set(orbits)) == len(descs)
+    for r in range(1, 9):
+        quotient = Surface(False, r)
+        covers = covers_of(quotient)
+        assert all(quotient_space(w) == quotient for w in covers)
+        orbits = [orthogonal_orbit(characteristic_class(w)) for w in covers if r >= 2]
+        assert len(set(orbits)) == len(orbits)
+    for g in range(1, 6):
+        assert [quotient_space(w) for w in covers_of(Surface(True, g))] == [Surface(True, g)]
 
 
 def test_classify_free_structures():
     assert classify_free_structures(Surface(False, 3)) == []
     assert classify_free_structures(Surface(False, 5)) == []
-    assert len(classify_free_structures(Surface(True, 3))) == 2
-    assert len(classify_free_structures(Surface(True, 4))) == 1
-    n6 = classify_free_structures(Surface(False, 6))
-    assert {(d.kind, d.s) for d in n6} == {
-        (FreeKind.S2A_DCC, 3),
-        (FreeKind.T1_ANTI_DCC, 2),
-    }
-    assert len(classify_free_structures(Surface(False, 2))) == 1
+    assert classify_free_structures(Surface(True, 3)) == words("Tanti(3)", "Trot(3)")
+    assert classify_free_structures(Surface(True, 4)) == words("Tanti(4)")
+    assert classify_free_structures(Surface(True, 0)) == words("S2a")
+    assert classify_free_structures(Surface(False, 6)) == words("S2a+3DCC", "Tanti(1)+2DCC")
+    assert classify_free_structures(Surface(False, 2)) == words("S2a+DCC")
 
 
 def test_free_structures_distinct_and_on_the_right_surface():
-    for r in (2, 4, 6, 8, 10):
-        descs = classify_free_structures(Surface(False, r))
-        for d in descs:
-            assert d.total_space() == Surface(False, r)
-        orbits = [orthogonal_orbit(characteristic_class(d)) for d in descs]
-        assert len(set(orbits)) == len(descs)
+    for x in [Surface(False, r) for r in (2, 4, 6, 8, 10)] + [Surface(True, g) for g in range(6)]:
+        found = classify_free_structures(x)
+        for w in found:
+            assert underlying_surface(w) == x
+        if x.orientable:
+            continue
+        orbits = [orthogonal_orbit(characteristic_class(w)) for w in found]
+        assert len(set(orbits)) == len(found)
+
+
+FREE_SAMPLES = [
+    "Tanti(2)",
+    "Tanti(4)+3DCC",
+    "S2a",
+    "S2a+5DCC",
+    "Tanti(1)",
+    "Tanti(1)+4DCC",
+    "Trot(1)",
+    "Trot(3)",
+    "Trot(3)+2DCC",
+    "Trot(5)",
+    "Trot(3)+DCC",
+    "Tanti(2)+DCC",
+]
 
 
 def test_euler_characteristic_doubling():
-    samples = [
-        tg_anti(2, 0),
-        tg_anti(4, 3),
-        FreeActionDescriptor(FreeKind.S2A_DCC, 0, 5),
-        FreeActionDescriptor(FreeKind.T1_ANTI_DCC, 1, 4),
-        FreeActionDescriptor(FreeKind.TG_ROT, 3, 0),
-        FreeActionDescriptor(FreeKind.TG_ROT, 3, 2),
-    ]
-    for d in samples:
-        chi_total = 2 - d.total_space().beta
-        chi_quot = 2 - d.quotient_space().beta
+    for w in words(*FREE_SAMPLES):
+        chi_total = 2 - underlying_surface(w).beta
+        chi_quot = 2 - quotient_space(w).beta
         assert chi_total == 2 * chi_quot
 
 
 def test_characteristic_class_dimension_matches_quotient():
-    samples = [
-        tg_anti(2, 1),
-        FreeActionDescriptor(FreeKind.S2A_DCC, 0, 4),
-        FreeActionDescriptor(FreeKind.T1_ANTI_DCC, 1, 2),
-        FreeActionDescriptor(FreeKind.TG_ROT, 5, 0),
-        FreeActionDescriptor(FreeKind.TG_ROT, 3, 1),
-    ]
-    for d in samples:
-        assert characteristic_class(d).n == d.quotient_space().beta
+    for w in words(*FREE_SAMPLES):
+        assert characteristic_class(w).n == quotient_space(w).beta

@@ -2,12 +2,14 @@
 verification runs.
 
 Exit codes: 0 success, 2 usage/parse error, 3 domain violation,
-4 verification failure.
+4 verification failure, 130 interrupted (Ctrl-C), 141 stdout closed by
+the reader (128 + SIGPIPE, nothing printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -23,6 +25,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -339,7 +343,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early fails this flush, not the exit's
+        return code
     except WordSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -352,6 +358,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (counting.CountMismatch, words.RewriteNonTermination) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit; let that flush land
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

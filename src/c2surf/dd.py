@@ -124,19 +124,17 @@ def conjugacy_oracle(a: Involution, b: Involution, bound: int = ISOMETRY_BOUND) 
     return False
 
 
-def _transvection_generators(space: BilinearSpace) -> List[F2Matrix]:
-    """All transvections v |-> v + b(v,u) u for isotropic u; generate Sp(2g, 2)."""
+def _chain_transvections(space: BilinearSpace) -> List[F2Matrix]:
+    """The 3g-1 transvections v |-> v + b(v,u) u, i.e. I + u (Gu)^T, along
+    u = e_i, f_i (coordinates 2i, 2i+1) and f_i + f_{i+1}.  They include the
+    mod-2 images of Humphries' 2g+1 Dehn twists, and Sp(2g, Z) -> Sp(2g, 2)
+    is onto, so they generate Sp(2g, 2)."""
     n = space.dim
+    chain = [1 << i for i in range(n)] + [0b1010 << i for i in range(0, n - 2, 2)]
     gens = []
-    for ubits in range(1, 1 << n):
-        u = F2Vector(ubits, n)
-        if space.pairing(u, u):
-            continue
-        cols = []
-        for j in range(n):
-            e = F2Vector.basis(n, j)
-            cols.append(e.bits ^ (ubits if space.pairing(e, u) else 0))
-        gens.append(F2Matrix.from_cols(cols, n))
+    for u in chain:
+        gu = space.gram.mul_vec(F2Vector(u, n)).bits
+        gens.append(F2Matrix(tuple((1 << i) ^ (gu if u >> i & 1 else 0) for i in range(n)), n))
     return gens
 
 
@@ -162,13 +160,14 @@ def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
     """A generating set of the isometry group for the two standard grams.
 
     Orthonormal grams use permutations plus the complement-of-identity block;
-    standard symplectic grams use the full set of transvections.
+    standard symplectic grams use the chain transvections.  Every generator
+    is its own inverse.
     """
     n = space.dim
     if space.gram == F2Matrix.identity(n):
         return _orthonormal_generators(n)
     if space.kind == FormKind.SYMP and space.gram == standard_space("symplectic", n).gram:
-        return _transvection_generators(space)
+        return _chain_transvections(space)
     raise ValueError("generators are known for the standard orthogonal and symplectic grams only")
 
 
@@ -177,16 +176,16 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
 
     Classes are the orbits of conjugation; closing each orbit under a
     generating set of the isometry group is an exhaustive search over the
-    class without materializing every conjugator.
+    class without materializing every conjugator.  The generators are
+    involutions, so g m g is the conjugate of m by g.
     """
     invs = involutions_in(space, bound=bound)
     gens = isometry_generators(space)
-    gen_pairs = [(g, g.inverse()) for g in gens]
     remaining = {inv.matrix for inv in invs}
     classes: List[List[Involution]] = []
     while remaining:
         seed = next(iter(remaining))
-        conjugates = orbit(seed, lambda m: [ginv @ m @ g for g, ginv in gen_pairs])
+        conjugates = orbit(seed, lambda m: [g @ m @ g for g in gens])
         if not conjugates <= remaining:
             raise AssertionError("conjugation left the involution set")
         remaining -= conjugates

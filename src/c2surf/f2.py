@@ -279,12 +279,14 @@ _ISOMETRY_CACHE: dict = {}
 
 
 def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:
-    """All M with M^T G M = G, by column-by-column constraint propagation.
+    """All M with M^T G M = G for a symmetric invertible gram G, by
+    column-by-column constraint propagation.
 
-    Every pairing constraint is linear over GF(2), including the diagonal one
-    (v |-> v^T G v is linear since G is symmetric), so each new column ranges
-    over an affine subspace; columns are additionally kept independent.
-    Results are cached per gram (the bound only gates the computation).
+    Symmetry makes c_j^T G c_k = G[j, k] the same condition for (j, k) and
+    (k, j), and makes the diagonal one linear (v |-> v^T G v is v . diag(G)),
+    so column k ranges over an affine subspace cut out by the columns before
+    it.  Every solution is invertible: det(M)^2 det(G) = det(G) = 1.  Results
+    are cached per gram (the bound only gates the computation).
     """
     n = gram.ncols
     if n > bound:
@@ -292,19 +294,12 @@ def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, .
     cached = _ISOMETRY_CACHE.get(gram)
     if cached is not None:
         return cached
-    if n == 0:
-        return (F2Matrix((), 0),)
+    if not (gram.is_symmetric() and gram.is_invertible()):
+        raise ValueError("gram matrix must be symmetric and invertible")
     diag_bits = gram.diag().bits
     out_cols: List[Tuple[int, ...]] = []
     cols: List[int] = []
     gcols: List[int] = []  # G @ c_j, packed
-    echelon: List[int] = []  # independence basis for chosen columns
-
-    def reduce(v: int) -> int:
-        for b in echelon:
-            if (v >> (b.bit_length() - 1)) & 1:
-                v ^= b
-        return v
 
     def g_times(col: int) -> int:
         bits = 0
@@ -332,13 +327,9 @@ def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, .
                     cand ^= basis[idx]
                 c >>= 1
                 idx += 1
-            if reduce(cand) == 0:
-                continue
             cols.append(cand)
             gcols.append(g_times(cand))
-            echelon.append(reduce(cand))
             extend(k + 1)
-            echelon.pop()
             gcols.pop()
             cols.pop()
 

@@ -1,5 +1,9 @@
 import io
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -13,6 +17,7 @@ from c2surf.orbits import CENSUS_BOUND, orbit_census, verify_orthogonal_generato
 from c2surf.words import format_word, normalize, parse_word
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -220,6 +225,7 @@ def test_verify_suites_fast():
         ["verify", "counts", "--max-r", "40"],
         ["verify", "gl2", "--trials", "200"],
         ["verify", "rewrites", "--max-beta", "12"],
+        ["verify", "orbits", "--n", str(CENSUS_BOUND)],
     ):
         code, out, _ = run(argv)
         assert code == 0, (argv, out)
@@ -341,3 +347,52 @@ def test_verify_smallest_sizes_still_check():
     ):
         code, out, _ = run(argv)
         assert code == 0 and len(out.splitlines()) == lines, argv
+
+
+def start_cli(argv, buffered=False):
+    """The CLI in a child process with Ctrl-C at its default."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    return subprocess.Popen(
+        [sys.executable, "-m", "c2surf.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(buffered):
+    with start_cli(["enumerate", "N200", "--format", "record"], buffered) as proc:
+        try:
+            assert proc.stdout.readline().startswith("surface=N200 ")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+
+
+def test_stdout_closed_before_the_last_flush_exits_141_quietly():
+    # the whole output fits the buffer, so only the final flush meets the closed pipe
+    with start_cli(["count", "N2..N7"], buffered=True) as proc:
+        try:
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+
+
+def test_ctrl_c_exits_130_without_traceback():
+    with start_cli(["verify", "dd", "--max-dim", "6"]) as proc:
+        try:
+            assert proc.stdout.readline().startswith("PASS ")
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 130
+            assert proc.stderr.read() == "error: interrupted\n"  # one line, no traceback
+        finally:
+            proc.kill()

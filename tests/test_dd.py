@@ -161,6 +161,22 @@ def test_transvections_generate_symplectic_group():
         assert closure == frozenset(isometries(space.gram))
 
 
+@pytest.mark.parametrize(
+    "kind, n",
+    [("orthogonal", n) for n in range(1, 13)] + [("symplectic", n) for n in range(2, 13, 2)],
+)
+def test_generators_are_involutive_isometries(kind, n):
+    # conjugacy_classes conjugates by g m g, which needs g = g^-1
+    space = standard_space(kind, n)
+    gens = isometry_generators(space)
+    ident = F2Matrix.identity(n)
+    for g in gens:
+        assert g.transpose() @ space.gram @ g == space.gram, g
+        assert g @ g == ident, g
+    if kind == "symplectic":
+        assert len(gens) == 3 * (n // 2) - 1
+
+
 def test_conjugacy_classes_partition():
     space = standard_space("symplectic", 4)
     classes = conjugacy_classes(space)

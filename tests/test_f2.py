@@ -196,6 +196,22 @@ def test_isometries_match_brute_force_search(kind, n):
     assert set(found) == brute
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isometries_match_brute_force_on_every_gram(n):
+    # 33 symmetric invertible grams up to 3x3 agree with brute force; the
+    # other 497 (not symmetric, or degenerate) are rejected
+    good = 0
+    for gram in all_matrices(n, n):
+        if gram.is_symmetric() and brute_kernel(gram) == [0]:
+            brute = [m for m in all_matrices(n, n) if m.transpose() @ gram @ m == gram]
+            assert sorted(isometries(gram), key=lambda m: m.rows) == brute, gram
+            good += 1
+        else:
+            with pytest.raises(ValueError):
+                isometries(gram)
+    assert good == {1: 1, 2: 4, 3: 28}[n]
+
+
 def test_isometries_bound():
     with pytest.raises(ValueError):
         isometries(F2Matrix.identity(7))

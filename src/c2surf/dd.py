@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
-from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, isometries, orbit, rank
+from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, involutive_isometries, isometries, orbit, rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,13 +104,9 @@ def block_swap_involution(space: BilinearSpace) -> Involution:
 
 
 def involutions_in(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> Tuple[Involution, ...]:
-    """Every involution in the isometry group, by exhaustive filtering."""
-    ident = F2Matrix.identity(space.dim)
-    return tuple(
-        Involution(space, m)
-        for m in isometries(space.gram, bound=bound)
-        if m @ m == ident
-    )
+    """Every involution in the isometry group, from the column search that
+    holds G M symmetric, so no other isometry is visited."""
+    return tuple(Involution(space, m) for m in involutive_isometries(space.gram, bound=bound))
 
 
 def conjugacy_oracle(a: Involution, b: Involution, bound: int = ISOMETRY_BOUND) -> bool:

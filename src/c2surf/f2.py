@@ -3,6 +3,11 @@
 Vectors and matrices are immutable; coordinates are packed into Python ints
 (bit ``i`` is coordinate ``i``), which makes row operations single XORs and
 lets matrices serve as dict keys and set members.
+
+The isometries of a form are found by one column-by-column search:
+``involutive_isometries`` visits only the involutions, which is all the DD
+classification needs, and ``isometries`` lists the whole group for the
+oracles that check it.
 """
 
 from __future__ import annotations
@@ -272,71 +277,94 @@ def _affine_solutions(rows: List[int], n: int) -> Optional[Tuple[int, List[int]]
     return particular, basis
 
 
-# Largest dimension the exhaustive isometry search and the oracles built on it accept.
+# Largest dimension the isometry searches and the oracles built on them accept.
 ISOMETRY_BOUND = 6
 
 _ISOMETRY_CACHE: dict = {}
 
 
-def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:
-    """All M with M^T G M = G for a symmetric invertible gram G, by
-    column-by-column constraint propagation.
+def _check_bound(gram: F2Matrix, bound: int) -> None:
+    if gram.ncols > bound:
+        raise ValueError(f"dimension {gram.ncols} above isometry-enumeration bound {bound}")
+
+
+def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
+    """Every M with M^T G M = G, and with M^2 = I when ``involutive``, for a
+    symmetric invertible gram G, by column-by-column constraint propagation.
 
     Symmetry makes c_j^T G c_k = G[j, k] the same condition for (j, k) and
     (k, j), and makes the diagonal one linear (v |-> v^T G v is v . diag(G)),
     so column k ranges over an affine subspace cut out by the columns before
-    it.  Every solution is invertible: det(M)^2 det(G) = det(G) = 1.  Results
-    are cached per gram (the bound only gates the computation).
+    it.  Every solution is invertible: det(M)^2 det(G) = det(G) = 1.  An
+    isometry is an involution exactly when G M is symmetric (M^T G = G M^-1),
+    which adds (G c_k)_i = (G c_i)_k for i < k to the system of column k.
     """
-    n = gram.ncols
-    if n > bound:
-        raise ValueError(f"dimension {n} above isometry-enumeration bound {bound}")
-    cached = _ISOMETRY_CACHE.get(gram)
-    if cached is not None:
-        return cached
     if not (gram.is_symmetric() and gram.is_invertible()):
         raise ValueError("gram matrix must be symmetric and invertible")
+    n = gram.ncols
+    grows = gram.rows
     diag_bits = gram.diag().bits
     out_cols: List[Tuple[int, ...]] = []
     cols: List[int] = []
     gcols: List[int] = []  # G @ c_j, packed
 
     def g_times(col: int) -> int:
-        bits = 0
-        for i in range(n):
-            if (gram.rows[i] & col).bit_count() & 1:
-                bits |= 1 << i
-        return bits
+        acc = 0  # G is symmetric, so G c is the sum of the rows of G picked by c
+        while col:
+            low = col & -col
+            acc ^= grows[low.bit_length() - 1]
+            col ^= low
+        return acc
 
     def extend(k: int) -> None:
         if k == n:
             out_cols.append(tuple(cols))
             return
-        eqs = [gcols[j] | (gram.entry(k, j) << n) for j in range(k)]
-        eqs.append(diag_bits | (gram.entry(k, k) << n))
+        eqs = [gcols[j] | ((grows[k] >> j & 1) << n) for j in range(k)]
+        eqs.append(diag_bits | ((grows[k] >> k & 1) << n))
+        if involutive:
+            eqs += [grows[i] | ((gcols[i] >> k & 1) << n) for i in range(k)]
         sol = _affine_solutions(eqs, n)
         if sol is None:
             return
         particular, basis = sol
-        for combo in range(1 << len(basis)):
-            cand = particular
-            c = combo
-            idx = 0
-            while c:
-                if c & 1:
-                    cand ^= basis[idx]
-                c >>= 1
-                idx += 1
+        span = [(particular, g_times(particular))]  # (c, G c) over the affine subspace
+        for b in basis:
+            gb = g_times(b)
+            span += [(c ^ b, gc ^ gb) for c, gc in span]
+        for cand, gcand in span:
             cols.append(cand)
-            gcols.append(g_times(cand))
+            gcols.append(gcand)
             extend(k + 1)
             gcols.pop()
             cols.pop()
 
     extend(0)
-    result = tuple(F2Matrix.from_cols(list(cs), n) for cs in out_cols)
+    return tuple(F2Matrix.from_cols(list(cs), n) for cs in out_cols)
+
+
+def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:
+    """The whole isometry group {M : M^T G M = G} of a symmetric invertible
+    gram G, by the column search.  This is the oracle side: the conjugacy
+    oracle and the generator checks need every element.  Results are cached
+    per gram (the bound only gates the computation).
+    """
+    _check_bound(gram, bound)
+    cached = _ISOMETRY_CACHE.get(gram)
+    if cached is not None:
+        return cached
+    result = _column_search(gram, involutive=False)
     _ISOMETRY_CACHE[gram] = result
     return result
+
+
+def involutive_isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:
+    """Every isometry M of a symmetric invertible gram G with M^2 = I, by the
+    same column search with G M held symmetric; the rest of the group is
+    never visited.  Not cached.
+    """
+    _check_bound(gram, bound)
+    return _column_search(gram, involutive=True)
 
 
 _Point = TypeVar("_Point", bound=Hashable)
@@ -381,6 +409,7 @@ __all__ = [
     "block_diag",
     "ISOMETRY_BOUND",
     "isometries",
+    "involutive_isometries",
     "orbit",
     "group_closure",
 ]

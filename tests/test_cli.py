@@ -349,6 +349,35 @@ def test_verify_smallest_sizes_still_check():
         assert code == 0 and len(out.splitlines()) == lines, argv
 
 
+# The child reports the peak of its own address space (VmHWM).  Its ru_maxrss
+# would not do: Linux carries the parent's peak across fork and exec, so it
+# would report the test runner's size.
+REPORT_PEAK_RSS = r"""
+import re, sys
+from c2surf.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\s*(\d+) kB", status.read()).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux /proc")
+def test_verify_dd_memory_stays_bounded():
+    # the DD suite searches involutions only; it never holds a whole isometry group of dim 6
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_PEAK_RSS, "verify", "dd", "--max-dim", str(ISOMETRY_BOUND)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 64, peak_mb
+
+
 def start_cli(argv, buffered=False):
     """The CLI in a child process with Ctrl-C at its default."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")

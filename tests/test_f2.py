@@ -10,6 +10,7 @@ from c2surf.f2 import (
     SingularMatrixError,
     _affine_solutions,
     group_closure,
+    involutive_isometries,
     isometries,
     rank,
 )
@@ -196,22 +197,43 @@ def test_isometries_match_brute_force_search(kind, n):
     assert set(found) == brute
 
 
+def assert_involutions_of(gram):
+    """The involution search finds exactly the involutions of the whole group."""
+    ident = F2Matrix.identity(gram.ncols)
+    found = involutive_isometries(gram)
+    assert len(found) == len(set(found))
+    assert set(found) == {m for m in isometries(gram) if m @ m == ident}, gram
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_isometries_match_brute_force_on_every_gram(n):
-    # 33 symmetric invertible grams up to 3x3 agree with brute force; the
-    # other 497 (not symmetric, or degenerate) are rejected
+    # 33 symmetric invertible grams up to 3x3 agree with brute force, and so
+    # do their involutions; the other 497 (not symmetric, or degenerate) are
+    # rejected by both searches
     good = 0
     for gram in all_matrices(n, n):
         if gram.is_symmetric() and brute_kernel(gram) == [0]:
             brute = [m for m in all_matrices(n, n) if m.transpose() @ gram @ m == gram]
             assert sorted(isometries(gram), key=lambda m: m.rows) == brute, gram
+            assert_involutions_of(gram)
             good += 1
         else:
             with pytest.raises(ValueError):
                 isometries(gram)
+            with pytest.raises(ValueError):
+                involutive_isometries(gram)
     assert good == {1: 1, 2: 4, 3: 28}[n]
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("orthogonal", n) for n in range(1, 7)] + [("symplectic", 2), ("symplectic", 4)]
+)
+def test_involutive_isometries_are_the_involutions(kind, n):
+    assert_involutions_of(standard_space(kind, n).gram)
 
 
 def test_isometries_bound():
     with pytest.raises(ValueError):
         isometries(F2Matrix.identity(7))
+    with pytest.raises(ValueError):
+        involutive_isometries(F2Matrix.identity(7))

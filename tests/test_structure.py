@@ -117,9 +117,12 @@ def test_bench_worker_calls_bind():
 CLASSIFY = SRC / "classify.py"
 PRODUCTION_ROOTS = ("iter_nonorientable", "taxonomy_cells", "count_nonorientable", "_cell_rules")
 ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon"}
+DD = SRC / "dd.py"
+DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")
+DD_ORACLE_NAMES = {"isometries"}
 
 
-def _oracle_references(path: pathlib.Path, roots=PRODUCTION_ROOTS):
+def _oracle_references(path: pathlib.Path, roots=PRODUCTION_ROOTS, oracle_names=ORACLE_NAMES):
     """(function, name) for every oracle name that a module-level function
     reachable from `roots` reads, as a plain name or as an attribute."""
     functions = {
@@ -137,7 +140,7 @@ def _oracle_references(path: pathlib.Path, roots=PRODUCTION_ROOTS):
             ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if ref in functions:
                 todo.append(ref)
-            elif ref in ORACLE_NAMES:
+            elif ref in oracle_names:
                 found.append((name, ref))
     return sorted(found)
 
@@ -146,6 +149,9 @@ def test_enumeration_path_stays_off_the_oracle():
     # the enumerator, the tables and the count take every invariant from the
     # cell rules; re-deriving them from the word is the oracle's job
     assert _oracle_references(CLASSIFY) == []
+    # the DD classes come from the involution search; enumerating the whole
+    # isometry group is the conjugacy oracle's job
+    assert _oracle_references(DD, DD_PRODUCTION_ROOTS, DD_ORACLE_NAMES) == []
 
 
 def test_oracle_reference_check_follows_calls(tmp_path):

@@ -5,12 +5,13 @@ Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  On N_r one rule table, `_cell_rules`, gives each
 taxonomy cell its classes, each with its word, sign, separation invariant and
 DD; the enumerator, the appendix tables and the count all read it.
-`Action.from_word` re-derives the same invariants from any word
-(`dd_of_word` normalizes it first): it builds the few classes on T_g, and on
-N_r it is the oracle that checks the table.  On orientable surfaces the signed
-taxonomy is already a complete invariant; on non-orientable surfaces the only
-repeated signed taxonomies are [0,C:(C,0),-], where the separation invariant
-and the double Dickson invariant finish the job.
+`Action.from_word` re-derives the same invariants from any word: it builds
+the few classes on T_g, and on N_r it is the oracle that checks the table.
+On orientable surfaces the signed taxonomy is already a complete invariant; on
+non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
+where the separation invariant and the double Dickson invariant finish the
+job.  So `dd_of_word` rewrites a word (`normalize`) only on that taxonomy and
+on the Klein bottle.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ class Taxonomy:
     def c(self) -> int:
         return self.cplus + self.cminus
 
+    def ambiguous(self) -> bool:
+        """[0,C:(C,0),-]: the doubled surfaces and the crosscap families, the
+        one signed taxonomy that several classes on N_r share."""
+        return self.f == 0 and self.cminus == 0 and self.q == Sign.MINUS
+
     def unsigned(self) -> "Taxonomy":
         return Taxonomy(self.f, self.cplus, self.cminus)
 
@@ -92,10 +98,9 @@ class Action:
     def from_word(cls, w: SurgeryWord) -> "Action":
         surf = underlying_surface(w)
         if w.is_trivial():
-            return cls(w, surf, None, None, dd_of_word(w))
-        f, cp, cm = fixed_data(w)
-        tax = Taxonomy(f, cp, cm, q_sign(w))
-        return cls(w, surf, tax, epsilon(w), dd_of_word(w))
+            return cls(w, surf, None, None, dd_of_word(w, surf))
+        tax = Taxonomy(*fixed_data(w), q_sign(w))
+        return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))
 
     def is_trivial(self) -> bool:
         return self.word.is_trivial()
@@ -120,6 +125,7 @@ class Action:
 
 
 _ZERO_DD = DDTuple(0, 0, 0, 0)
+_T1, _N2 = Surface(True, 1), Surface(False, 2)
 # Antipodal sphere or torus with C trivial-circle antitubes: the induced map
 # is a single symplectic transvection block, independent of C.
 _TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
@@ -146,26 +152,34 @@ def identity_dd(surface: Surface) -> DDTuple:
     return DDTuple(0, 1, 1, 0)
 
 
-def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
-    """DD whenever a derived formula covers the word, else None.
+def dd_of_word(
+    w: SurgeryWord, surf: Optional[Surface] = None, tax: Optional[Taxonomy] = None
+) -> Optional[DDTuple]:
+    """DD whenever a derived formula covers the word, else None; `surf` and
+    `tax` (its surface and signed taxonomy) are computed if not given.
 
     Covered: trivial actions; everything on S^2, RP^2, T_1, and the Klein
     bottle; and the crosscap families S2a/Tanti(1) + k DCC + C S10AT and
     S21 + k DCC, where the crosscap pairs enter through the direct-sum rule.
+    Only Klein-bottle words and [0,C:(C,0),-] words are normalized: every
+    family word has that taxonomy, and `normalize` keeps surface and taxonomy.
     """
-    w = normalize(w)
+    surf = surf or underlying_surface(w)
     if w.is_trivial():
-        return identity_dd(w.base.surface)
-    surf = underlying_surface(w)
+        return identity_dd(surf)
     if surf.beta <= 1:
         # H^1 has dimension at most one, so every involution induces the identity
         return _ZERO_DD
-    if surf == Surface(True, 1):
+    tax = tax or Taxonomy(*fixed_data(w), q_sign(w))
+    if surf == _T1:
         # the signed taxonomy is complete on T_1, and only the class of
         # S2a + S10AT acts nontrivially on H^1
-        if Taxonomy(*fixed_data(w), q_sign(w)) == Taxonomy(0, 1, 0, Sign.MINUS):
+        if tax == Taxonomy(0, 1, 0, Sign.MINUS):
             return _TUBE_FAMILY_DD[BaseKind.S2A]
         return _ZERO_DD
+    if not (tax.ambiguous() or surf == _N2):
+        return None
+    w = normalize(w)
     kind, c = w.base.kind, w.s10at
     family = (
         kind == BaseKind.S2A
@@ -174,7 +188,7 @@ def dd_of_word(w: SurgeryWord) -> Optional[DDTuple]:
     )
     if family and not (w.dt or w.s11at or w.s1aat or w.fm):
         return _family_dd(kind, c, w.dcc)
-    if surf == Surface(False, 2):
+    if surf == _N2:
         return _KLEIN_DD.get(format_word(w))
     return None
 
@@ -357,14 +371,7 @@ def decide_isomorphic(a: Action, b: Action) -> bool:
         return a.is_trivial() and b.is_trivial()
     if a.taxonomy != b.taxonomy:
         return False
-    tax = a.taxonomy
-    ambiguous = (
-        not a.surface.orientable
-        and tax.f == 0
-        and tax.cminus == 0
-        and tax.q == Sign.MINUS
-    )
-    if not ambiguous:
+    if a.surface.orientable or not a.taxonomy.ambiguous():
         return True
     if a.epsilon != b.epsilon:
         return False

@@ -228,7 +228,7 @@ class SurgeryWord:
 
     def __post_init__(self) -> None:
         counts = (self.dcc, self.dt, self.s10at, self.s11at, self.s1aat, self.fm)
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise InvalidWordError("negative operation count")
         if self.base.kind == BaseKind.TRIVIAL and any(counts):
             raise InvalidWordError("trivial actions admit no surgery")
@@ -337,21 +337,13 @@ def parse_word(text: str) -> SurgeryWord:
     if not parts or not parts[0]:
         raise WordSyntaxError(f"empty word {text!r}")
     base = _parse_base(parts[0].strip())
-    counts = dict.fromkeys(_OP_NAMES, 0)
+    counts = [0] * len(_OP_NAMES)
     for part in parts[1:]:
         m = _OP_RE.fullmatch(part.strip())
         if not m:
             raise WordSyntaxError(f"bad operation token {part!r}")
-        counts[m.group(2)] += int(m.group(1)) if m.group(1) else 1
-    return SurgeryWord(
-        base,
-        dcc=counts["DCC"],
-        dt=counts["DT"],
-        s10at=counts["S10AT"],
-        s11at=counts["S11AT"],
-        s1aat=counts["S1aAT"],
-        fm=counts["FM"],
-    )
+        counts[_OP_NAMES.index(m.group(2))] += int(m.group(1)) if m.group(1) else 1
+    return SurgeryWord(base, *counts)
 
 
 def _parse_base(token: str) -> BaseSpace:

@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+from c2surf import classify
 from c2surf.classify import (
+    _KLEIN_DD,
     Action,
     DDUnavailableError,
     Taxonomy,
+    _family_dd,
     count_nonorientable,
     decide_isomorphic,
     dd_of_word,
@@ -20,15 +23,18 @@ from c2surf.counting import total_count
 from c2surf.dd import DDTuple
 from c2surf.orbits import classify_free_structures
 from c2surf.words import (
+    BaseKind,
     BaseSpace,
     Epsilon,
     InvalidWordError,
     Sign,
     Surface,
     SurgeryWord,
+    fixed_data,
     format_word,
     normalize,
     parse_word,
+    q_sign,
     underlying_surface,
 )
 
@@ -200,10 +206,8 @@ def test_dd_of_word_klein_and_torus():
     assert dd_of_word(parse_word("Tanti(1)+2S10AT")) == DDTuple(2, 1, 2, 1)
 
 
-def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
-    # the signed taxonomy is complete on T_1: every word there gets the DD of
-    # the enumerated class with the same taxonomy
-    by_taxonomy = {a.taxonomy: a.dd for a in enumerate_torus(1, include_trivial=False)}
+def _small_words():
+    """Every grammar-valid word on the bases of beta <= 2 with each op count <= 3."""
     bases = (
         BaseSpace.s2a(),
         BaseSpace.s21(),
@@ -213,17 +217,24 @@ def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
         BaseSpace.tspit(1, 4),
         BaseSpace.trefl(1, 2),
     )
-    checked = 0
     for base in bases:
-        for counts in itertools.product(range(3), repeat=6):
+        for counts in itertools.product(range(4), repeat=6):
             try:
-                w = SurgeryWord(base, *counts)
+                yield SurgeryWord(base, *counts)
             except InvalidWordError:
                 continue
-            if underlying_surface(w) == Surface(True, 1):
-                a = Action.from_word(w)
-                assert a.dd == by_taxonomy[a.taxonomy], format_word(w)
-                checked += 1
+
+
+def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
+    # the signed taxonomy is complete on T_1: every word there gets the DD of
+    # the enumerated class with the same taxonomy
+    by_taxonomy = {a.taxonomy: a.dd for a in enumerate_torus(1, include_trivial=False)}
+    checked = 0
+    for w in _small_words():
+        if underlying_surface(w) == Surface(True, 1):
+            a = Action.from_word(w)
+            assert a.dd == by_taxonomy[a.taxonomy], format_word(w)
+            checked += 1
     assert checked == 9
     a, b = act("S21+S1aAT"), act("S2a+S10AT")
     assert decide_isomorphic(a, b)
@@ -235,6 +246,53 @@ def test_dd_of_word_crosscapped_families():
     assert dd_of_word(parse_word("Tanti(1)+DCC+S10AT")) == DDTuple(3, 1, 2, 1)
     assert dd_of_word(parse_word("Trefl(1,2)")) == DDTuple(0, 0, 0, 0)
     assert dd_of_word(parse_word("S22+2S10AT")) is None  # no derived formula
+
+
+def _normalize_first_dd(w: SurgeryWord):
+    """DD with the rewrite first: the crosscap-family rule or the Klein-bottle
+    lookup on the normal form, for a nontrivial word off S^2, RP^2 and T_1."""
+    n = normalize(w)
+    kind, plain = n.base.kind, not (n.dt or n.s11at or n.s1aat or n.fm)
+    if plain and (
+        kind == BaseKind.S2A
+        or (kind == BaseKind.T_ANTI and n.base.g == 1)
+        or (kind == BaseKind.S21 and n.s10at == 0)
+    ):
+        return _family_dd(kind, n.s10at, n.dcc)
+    if underlying_surface(w) == Surface(False, 2):
+        return _KLEIN_DD.get(format_word(n))
+    return None
+
+
+def test_dd_gate_loses_no_derived_value():
+    # dd_of_word rewrites only [0,C:(C,0),-] and Klein-bottle words, yet off
+    # S^2, RP^2 and T_1 it gives what rewriting every word first would give
+    checked = covered = 0
+    for w in _small_words():
+        surf = underlying_surface(w)
+        if surf.beta <= 1 or surf == Surface(True, 1):
+            continue
+        want = _normalize_first_dd(w)
+        assert Action.from_word(w).dd == dd_of_word(w) == want, format_word(w)
+        checked += 1
+        covered += want is not None
+    assert (checked, covered) == (23_283, 217)
+
+
+def test_from_word_rewrites_only_where_dd_decides(monkeypatch):
+    reached = []
+
+    def counting_normalize(w):
+        reached.append(w)
+        return normalize(w)
+
+    monkeypatch.setattr(classify, "normalize", counting_normalize)
+    for w in _small_words():
+        Action.from_word(w)
+    assert reached
+    for w in reached:
+        tax = Taxonomy(*fixed_data(w), q_sign(w))
+        assert tax.ambiguous() or underlying_surface(w) == Surface(False, 2), format_word(w)
 
 
 def test_dd_separates_the_free_base_families():

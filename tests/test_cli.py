@@ -255,7 +255,7 @@ def test_inv_answers_long_op_runs(text, normal):
 
 def test_inv_rewrite_fuse_exits_4(monkeypatch):
     monkeypatch.setattr(words, "_NORMALIZE_FUSE", 1)
-    code, out, err = run(["inv", "S2a+S11AT+6000S1aAT"])
+    code, out, err = run(["inv", "S2a+DCC+20000DT"])
     assert code == 4 and out == ""
     assert err.startswith("error: rewriting did not terminate")
     assert len(err.splitlines()) == 1

@@ -32,6 +32,8 @@ from .words import (
     format_word,
     normalize,
     q_sign,
+    reflection_ovals,
+    spit_fixed_points,
     underlying_surface,
 )
 
@@ -332,17 +334,15 @@ def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
     out: List[Action] = []
     if include_trivial:
         out.append(Action.from_word(SurgeryWord(BaseSpace.trivial(Surface(True, g)))))
-    f = 2 + 2 * g
-    while f >= 2:
+    for f in spit_fixed_points(g):
         out.append(Action.from_word(SurgeryWord(BaseSpace.tspit(g, f))))
-        f -= 4
     out.append(Action.from_word(SurgeryWord(BaseSpace.tanti(g))))
     if g % 2:
         out.append(Action.from_word(SurgeryWord(BaseSpace.trot(g))))
     for c in range(1, g + 2):
         if c <= g:
             out.append(Action.from_word(SurgeryWord(BaseSpace.tanti(g - c), s10at=c)))
-        if (c - (g + 1)) % 2 == 0:
+        if c in reflection_ovals(g):
             out.append(Action.from_word(SurgeryWord(BaseSpace.trefl(g, c))))
     return out
 

@@ -141,11 +141,6 @@ class F2Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError((i, j))
-        return (self.rows[i] >> j) & 1
-
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_cols(list(self.rows), self.ncols)
 

@@ -5,8 +5,9 @@ A free action corresponds to a double cover of its quotient, hence to a
 nonzero class in H^1(quotient; Z/2) up to the isometry group of the
 intersection form.  The orthogonal orbits are pinned down by two invariants
 (content and being all-ones); the symplectic group is transitive on nonzero
-vectors.  Free involutions are surgery words: an antipodal base (S2a or
-Tanti(g)) or a rotation base (Trot(g)) plus s crosscap pairs.
+vectors.  Free involutions are the classes of the enumeration without fixed
+points: an antipodal base (S2a or Tanti(g)) or a rotation base (Trot(g)) plus
+s crosscap pairs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import enum
 from typing import Dict, List, Set, Tuple
 
 from .bilinear import standard_space
+from .classify import enumerate_surface
 from .dd import isometry_generators
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
-from .words import BaseKind, BaseSpace, Sign, Surface, SurgeryWord, beta, format_word, q_sign
+from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
 
 
 class OrthOrbit(enum.Enum):
@@ -132,41 +134,23 @@ def quotient_space(w: SurgeryWord) -> Surface:
 
 
 def covers_of(quotient: Surface) -> List[SurgeryWord]:
-    """Representatives of all free actions with the given quotient."""
-    if quotient.orientable:
-        g = quotient.genus
-        if g < 1:
-            raise ValueError("the sphere is not a free quotient")
-        return [SurgeryWord(BaseSpace.trot(2 * g - 1))]
-    r = quotient.genus
-    if r == 1:
-        return [SurgeryWord(BaseSpace.s2a())]
-    if r == 2:
-        return [SurgeryWord(BaseSpace.tanti(1)), SurgeryWord(BaseSpace.s2a(), dcc=1)]
-    return [
-        SurgeryWord(BaseSpace.tanti(r - 1)),
-        SurgeryWord(BaseSpace.s2a(), dcc=r - 1),
-        SurgeryWord(BaseSpace.tanti(1), dcc=r - 2),
-    ]
+    """Representatives of all free actions with the given quotient: the free
+    involutions with that quotient on T_{b-1} and N_{2b-2}, b = beta(Q),
+    the surfaces of Euler characteristic twice that of Q."""
+    b = quotient.beta
+    if b == 0:
+        raise ValueError("the sphere is not a free quotient")
+    covers = [Surface(True, b - 1)] + ([Surface(False, 2 * b - 2)] if b > 1 else [])
+    return [w for x in covers for w in classify_free_structures(x) if quotient_space(w) == quotient]
 
 
 def classify_free_structures(x: Surface) -> List[SurgeryWord]:
-    """All free involutions on the surface itself."""
-    if x.orientable:
-        g = x.genus
-        out = [SurgeryWord(BaseSpace.tanti(g))]
-        if g % 2:
-            out.append(SurgeryWord(BaseSpace.trot(g)))
-        return out
-    r = x.genus
-    if r % 2:
-        return []
-    s = r // 2
-    if s == 1:
-        return [SurgeryWord(BaseSpace.s2a(), dcc=1)]
+    """All free involutions on the surface itself: the enumerated classes
+    with F = C = 0, in enumeration order."""
     return [
-        SurgeryWord(BaseSpace.s2a(), dcc=s),
-        SurgeryWord(BaseSpace.tanti(1), dcc=s - 1),
+        a.word
+        for a in enumerate_surface(x, include_trivial=False)
+        if a.taxonomy.f == a.taxonomy.c == 0
     ]
 
 

@@ -81,14 +81,24 @@ class Surface:
 
 
 class BaseKind(enum.Enum):
-    TRIVIAL = "Triv"
-    S2A = "S2a"
-    S21 = "S21"
-    S22 = "S22"
-    T_ANTI = "Tanti"
-    T_ROT = "Trot"
-    T_SPIT = "Tspit"
-    T_REFL = "Trefl"
+    """The base grammar, declared once: each kind's token and the parameters
+    written after it, in order (``Tspit(g,F)`` is written ``Tspit(2,6)``).
+    The factory that builds a kind is named after it (T_SPIT: ``tspit``)."""
+
+    TRIVIAL = ("Triv", "surface")
+    S2A = ("S2a",)
+    S21 = ("S21",)
+    S22 = ("S22",)
+    T_ANTI = ("Tanti", "g")
+    T_ROT = ("Trot", "g")
+    T_SPIT = ("Tspit", "g", "f")
+    T_REFL = ("Trefl", "g", "c")
+
+    def __new__(cls, token: str, *params: str) -> "BaseKind":
+        kind = object.__new__(cls)
+        kind._value_ = token
+        kind.params = params
+        return kind
 
 
 # Bases whose action preserves orientation; the rest reverse it.
@@ -120,12 +130,12 @@ class BaseSpace:
         if k == BaseKind.T_SPIT:
             if self.g < 1:
                 raise InvalidWordError("Tspit(0,2) must be written S22")
-            if not (2 <= self.f <= 2 + 2 * self.g) or (self.f - (2 + 2 * self.g)) % 4:
+            if self.f not in spit_fixed_points(self.g):
                 raise InvalidWordError(f"bad spit fixed-point count F={self.f} at g={self.g}")
         if k == BaseKind.T_REFL:
             if self.g < 1:
                 raise InvalidWordError("Trefl(0,1) must be written S21")
-            if not (1 <= self.c <= self.g + 1) or (self.c - (self.g + 1)) % 2:
+            if self.c not in reflection_ovals(self.g):
                 raise InvalidWordError(f"bad reflection oval count C={self.c} at g={self.g}")
 
     @staticmethod
@@ -197,18 +207,20 @@ class BaseSpace:
         return self.kind in _PRESERVING_BASES
 
     def token(self) -> str:
-        k = self.kind
-        if k == BaseKind.TRIVIAL:
-            return f"Triv({self.surface.name})"
-        if k in (BaseKind.S2A, BaseKind.S21, BaseKind.S22):
-            return k.value
-        if k == BaseKind.T_ANTI:
-            return f"Tanti({self.g})"
-        if k == BaseKind.T_ROT:
-            return f"Trot({self.g})"
-        if k == BaseKind.T_SPIT:
-            return f"Tspit({self.g},{self.f})"
-        return f"Trefl({self.g},{self.c})"
+        args = ",".join(str(getattr(self, p)) for p in self.kind.params)
+        return f"{self.kind.value}({args})" if args else self.kind.value
+
+
+def spit_fixed_points(g: int) -> range:
+    """The fixed-point counts F of the spit bases Tspit(g,F) on T_g, largest
+    first: F = 2 + 2g (mod 4) with 2 <= F <= 2 + 2g."""
+    return range(2 + 2 * g, 1, -4)
+
+
+def reflection_ovals(g: int) -> range:
+    """The oval counts C of the reflection bases Trefl(g,C) on T_g, largest
+    first: C = g + 1 (mod 2) with 1 <= C <= g + 1."""
+    return range(g + 1, 0, -2)
 
 
 _OP_NAMES = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
@@ -305,17 +317,11 @@ def epsilon(w: SurgeryWord) -> Epsilon:
     antitubes attached.  Words without ovals get their own marker."""
     if w.is_trivial():
         raise InvalidWordError("separation is defined for nontrivial actions")
-    f, cplus, cminus = fixed_data(w)
-    if cplus + cminus == 0:
+    if w.base.ovals + w.s10at + w.fm == 0:
         return Epsilon.NO_FIXED_CIRCLES
-    if (
-        f == 0
-        and cminus == 0
-        and w.base.kind in (BaseKind.S21, BaseKind.T_REFL)
-        and w.s11at == 0
-        and w.s1aat == 0
-        and w.fm == 0
-    ):
+    # a reflection base has no isolated fixed points, so without S11AT and FM
+    # the word has F = C- = 0
+    if w.base.kind in (BaseKind.S21, BaseKind.T_REFL) and not (w.s11at or w.s1aat or w.fm):
         return Epsilon.SEPARATING
     return Epsilon.NON_SEPARATING
 
@@ -324,11 +330,17 @@ def epsilon(w: SurgeryWord) -> Epsilon:
 # text form
 
 
-_BASE_RE = re.compile(
-    r"S2a|S21|S22|Tanti\((\d+)\)|Trot\((\d+)\)|Tspit\((\d+),(\d+)\)"
-    r"|Trefl\((\d+),(\d+)\)|Triv\(([TN]\d+)\)"
-)
-_OP_RE = re.compile(r"(\d*)(DCC|DT|S10AT|S11AT|S1aAT|FM)")
+def _base_syntax(kind: BaseKind):
+    """(pattern, parameter converters, factory) of a base token, read off its
+    declaration: a surface name for Triv's parameter, a number for the others."""
+    params = [(r"([TN]\d+)", Surface.parse) if p == "surface" else (r"(\d+)", int) for p in kind.params]
+    args = ",".join(pattern for pattern, _ in params)
+    pattern = re.compile(rf"{kind.value}\({args}\)" if params else kind.value)
+    return pattern, [convert for _, convert in params], getattr(BaseSpace, kind.name.lower().replace("_", ""))
+
+
+_BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
+_OP_RE = re.compile(rf"(\d*)({'|'.join(_OP_NAMES)})")
 
 
 def parse_word(text: str) -> SurgeryWord:
@@ -347,24 +359,12 @@ def parse_word(text: str) -> SurgeryWord:
 
 
 def _parse_base(token: str) -> BaseSpace:
-    m = _BASE_RE.fullmatch(token)
+    syntax = _BASE_SYNTAX.get(token.partition("(")[0])
+    m = syntax and syntax[0].fullmatch(token)
     if not m:
         raise WordSyntaxError(f"bad base token {token!r}")
-    if token == "S2a":
-        return BaseSpace.s2a()
-    if token == "S21":
-        return BaseSpace.s21()
-    if token == "S22":
-        return BaseSpace.s22()
-    if token.startswith("Tanti"):
-        return BaseSpace.tanti(int(m.group(1)))
-    if token.startswith("Trot"):
-        return BaseSpace.trot(int(m.group(2)))
-    if token.startswith("Tspit"):
-        return BaseSpace.tspit(int(m.group(3)), int(m.group(4)))
-    if token.startswith("Trefl"):
-        return BaseSpace.trefl(int(m.group(5)), int(m.group(6)))
-    return BaseSpace.trivial(Surface.parse(m.group(7)))
+    _, converters, factory = syntax
+    return factory(*[convert(arg) for convert, arg in zip(converters, m.groups())])
 
 
 def format_word(w: SurgeryWord) -> str:
@@ -413,20 +413,15 @@ def _ctx_words(max_beta: int) -> Iterator[SurgeryWord]:
     ]
     for base in bases:
         for kw in extras:
-            try:
-                w = SurgeryWord(base, **kw)
-            except InvalidWordError:
-                continue
+            w = SurgeryWord(base, **kw)
             if beta(w) <= max_beta:
                 yield w
 
 
 def _spit_params(max_beta: int) -> Iterator[Tuple[int, int]]:
     for g in range(0, max_beta // 2 + 1):
-        f = 2 + 2 * g
-        while f >= 2:
+        for f in spit_fixed_points(g):
             yield g, f
-            f -= 4
 
 
 def rewrite_equivalences() -> List[RewriteRule]:
@@ -435,10 +430,7 @@ def rewrite_equivalences() -> List[RewriteRule]:
     def fundiso_dcc(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # S22 + r DCC  ~  S2a + (r-1) DCC + S11AT
         for r in range(1, mb // 2):
-            u = SurgeryWord(BaseSpace.s22(), dcc=r)
-            if beta(u) > mb:
-                break
-            yield u, SurgeryWord(BaseSpace.s2a(), dcc=r - 1, s11at=1)
+            yield SurgeryWord(BaseSpace.s22(), dcc=r), SurgeryWord(BaseSpace.s2a(), dcc=r - 1, s11at=1)
 
     def fundiso_s1a(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # S22 + DCC  ~  S22 + S1aAT
@@ -458,10 +450,7 @@ def rewrite_equivalences() -> List[RewriteRule]:
     def anti_s11(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # Tanti(g) + S11AT  ~  S2a + g DCC + S11AT
         for g in range(1, mb // 2):
-            u = SurgeryWord(BaseSpace.tanti(g), s11at=1)
-            if beta(u) > mb:
-                break
-            yield u, SurgeryWord(BaseSpace.s2a(), dcc=g, s11at=1)
+            yield SurgeryWord(BaseSpace.tanti(g), s11at=1), SurgeryWord(BaseSpace.s2a(), dcc=g, s11at=1)
 
     def anti_dcc(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # Tanti(g) + s DCC  ~  S2a + (g+s) DCC         (g even)
@@ -489,8 +478,6 @@ def rewrite_equivalences() -> List[RewriteRule]:
         # Tspit(g, 2+2g-4n)  ~  S22 + g S11AT          (n = 0)
         #                    ~  Trot(2n-1) + (g+1-2n) S11AT   (n > 0)
         for g, f in _spit_params(mb):
-            if 2 * g > mb:
-                continue
             n = (2 + 2 * g - f) // 4
             u = SurgeryWord(BaseSpace.tspit(g, f))
             if n == 0:
@@ -501,8 +488,6 @@ def rewrite_equivalences() -> List[RewriteRule]:
     def spit_expand(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # Tspit(g,F)  ~  S22 + (F/2 - 1) S11AT + ((2+2g-F)/4) DT
         for g, f in _spit_params(mb):
-            if 2 * g > mb:
-                continue
             yield (
                 SurgeryWord(BaseSpace.tspit(g, f)),
                 SurgeryWord(BaseSpace.s22(), s11at=f // 2 - 1, dt=(2 + 2 * g - f) // 4),
@@ -511,35 +496,22 @@ def rewrite_equivalences() -> List[RewriteRule]:
     def refl_expand(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # Trefl(g,C)  ~  S21 + (C-1) S10AT + ((g+1-C)/2) DT
         for g in range(0, mb // 2 + 1):
-            c = g + 1
-            while c >= 1:
+            for c in reflection_ovals(g):
                 yield (
                     SurgeryWord(BaseSpace.trefl(g, c)),
                     SurgeryWord(BaseSpace.s21(), s10at=c - 1, dt=(g + 1 - c) // 2),
                 )
-                c -= 2
 
     def dcc_absorbs_dt(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # X + DCC + DT  ~  X + 3 DCC  (crosscapped sums absorb handles)
         for ctx in _ctx_words(mb - 6):
-            u = replace(ctx, dcc=ctx.dcc + 1, dt=ctx.dt + 1)
-            if beta(u) > mb:
-                continue
-            yield u, replace(ctx, dcc=ctx.dcc + 3)
+            yield replace(ctx, dcc=ctx.dcc + 1, dt=ctx.dt + 1), replace(ctx, dcc=ctx.dcc + 3)
 
-    return [
-        RewriteRule("fundiso_dcc", fundiso_dcc),
-        RewriteRule("fundiso_s1a", fundiso_s1a),
-        RewriteRule("fundiso_s1a_t1", fundiso_s1a_t1),
-        RewriteRule("fundiso_t1", fundiso_t1),
-        RewriteRule("anti_s11", anti_s11),
-        RewriteRule("anti_dcc", anti_dcc),
-        RewriteRule("rot_dcc", rot_dcc),
-        RewriteRule("spit_unroll", spit_unroll),
-        RewriteRule("spit_expand", spit_expand),
-        RewriteRule("refl_expand", refl_expand),
-        RewriteRule("dcc_absorbs_dt", dcc_absorbs_dt),
-    ]
+    rules = (
+        fundiso_dcc, fundiso_s1a, fundiso_s1a_t1, fundiso_t1, anti_s11, anti_dcc,
+        rot_dcc, spit_unroll, spit_expand, refl_expand, dcc_absorbs_dt,
+    )
+    return [RewriteRule(rule.__name__, rule) for rule in rules]
 
 
 def _normalize_step(w: SurgeryWord) -> SurgeryWord:
@@ -641,6 +613,8 @@ __all__ = [
     "Surface",
     "BaseKind",
     "BaseSpace",
+    "spit_fixed_points",
+    "reflection_ovals",
     "SurgeryWord",
     "beta",
     "fixed_data",

@@ -12,7 +12,6 @@ from c2surf.classify import (
     count_nonorientable,
     decide_isomorphic,
     dd_of_word,
-    enumerate_surface,
     enumerate_torus,
     identity_dd,
     iter_nonorientable,
@@ -21,7 +20,7 @@ from c2surf.classify import (
 )
 from c2surf.counting import total_count
 from c2surf.dd import DDTuple
-from c2surf.orbits import classify_free_structures
+from c2surf.orbits import classify_free_structures, covers_of, orbit_census
 from c2surf.words import (
     BaseKind,
     BaseSpace,
@@ -49,6 +48,7 @@ def test_scherrer_admissible():
     assert not scherrer_admissible(Taxonomy(1, 0, 0), 2)  # parity
     assert not scherrer_admissible(Taxonomy(2, 1, 0, Sign.MINUS), 2)  # tightened bound
     assert scherrer_admissible(Taxonomy(2, 1, 0, Sign.PLUS), 2)
+    assert not scherrer_admissible(Taxonomy(2, 2, 0), 2)  # F + 2C <= beta + 2
 
 
 def test_enumerate_sphere():
@@ -309,8 +309,9 @@ def test_decide_isomorphic():
     # same taxonomy with F > 0: the duplicate Klein-bottle descriptions agree
     assert decide_isomorphic(act("S22+DCC"), act("S2a+S11AT"))
     assert decide_isomorphic(act("S21+S11AT"), act("S22+S10AT"))
-    # separation distinguishes
+    # separation distinguishes, and two separating actions agree
     assert not decide_isomorphic(act("S2a+DCC+2S10AT"), act("S21+2DCC+S10AT"))
+    assert decide_isomorphic(act("Trefl(1,2)+DCC"), act("S21+DCC+S10AT"))
     # DD distinguishes
     assert not decide_isomorphic(act("S2a+2DCC+S10AT"), act("Tanti(1)+DCC+S10AT"))
     # free actions on N_6
@@ -363,15 +364,17 @@ def test_verify_checks_every_invariant():
 
 
 def test_free_actions_match_the_cover_classification():
-    # actions with empty fixed set in the enumeration = classified free actions
+    # the enumeration's free classes have an empty fixed set by their words
     surfaces = [Surface(False, r) for r in range(1, 30)] + [Surface(True, g) for g in range(15)]
     for x in surfaces:
-        free = {
-            a.word
-            for a in enumerate_surface(x, include_trivial=False)
-            if a.taxonomy.f == 0 and a.taxonomy.c == 0
-        }
-        assert {normalize(w) for w in classify_free_structures(x)} == free, x
+        for w in classify_free_structures(x):
+            assert (underlying_surface(w), fixed_data(w)) == (x, (0, 0, 0)), w
+    # and they are the double covers: one per isometry orbit of the nonzero
+    # classes in H^1(Q; Z/2), orthogonal on N_r and symplectic on T_g
+    for r in range(1, 11):
+        assert len(covers_of(Surface(False, r))) == orbit_census("orthogonal", r) - 1
+    for g in range(1, 6):
+        assert len(covers_of(Surface(True, g))) == orbit_census("symplectic", 2 * g) - 1
 
 
 def test_torus_taxonomy_chart():

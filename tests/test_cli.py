@@ -37,6 +37,7 @@ def test_count_range():
     assert code == 0
     phis = [int(line.split()[5]) for line in out.strip().splitlines()[1:]]
     assert phis == [5, 3, 14, 8, 27, 15]
+    assert run(["count", "N2..4"]) == run(["count", "N2..N4"])  # the end may omit its letter
 
 
 def test_count_torus():
@@ -49,6 +50,7 @@ def test_count_bad_spec():
     code, _, err = run(["count", "Nbad"])
     assert code == 2
     assert "bad surface" in err
+    assert run(["count", "N7..N2"]) == (2, "", "error: bad surface range 'N7..N2'\n")
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
@@ -180,6 +182,7 @@ def test_enumerate_plain():
     assert len(out.strip().splitlines()) == 6
     code, out, _ = run(["enumerate", "N3"])
     assert len(out.strip().splitlines()) == 3
+    assert run(["enumerate", "T3", "--tables"]) == (2, "", "error: tables are defined for N_r only\n")
 
 
 def test_enumerate_record_roundtrips():
@@ -204,6 +207,10 @@ def test_inv_command():
     assert code == 3
     code, _, err = run(["inv", "S2a+3XYZ"])
     assert code == 2
+    code, out, _ = run(["inv", "Triv(N5)"])
+    assert code == 0
+    assert "taxonomy=trivial" in out.splitlines()
+    assert "dd=0,0,0,0" in out.splitlines()
 
 
 def test_gl2_command():

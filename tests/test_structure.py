@@ -164,3 +164,43 @@ def test_oracle_reference_check_follows_calls(tmp_path):
         "def _cell_rules(r):\n    pass\n"
     )
     assert _oracle_references(probe) == [("_rule", "from_word"), ("_rule", "normalize")]
+
+
+ORBITS = SRC / "orbits.py"
+
+
+def _word_constructions(path: pathlib.Path):
+    """(line, call) for every ``SurgeryWord(...)``, ``BaseSpace(...)`` and
+    ``BaseSpace.<factory>(...)`` call in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(func, "value", None)
+        if name in ("SurgeryWord", "BaseSpace"):
+            found.append((node.lineno, name))
+        elif isinstance(owner, ast.Name) and owner.id == "BaseSpace":
+            found.append((node.lineno, f"BaseSpace.{name}"))
+    return found
+
+
+def test_free_involutions_come_from_the_enumeration():
+    # the free involutions and covers in orbits are read off the enumeration;
+    # a word built there by hand would be a second list of the same classes
+    assert _word_constructions(ORBITS) == []
+
+
+def test_word_construction_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "a = SurgeryWord(b)\nb = BaseSpace.tanti(1)\nc = words.SurgeryWord(b)\n"
+        "d = BaseSpace(k)\ne = Surface(True, 1)\n"
+    )
+    assert _word_constructions(probe) == [
+        (1, "SurgeryWord"),
+        (2, "BaseSpace.tanti"),
+        (3, "SurgeryWord"),
+        (4, "BaseSpace"),
+    ]

@@ -18,7 +18,9 @@ from c2surf.words import (
     orientability,
     parse_word,
     q_sign,
+    reflection_ovals,
     rewrite_equivalences,
+    spit_fixed_points,
     underlying_surface,
 )
 
@@ -108,6 +110,28 @@ def test_parse_errors():
     for bad in ("", "S2b", "S2a+3XYZ", "Tspit(2)", "Triv(K3)", "S2a++DCC"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+    # each base takes exactly its declared parameters, each of its own kind
+    for bad in ("Tanti(1,2)", "S2a(1)", "Tanti", "Trefl(3)", "S2a()", "Triv(3)", "Tanti(N3)"):
+        with pytest.raises(WordSyntaxError, match="bad base token"):
+            parse_word(bad)
+
+
+def test_spit_and_reflection_parameters_round_trip():
+    # every admissible Tspit(g,F) and Trefl(g,C) prints as it was written;
+    # every other parameter is rejected
+    for g in range(1, 7):
+        spits = [f for f in range(2, 2 * g + 3) if (f - 2 - 2 * g) % 4 == 0]
+        ovals = [c for c in range(1, g + 2) if (c - g - 1) % 2 == 0]
+        assert sorted(spit_fixed_points(g)) == spits
+        assert sorted(reflection_ovals(g)) == ovals
+        for kind, admissible in (("Tspit", spits), ("Trefl", ovals)):
+            for x in range(2 * g + 5):
+                text = f"{kind}({g},{x})"
+                if x in admissible:
+                    assert format_word(parse_word(text)) == text
+                else:
+                    with pytest.raises(InvalidWordError):
+                        parse_word(text)
 
 
 def test_base_constraints():
@@ -123,6 +147,11 @@ def test_base_constraints():
     assert BaseSpace.tanti(0) == BaseSpace.s2a()
     assert BaseSpace.tspit(0, 2) == BaseSpace.s22()
     assert BaseSpace.trefl(0, 1) == BaseSpace.s21()
+    assert [format_word(parse_word(t)) for t in ("Tanti(0)", "Tspit(0,2)", "Trefl(0,1)")] == [
+        "S2a",
+        "S22",
+        "S21",
+    ]
 
 
 def test_op_deltas_are_additive():

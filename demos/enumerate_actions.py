@@ -27,8 +27,8 @@ def main() -> None:
     for tax, neg, pos in taxonomy_cells(6):
         if not neg and not pos:
             continue
-        left = ", ".join(format_word(w) for w in neg) or "-"
-        right = ", ".join(format_word(w) for w in pos) or "-"
+        left = ", ".join(word for word, _, _ in neg) or "-"
+        right = ", ".join(word for word, _, _ in pos) or "-"
         print(f"  {tax.label():<12} {left:<55} | {right}")
 
     phi = sum(

@@ -14,7 +14,6 @@ from .classify import (
     Action,
     Taxonomy,
     decide_isomorphic,
-    enumerate_surface,
     enumerate_torus,
     iter_nonorientable,
     scherrer_admissible,
@@ -27,7 +26,6 @@ __all__ = [
     "Action",
     "Taxonomy",
     "decide_isomorphic",
-    "enumerate_surface",
     "enumerate_torus",
     "iter_nonorientable",
     "scherrer_admissible",

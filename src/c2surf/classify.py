@@ -3,8 +3,11 @@ isomorphism-decision procedure.
 
 Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  On N_r one rule table, `_cell_rules`, gives each
-taxonomy cell its classes, each with its word, sign, separation invariant and
-DD; the enumerator, the appendix tables and the count all read it.
+taxonomy cell its classes, each with its sign, word (base and op counts),
+separation invariant and DD.  One walk of that table feeds the enumerator,
+the count, one cell (`cell_words`) and the rows of `taxonomy_cells`, which
+give the appendix tables and the record text; a `SurgeryWord` is built only
+where a word is asked for.
 `Action.from_word` re-derives the same invariants from any word: it builds
 the few classes on T_g, and on N_r it is the oracle that checks the table.
 On orientable surfaces the signed taxonomy is already a complete invariant; on
@@ -35,6 +38,7 @@ from .words import (
     reflection_ovals,
     spit_fixed_points,
     underlying_surface,
+    word_text,
 )
 
 
@@ -199,25 +203,14 @@ def dd_of_word(
 # enumeration
 
 
-def _fc_pairs(r: int) -> Iterator[Tuple[int, int]]:
-    """(F, C) pairs in display order, F descending and C ascending, that pass
-    the fixed-set bound F + 2C <= r + 2 with F = r (mod 2)."""
-    for f in range(r + 2, -1, -2):
-        for c in range((r + 2 - f) // 2 + 1):
-            yield f, c
-
-
-def _taxonomy_rows(r: int) -> Iterator[Tuple[int, int, int, int]]:
-    """(F, C, C+, C-) rows in display order: the pairs of `_fc_pairs`, each split
-    by C- ascending with C- = r (mod 2)."""
-    for f, c in _fc_pairs(r):
-        for cm in range(r % 2, c + 1, 2):
-            yield f, c, c - cm, cm
-
-
 _S2A, _S21, _TANTI1 = BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.tanti(1)
-# What a class rule gives for one row (r, F, C, C+, C-) of its cell.
-_Class = Tuple[Sign, SurgeryWord, Epsilon, Optional[DDTuple]]
+# Op counts in word order: DCC, DT, S10AT, S11AT, S1aAT, FM.
+_Counts = Tuple[int, int, int, int, int, int]
+# What a class rule gives for one row (r, F, C, C+, C-) of its cell: the sign,
+# the word as its base and op counts, the separation invariant and the DD.
+_Class = Tuple[Sign, BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
+# A class as the tables print it: word text, separation invariant, DD.
+_Text = Tuple[str, Epsilon, Optional[DDTuple]]
 
 
 def _ovals_epsilon(c: int) -> Epsilon:
@@ -225,41 +218,42 @@ def _ovals_epsilon(c: int) -> Epsilon:
     return Epsilon.NON_SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
 
 
-def _low_genus_dd(r: int, w: SurgeryWord) -> Optional[DDTuple]:
+def _low_genus_dd(r: int, base: BaseSpace, counts: _Counts) -> Optional[DDTuple]:
     """DD of a class outside the crosscap families: derived on N_1 and N_2 only."""
     if r == 1:
         return _ZERO_DD
-    return _KLEIN_DD.get(format_word(w)) if r == 2 else None
+    return _KLEIN_DD.get(word_text(base.token(), counts)) if r == 2 else None
 
 
 def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(_S2A, dcc=(r - f - 2 * c) // 2, s10at=cp, s11at=(f + cm) // 2, fm=cm)
-    return Sign.MINUS, w, _ovals_epsilon(c), _low_genus_dd(r, w)
+    counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
+    return Sign.MINUS, _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, _S2A, counts)
 
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(_S21, dcc=r // 2 - c + 1, s10at=c - 1)
-    return Sign.MINUS, w, Epsilon.SEPARATING, _family_dd(BaseKind.S21, 0, w.dcc) if c == 1 else None
+    k = r // 2 - c + 1
+    dd = _family_dd(BaseKind.S21, 0, k) if c == 1 else None
+    return Sign.MINUS, _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
 
 
 def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(_S2A, dcc=r // 2 - c, s10at=c)
-    return Sign.MINUS, w, _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, w.dcc)
+    k = r // 2 - c
+    return Sign.MINUS, _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, k)
 
 
 def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(_TANTI1, dcc=r // 2 - c - 1, s10at=c)
-    return Sign.MINUS, w, _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, w.dcc)
+    k = r // 2 - c - 1
+    return Sign.MINUS, _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, k)
 
 
 def _spit(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm), s10at=cp, fm=cm)
-    return Sign.PLUS, w, Epsilon.NON_SEPARATING, _low_genus_dd(r, w)
+    base, counts = BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
+    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, base, counts)
 
 
 def _rotation(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    w = SurgeryWord(BaseSpace.trot(r // 2 - c), s10at=c)
-    return Sign.PLUS, w, Epsilon.NON_SEPARATING, _low_genus_dd(r, w)
+    base, counts = BaseSpace.trot(r // 2 - c), (0, 0, c, 0, 0, 0)
+    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, base, counts)
 
 
 def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
@@ -283,47 +277,69 @@ def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
     return rules
 
 
-def taxonomy_cells(r: int) -> Iterator[Tuple[Taxonomy, List[SurgeryWord], List[SurgeryWord]]]:
-    """Rows of the enumeration table: unsigned taxonomy with the negative and
-    positive representative words (either list may be empty)."""
-    for f, c, cp, cm in _taxonomy_rows(r):
-        built = [rule(r, f, c, cp, cm) for rule in _cell_rules(r, f, c, cm)]
-        yield (
-            Taxonomy(f, cp, cm),
-            [w for sign, w, _, _ in built if sign == Sign.MINUS],
-            [w for sign, w, _, _ in built if sign == Sign.PLUS],
-        )
+def _rule_rows(r: int) -> Iterator[Tuple[int, int, range, List[Callable[..., _Class]]]]:
+    """The rule table of N_r, walked once in display order: the (F, C) pairs
+    that pass F + 2C <= r + 2 with F = r (mod 2), F descending and C
+    ascending; for each, the C- of its rows (ascending, C- = r mod 2) in the
+    groups that share one rule list, C- = 0 and then every positive C-."""
+    if r < 1:
+        raise ValueError("r >= 1")
+    for f in range(r + 2, -1, -2):
+        for c in range((r + 2 - f) // 2 + 1):
+            if r % 2 == 0:
+                yield f, c, range(1), _cell_rules(r, f, c, 0)
+            positive = range(2 - r % 2, c + 1, 2)
+            if positive:
+                yield f, c, positive, _cell_rules(r, f, c, positive[0])
+
+
+def _classes(r: int) -> Iterator[Tuple[int, int, int, int, List[_Class]]]:
+    """Each taxonomy row (F, C, C+, C-) of N_r in display order, with the
+    classes its rules give (the list may be empty)."""
+    for f, c, cms, rules in _rule_rows(r):
+        for cm in cms:
+            yield f, c, c - cm, cm, [rule(r, f, c, c - cm, cm) for rule in rules]
+
+
+def trivial_action(surface: Surface) -> Action:
+    """The identity of the surface, with the DD of the identity isometry."""
+    return Action(SurgeryWord(BaseSpace.trivial(surface)), surface, None, None, identity_dd(surface))
+
+
+def taxonomy_cells(r: int) -> Iterator[Tuple[Taxonomy, List[_Text], List[_Text]]]:
+    """Rows of the enumeration table: unsigned taxonomy, then the negative and
+    positive classes as (word text, separation, DD); either list may be empty."""
+    for f, c, cp, cm, classes in _classes(r):
+        neg, pos = [], []
+        for q, base, counts, eps, dd in classes:
+            (neg if q == Sign.MINUS else pos).append((word_text(base.token(), counts), eps, dd))
+        yield Taxonomy(f, cp, cm), neg, pos
+
+
+def cell_words(r: int, tax: Taxonomy) -> List[SurgeryWord]:
+    """The words of one taxonomy row of N_r, negative sign first; none if the
+    unsigned taxonomy is not a row of N_r.  Its admissibility is exactly the
+    domain `_rule_rows` walks: F + 2C <= r + 2 with F = C- = r (mod 2)."""
+    f, c, cp, cm = tax.f, tax.c, tax.cplus, tax.cminus
+    rules = _cell_rules(r, f, c, cm) if scherrer_admissible(tax.unsigned(), r) else []
+    return [SurgeryWord(base, *counts) for _, base, counts, _, _ in (rule(r, f, c, cp, cm) for rule in rules)]
 
 
 def iter_nonorientable(r: int, include_trivial: bool = True) -> Iterator[Action]:
     """All involutions on N_r, negative sign before positive within each row,
     each built with its invariants straight from its cell rule."""
-    if r < 1:
-        raise ValueError("r >= 1")
     surface = Surface(False, r)
     if include_trivial:
-        trivial = SurgeryWord(BaseSpace.trivial(surface))
-        yield Action(trivial, surface, None, None, identity_dd(surface))
-    for f, c, cp, cm in _taxonomy_rows(r):
-        for rule in _cell_rules(r, f, c, cm):
-            sign, w, eps, dd = rule(r, f, c, cp, cm)
-            yield Action(w, surface, Taxonomy(f, cp, cm, sign), eps, dd)
+        yield trivial_action(surface)
+    for f, c, cp, cm, classes in _classes(r):
+        for sign, base, counts, eps, dd in classes:
+            yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, sign), eps, dd)
 
 
 def count_nonorientable(r: int, include_trivial: bool = True) -> int:
-    """Size of the enumeration without building the actions: per (F, C) pair,
-    the rules of the C- = 0 row once, and those of one positive C- row times
-    the number of positive C- rows."""
-    if r < 1:
-        raise ValueError("r >= 1")
-    total = 1 if include_trivial else 0
-    for f, c in _fc_pairs(r):
-        if r % 2 == 0:
-            total += len(_cell_rules(r, f, c, 0))
-        positive = range(2 - r % 2, c + 1, 2)
-        if positive:
-            total += len(positive) * len(_cell_rules(r, f, c, positive[0]))
-    return total
+    """Size of the enumeration without building the actions: each rule list
+    of the table walk once per row that shares it."""
+    return sum(len(cms) * len(rules) for _, _, cms, rules in _rule_rows(r)) + (1 if include_trivial else 0)
 
 
 def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
@@ -333,7 +349,7 @@ def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
         raise ValueError("g >= 0")
     out: List[Action] = []
     if include_trivial:
-        out.append(Action.from_word(SurgeryWord(BaseSpace.trivial(Surface(True, g)))))
+        out.append(trivial_action(Surface(True, g)))
     for f in spit_fixed_points(g):
         out.append(Action.from_word(SurgeryWord(BaseSpace.tspit(g, f))))
     out.append(Action.from_word(SurgeryWord(BaseSpace.tanti(g))))
@@ -345,13 +361,6 @@ def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
         if c in reflection_ovals(g):
             out.append(Action.from_word(SurgeryWord(BaseSpace.trefl(g, c))))
     return out
-
-
-def enumerate_surface(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
-    """The classes on any surface, one at a time."""
-    if surface.orientable:
-        return iter(enumerate_torus(surface.genus, include_trivial))
-    return iter_nonorientable(surface.genus, include_trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +401,11 @@ __all__ = [
     "Action",
     "identity_dd",
     "dd_of_word",
+    "trivial_action",
     "taxonomy_cells",
+    "cell_words",
     "iter_nonorientable",
     "count_nonorientable",
     "enumerate_torus",
-    "enumerate_surface",
     "decide_isomorphic",
 ]

@@ -18,8 +18,8 @@ from . import classify, counting, gl2, orbits, words
 from .bilinear import standard_space
 from .dd import dd_classifies
 from .f2 import ISOMETRY_BOUND
-from .classify import Action
-from .words import Surface, WordSyntaxError
+from .classify import Action, Taxonomy
+from .words import Sign, Surface, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,46 +51,50 @@ def _parse_surface_range(spec: str) -> List[Surface]:
 
 
 def _fmt_dd(value) -> str:
-    if value is None:
-        return "NA"
-    return ",".join(str(x) for x in value.as_tuple())
+    return "NA" if value is None else ",".join(map(str, value.as_tuple()))
 
 
-def _record_line(action: Action) -> str:
-    tax = action.taxonomy
-    fields = [
-        f"surface={action.surface.name}",
-        f"word={words.format_word(action.word)}",
-        f"F={tax.f if tax else 'NA'}",
-        f"C={tax.c if tax else 'NA'}",
-        f"C+={tax.cplus if tax else 'NA'}",
-        f"C-={tax.cminus if tax else 'NA'}",
-        f"Q={tax.q.value if tax else 'NA'}",
-        f"eps={action.epsilon.value if action.epsilon else 'NA'}",
-        f"dd={_fmt_dd(action.dd)}",
-    ]
-    return " ".join(fields)
+def _lines(surface: str, tax: Optional[Taxonomy], signed, record: bool) -> str:
+    """The lines of one unsigned taxonomy row (None: the trivial action), the row's text
+    built once, from (sign text, classes) pairs, each class as (word text, eps, DD)."""
+    if record:
+        head = f"F={tax.f} C={tax.c} C+={tax.cplus} C-={tax.cminus} Q=" if tax else "F=NA C=NA C+=NA C-=NA Q="
+        return "".join([
+            f"surface={surface} word={word} {head}{q} eps={eps.value if eps else 'NA'} dd={_fmt_dd(dd)}\n"
+            for q, classes in signed for word, eps, dd in classes
+        ])
+    label = tax.label() if tax else None
+    heads = [(f"{surface} [{label},{q}]" if tax else f"{surface} trivial", classes) for q, classes in signed]
+    return "".join([
+        f"{head} eps={eps.value if eps else '-'} dd={_fmt_dd(dd)} {word}\n"
+        for head, classes in heads for word, eps, dd in classes
+    ])
 
 
-def _table_lines(r: int) -> List[str]:
+def _action_line(a: Action, record: bool) -> str:
+    """The line of a built action: the classes on T_g and the trivial actions."""
+    q = a.taxonomy.q.value if a.taxonomy else "NA"
+    return _lines(a.surface.name, a.taxonomy, [(q, [(words.format_word(a.word), a.epsilon, a.dd)])], record)
+
+
+def _write_nonorientable(r: int, record: bool) -> None:
+    """The classes on N_r straight from the cell rules, one write per taxonomy row."""
+    surface, minus, plus = f"N{r}", Sign.MINUS.value, Sign.PLUS.value
+    for tax, neg, pos in classify.taxonomy_cells(r):
+        if neg or pos:
+            sys.stdout.write(_lines(surface, tax, ((minus, neg), (plus, pos)), record))
+
+
+def _write_table(r: int) -> None:
     """Appendix-style table: one line per non-empty taxonomy row, with
     negative/positive multiplicities and representative words."""
-    lines = [f"N{r} | - | + | - | +"]
+    sys.stdout.write(f"N{r} | - | + | - | +\n")
     for tax, neg, pos in classify.taxonomy_cells(r):
-        if not neg and not pos:
-            continue
-        lines.append(
-            " | ".join(
-                [
-                    tax.label(),
-                    str(len(neg)) if neg else "",
-                    str(len(pos)) if pos else "",
-                    ", ".join(words.format_word(w) for w in neg),
-                    ", ".join(words.format_word(w) for w in pos),
-                ]
-            )
-        )
-    return lines
+        if neg or pos:
+            counts = [str(len(ws)) if ws else "" for ws in (neg, pos)]
+            texts = [", ".join(word for word, _, _ in ws) for ws in (neg, pos)]
+            sys.stdout.write(" | ".join([tax.label(), *counts, *texts]) + "\n")
+    sys.stdout.write("\n")
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -116,23 +120,19 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    surfaces = _parse_surface_range(args.surfaces)
-    for s in surfaces:
+    record = args.format == "record"
+    for s in _parse_surface_range(args.surfaces):
         if args.tables:
             if s.orientable:
                 raise CliError("tables are defined for N_r only", EXIT_USAGE)
-            for line in _table_lines(s.genus):
-                print(line)
-            print()
-            continue
-        for a in classify.enumerate_surface(s, include_trivial=args.include_trivial):
-            if args.format == "record":
-                print(_record_line(a))
-            else:
-                tax = repr(a.taxonomy) if a.taxonomy else "trivial"
-                eps = a.epsilon.value if a.epsilon else "-"
-                ddv = _fmt_dd(a.dd)
-                print(f"{a.surface.name} {tax} eps={eps} dd={ddv} {words.format_word(a.word)}")
+            _write_table(s.genus)
+        elif s.orientable:
+            for a in classify.enumerate_torus(s.genus, args.include_trivial):
+                sys.stdout.write(_action_line(a, record))
+        else:
+            if args.include_trivial:
+                sys.stdout.write(_action_line(classify.trivial_action(s), record))
+            _write_nonorientable(s.genus, record)
     return EXIT_OK
 
 
@@ -250,26 +250,13 @@ def _verify_gl2(trials: int, seed: int) -> Iterable[Tuple[str, bool]]:
 def _verify_rewrites(max_beta: int) -> Iterable[Tuple[str, bool]]:
     _check_range("--max-beta", max_beta, 6, None, "the least bound with an instance of every rule")
     for rule in words.rewrite_equivalences():
-        ok = True
-        for u, v in rule.instances(max_beta):
-            if not _rewrite_pair_ok(u, v):
-                ok = False
-                break
+        ok = all(_rewrite_pair_ok(u, v) for u, v in rule.instances(max_beta))
         yield f"rewrite rule {rule.name} (beta<={max_beta})", ok
 
 
 def _rewrite_pair_ok(u: words.SurgeryWord, v: words.SurgeryWord) -> bool:
-    if words.beta(u) != words.beta(v):
-        return False
-    if words.fixed_data(u) != words.fixed_data(v):
-        return False
-    if words.q_sign(u) != words.q_sign(v):
-        return False
-    if words.orientability(u) != words.orientability(v):
-        return False
-    if words.epsilon(u) != words.epsilon(v):
-        return False
-    return words.normalize(u) == words.normalize(v)
+    invariants = (words.beta, words.fixed_data, words.q_sign, words.orientability, words.epsilon)
+    return all(f(u) == f(v) for f in invariants) and words.normalize(u) == words.normalize(v)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -283,13 +270,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if args.suite not in suites:
         raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}", EXIT_USAGE)
-    failed = False
     for label, ok in suites[args.suite]():
         print(f"{'PASS' if ok else 'FAIL'} {label}")
         if not ok:
-            failed = True
-            break
-    return EXIT_VERIFY if failed else EXIT_OK
+            return EXIT_VERIFY
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

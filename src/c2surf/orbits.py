@@ -16,7 +16,7 @@ import enum
 from typing import Dict, List, Set, Tuple
 
 from .bilinear import standard_space
-from .classify import enumerate_surface
+from .classify import Taxonomy, cell_words, enumerate_torus
 from .dd import isometry_generators
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
 from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
@@ -146,10 +146,12 @@ def covers_of(quotient: Surface) -> List[SurgeryWord]:
 
 def classify_free_structures(x: Surface) -> List[SurgeryWord]:
     """All free involutions on the surface itself: the enumerated classes
-    with F = C = 0, in enumeration order."""
+    with F = C = 0, in enumeration order (on N_r, the one cell [0,0:(0,0)])."""
+    if not x.orientable:
+        return cell_words(x.genus, Taxonomy(0, 0, 0))
     return [
         a.word
-        for a in enumerate_surface(x, include_trivial=False)
+        for a in enumerate_torus(x.genus, include_trivial=False)
         if a.taxonomy.f == a.taxonomy.c == 0
     ]
 

@@ -207,8 +207,9 @@ class BaseSpace:
         return self.kind in _PRESERVING_BASES
 
     def token(self) -> str:
-        args = ",".join(str(getattr(self, p)) for p in self.kind.params)
-        return f"{self.kind.value}({args})" if args else self.kind.value
+        if not self.kind.params:
+            return self.kind.value
+        return f"{self.kind.value}({','.join(str(getattr(self, p)) for p in self.kind.params)})"
 
 
 def spit_fixed_points(g: int) -> range:
@@ -224,6 +225,7 @@ def reflection_ovals(g: int) -> range:
 
 
 _OP_NAMES = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
+_OP_SLOTS = {name: slot for slot, name in enumerate(_OP_NAMES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,7 +356,8 @@ def parse_word(text: str) -> SurgeryWord:
         m = _OP_RE.fullmatch(part.strip())
         if not m:
             raise WordSyntaxError(f"bad operation token {part!r}")
-        counts[_OP_NAMES.index(m.group(2))] += int(m.group(1)) if m.group(1) else 1
+        count, name = m.groups()
+        counts[_OP_SLOTS[name]] += int(count) if count else 1
     return SurgeryWord(base, *counts)
 
 
@@ -367,15 +370,16 @@ def _parse_base(token: str) -> BaseSpace:
     return factory(*[convert(arg) for convert, arg in zip(converters, m.groups())])
 
 
+def word_text(token: str, counts: Tuple[int, int, int, int, int, int]) -> str:
+    """Canonical text of a base token and the six op counts: the token, then
+    the ops in fixed order with count prefixes (``S2a+2DCC+S10AT``)."""
+    ops = [name if count == 1 else f"{count}{name}" for name, count in zip(_OP_NAMES, counts) if count]
+    return "+".join([token, *ops]) if ops else token
+
+
 def format_word(w: SurgeryWord) -> str:
-    """Canonical text: base token, then ops in fixed order with count prefixes."""
-    parts = [w.base.token()]
-    for name, count in zip(_OP_NAMES, w.op_counts):
-        if count == 1:
-            parts.append(name)
-        elif count > 1:
-            parts.append(f"{count}{name}")
-    return "+".join(parts)
+    """Canonical text of a word."""
+    return word_text(w.base.token(), w.op_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +627,7 @@ __all__ = [
     "underlying_surface",
     "epsilon",
     "parse_word",
+    "word_text",
     "format_word",
     "RewriteRule",
     "rewrite_equivalences",

@@ -1,8 +1,10 @@
+import io
 import itertools
+from contextlib import redirect_stdout
 
 import pytest
 
-from c2surf import classify
+from c2surf import classify, cli
 from c2surf.classify import (
     _KLEIN_DD,
     Action,
@@ -95,12 +97,54 @@ def test_enumerate_nonorientable_counts():
         assert count_nonorientable(r, include_trivial=False) == len(actions) - 1
 
 
+def _fmt_dd(a: Action) -> str:
+    return "NA" if a.dd is None else ",".join(map(str, a.dd.as_tuple()))
+
+
+def _expected_record(a: Action) -> str:
+    """The record line of an action, written out from its fields."""
+    tax = a.taxonomy
+    fields = {
+        "surface": a.surface.name,
+        "word": format_word(a.word),
+        "F": tax.f if tax else "NA",
+        "C": tax.c if tax else "NA",
+        "C+": tax.cplus if tax else "NA",
+        "C-": tax.cminus if tax else "NA",
+        "Q": tax.q.value if tax else "NA",
+        "eps": a.epsilon.value if a.epsilon else "NA",
+        "dd": _fmt_dd(a),
+    }
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
+def _expected_plain(a: Action) -> str:
+    """The plain line of an action: surface, signed taxonomy, eps, DD, word."""
+    tax = repr(a.taxonomy) if a.taxonomy else "trivial"
+    eps = a.epsilon.value if a.epsilon else "-"
+    return f"{a.surface.name} {tax} eps={eps} dd={_fmt_dd(a)} {format_word(a.word)}"
+
+
+def _enumerate_lines(surface: str, fmt: str):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["enumerate", surface, "--format", fmt, "--include-trivial"]) == 0
+    return out.getvalue().splitlines()
+
+
 def test_cell_built_actions_equal_word_built():
-    # the cell rules state each class's invariants and DD; re-deriving them
-    # from the word alone is the oracle
+    # the cell rules state each class's invariants and DD, and the record and
+    # plain lines the CLI prints from them; re-deriving all of it from the
+    # word alone is the oracle, one `from_word` per class
     for r in list(range(1, 61)) + [120, 200]:
         actions = list(iter_nonorientable(r))
-        assert actions == [Action.from_word(a.word) for a in actions], r
+        records, plain = _enumerate_lines(f"N{r}", "record"), _enumerate_lines(f"N{r}", "table")
+        assert len(records) == len(plain) == len(actions), r
+        for a, record, line in zip(actions, records, plain):
+            fresh = Action.from_word(parse_word(record.split(" ", 2)[1].removeprefix("word=")))
+            assert fresh == a, record
+            assert record == _expected_record(fresh)
+            assert line == _expected_plain(fresh)
 
 
 def test_count_walk_matches_closed_form():

@@ -400,16 +400,26 @@ def start_cli(argv, buffered=False):
     )
 
 
+# (argv, start of the first line): N_r text goes out one taxonomy row per
+# write, in each output format
+STREAMED_OUTPUTS = {
+    "record": (["enumerate", "N200", "--format", "record"], "surface=N200 "),
+    "plain": (["enumerate", "N200"], "N200 ["),
+    "tables": (["enumerate", "N1..N200", "--tables"], "N1 | - | + | - | +"),
+}
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 def test_closed_stdout_exits_141_quietly(buffered):
-    with start_cli(["enumerate", "N200", "--format", "record"], buffered) as proc:
-        try:
-            assert proc.stdout.readline().startswith("surface=N200 ")
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == 141
-            assert proc.stderr.read() == ""
-        finally:
-            proc.kill()
+    for argv, first in STREAMED_OUTPUTS.values():
+        with start_cli(argv, buffered) as proc:
+            try:
+                assert proc.stdout.readline().startswith(first), argv
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 141, argv
+                assert proc.stderr.read() == "", argv
+            finally:
+                proc.kill()
 
 
 def test_stdout_closed_before_the_last_flush_exits_141_quietly():
@@ -424,11 +434,12 @@ def test_stdout_closed_before_the_last_flush_exits_141_quietly():
 
 
 def test_ctrl_c_exits_130_without_traceback():
-    with start_cli(["verify", "dd", "--max-dim", "6"]) as proc:
-        try:
-            assert proc.stdout.readline().startswith("PASS ")
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=60) == 130
-            assert proc.stderr.read() == "error: interrupted\n"  # one line, no traceback
-        finally:
-            proc.kill()
+    for argv, first in [(["verify", "dd", "--max-dim", "6"], "PASS "), STREAMED_OUTPUTS["tables"]]:
+        with start_cli(argv) as proc:
+            try:
+                assert proc.stdout.readline().startswith(first), argv
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=60) == 130, argv
+                assert proc.stderr.read() == "error: interrupted\n", argv  # one line, no traceback
+            finally:
+                proc.kill()

@@ -115,7 +115,12 @@ def test_bench_worker_calls_bind():
 
 
 CLASSIFY = SRC / "classify.py"
-PRODUCTION_ROOTS = ("iter_nonorientable", "taxonomy_cells", "count_nonorientable", "_cell_rules")
+PRODUCTION_ROOTS = (
+    "iter_nonorientable", "taxonomy_cells", "count_nonorientable", "_cell_rules",
+    "_rule_rows", "_classes", "cell_words",
+)
+CLI = SRC / "cli.py"
+CLI_PRODUCTION_ROOTS = ("_write_nonorientable", "_lines", "_write_table")
 ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon"}
 DD = SRC / "dd.py"
 DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")
@@ -149,6 +154,8 @@ def test_enumeration_path_stays_off_the_oracle():
     # the enumerator, the tables and the count take every invariant from the
     # cell rules; re-deriving them from the word is the oracle's job
     assert _oracle_references(CLASSIFY) == []
+    # the N_r text the CLI prints comes from that table too, no word built
+    assert _oracle_references(CLI, CLI_PRODUCTION_ROOTS) == []
     # the DD classes come from the involution search; enumerating the whole
     # isometry group is the conjugacy oracle's job
     assert _oracle_references(DD, DD_PRODUCTION_ROOTS, DD_ORACLE_NAMES) == []
@@ -158,12 +165,13 @@ def test_oracle_reference_check_follows_calls(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "def iter_nonorientable(r):\n    return _rule(r)\n"
-        "def _rule(r):\n    return Action.from_word(r), normalize(r)\n"
+        "def _rule(r):\n    return classify.Action.from_word(r), normalize(r)\n"
         "def taxonomy_cells(r):\n    pass\n"
-        "def count_nonorientable(r):\n    pass\n"
-        "def _cell_rules(r):\n    pass\n"
     )
-    assert _oracle_references(probe) == [("_rule", "from_word"), ("_rule", "normalize")]
+    assert _oracle_references(probe, ("iter_nonorientable", "taxonomy_cells")) == [
+        ("_rule", "from_word"),
+        ("_rule", "normalize"),
+    ]
 
 
 ORBITS = SRC / "orbits.py"

@@ -6,25 +6,25 @@ Moebius trades (FM).  The enumeration emits one representative per
 isomorphism class, organised by taxonomy [F, C:(C+,C-)] and quotient sign.
 """
 
-from c2surf.classify import enumerate_torus, iter_nonorientable, taxonomy_cells
-from c2surf.words import format_word
+from c2surf.classify import iter_actions, taxonomy_cells
+from c2surf.words import Surface, format_word
 
 
 def main() -> None:
     print("The six involutions on the torus T_1:")
-    for action in enumerate_torus(1):
+    for action in iter_actions(Surface(True, 1)):
         tax = repr(action.taxonomy) if action.taxonomy else "(trivial)"
         print(f"  {format_word(action.word):<14} {tax}")
 
     print("\nThe Klein bottle N_2, nontrivial actions:")
-    for action in iter_nonorientable(2, include_trivial=False):
+    for action in iter_actions(Surface(False, 2), include_trivial=False):
         print(
             f"  {format_word(action.word):<12} {action.taxonomy!r:<16} "
             f"eps={action.epsilon.value:<7} dd={action.dd}"
         )
 
     print("\nN_6 grouped by taxonomy (sign columns -/+):")
-    for tax, neg, pos in taxonomy_cells(6):
+    for tax, neg, pos in taxonomy_cells(Surface(False, 6)):
         if not neg and not pos:
             continue
         left = ", ".join(word for word, _, _ in neg) or "-"
@@ -32,7 +32,7 @@ def main() -> None:
         print(f"  {tax.label():<12} {left:<55} | {right}")
 
     phi = sum(
-        len(neg) + len(pos) for _, neg, pos in taxonomy_cells(6)
+        len(neg) + len(pos) for _, neg, pos in taxonomy_cells(Surface(False, 6))
     )
     print(f"\n  ...{phi} nontrivial actions on N_6 in total.")
 

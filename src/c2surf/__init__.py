@@ -14,25 +14,22 @@ from .classify import (
     Action,
     Taxonomy,
     decide_isomorphic,
-    enumerate_torus,
-    iter_nonorientable,
+    iter_actions,
     scherrer_admissible,
 )
 from .counting import phi_counts, total_count
-from .dd import DDTuple, dd
+from .dd import DDTuple
 from .words import Surface, SurgeryWord, parse_word, format_word
 
 __all__ = [
     "Action",
     "Taxonomy",
     "decide_isomorphic",
-    "enumerate_torus",
-    "iter_nonorientable",
+    "iter_actions",
     "scherrer_admissible",
     "phi_counts",
     "total_count",
     "DDTuple",
-    "dd",
     "Surface",
     "SurgeryWord",
     "parse_word",

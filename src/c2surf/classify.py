@@ -2,14 +2,15 @@
 isomorphism-decision procedure.
 
 Every action is emitted as a surgery word with its invariants (taxonomy,
-sign, separation, DD).  On N_r one rule table, `_cell_rules`, gives each
-taxonomy cell its classes, each with its sign, word (base and op counts),
-separation invariant and DD.  One walk of that table feeds the enumerator,
-the count, one cell (`cell_words`) and the rows of `taxonomy_cells`, which
-give the appendix tables and the record text; a `SurgeryWord` is built only
-where a word is asked for.
-`Action.from_word` re-derives the same invariants from any word: it builds
-the few classes on T_g, and on N_r it is the oracle that checks the table.
+sign, separation, DD).  A rule table gives each taxonomy cell its classes,
+each with its sign, word (base and op counts), separation invariant and DD:
+`_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
+(`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`,
+one cell (`cell_words`) and the rows of `taxonomy_cells`, which give the
+appendix tables and the printed lines; a `SurgeryWord` is built only where a
+word is asked for.
+`Action.from_word` re-derives the same invariants from any word; it is the
+oracle that checks the table.
 On orientable surfaces the signed taxonomy is already a complete invariant; on
 non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
 where the separation invariant and the double Dickson invariant finish the
@@ -35,8 +36,6 @@ from .words import (
     format_word,
     normalize,
     q_sign,
-    reflection_ovals,
-    spit_fixed_points,
     underlying_surface,
     word_text,
 )
@@ -110,17 +109,6 @@ class Action:
 
     def is_trivial(self) -> bool:
         return self.word.is_trivial()
-
-    def verify(self) -> None:
-        """Check that the stored invariants match the word they came from."""
-        fresh = Action.from_word(self.word)
-        if (fresh.surface, fresh.taxonomy, fresh.epsilon, fresh.dd) != (
-            self.surface,
-            self.taxonomy,
-            self.epsilon,
-            self.dd,
-        ):
-            raise AssertionError(f"inconsistent action record for {self.word!r}")
 
     def __repr__(self) -> str:
         return f"Action({format_word(self.word)} on {self.surface.name})"
@@ -277,26 +265,59 @@ def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
     return rules
 
 
-def _rule_rows(r: int) -> Iterator[Tuple[int, int, range, List[Callable[..., _Class]]]]:
-    """The rule table of N_r, walked once in display order: the (F, C) pairs
-    that pass F + 2C <= r + 2 with F = r (mod 2), F descending and C
-    ascending; for each, the C- of its rows (ascending, C- = r mod 2) in the
-    groups that share one rule list, C- = 0 and then every positive C-."""
-    if r < 1:
-        raise ValueError("r >= 1")
+def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    """Tanti(g - C) + C S10AT on T_g (S2a when g = C).  DD is derived for the
+    S2a and Tanti(1) bases only: the tube block, zero without tubes."""
+    base = BaseSpace.tanti(r // 2 - c)
+    dd = _family_dd(base.kind, c, 0) if r // 2 - c <= 1 else None
+    return Sign.MINUS, base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
+
+
+def _orientable_base(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+    """A bare base with positive sign on T_g: Tspit(g,F), Trefl(g,C) or Trot(g).
+    DD is derived on T_0 and T_1 only, where these act trivially on H^1."""
+    g = r // 2
+    base = BaseSpace.tspit(g, f) if f else BaseSpace.trefl(g, c) if c else BaseSpace.trot(g)
+    eps = Epsilon.SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
+    return Sign.PLUS, base, (0,) * 6, eps, _ZERO_DD if g <= 1 else None
+
+
+def _orientable_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
+    """The class rules of the cell [F, C:(C,0)] on T_g (r = 2g), negative sign first."""
+    rules: List[Callable[..., _Class]] = []
+    if f == 0 and 2 * c <= r:
+        rules.append(_orientable_antipodal)
+    if (f + 2 * c) % 4 == (r + 2) % 4:
+        rules.append(_orientable_base)
+    return rules
+
+
+# The rule list of each surface family, by orientability.
+_RULES = {False: _cell_rules, True: _orientable_rules}
+
+
+def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, List[Callable[..., _Class]]]]:
+    """The rule table of a surface with beta = r, walked once in display
+    order: the (F, C) pairs that pass F + 2C <= r + 2 with F = r (mod 2), F
+    descending and C ascending; for each, the C- of its rows (ascending,
+    C- = r mod 2) in the groups that share one rule list, C- = 0 and then,
+    on N_r only, every positive C-.  On T_g a fixed set is points or
+    circles, never both, so only the pairs with F = 0 or C = 0 are walked."""
+    r, nonorientable, rules = surface.beta, not surface.orientable, _RULES[surface.orientable]
     for f in range(r + 2, -1, -2):
-        for c in range((r + 2 - f) // 2 + 1):
+        for c in range((r + 2 - f) // 2 + 1 if nonorientable or f == 0 else 1):
             if r % 2 == 0:
-                yield f, c, range(1), _cell_rules(r, f, c, 0)
+                yield f, c, range(1), rules(r, f, c, 0)
             positive = range(2 - r % 2, c + 1, 2)
-            if positive:
-                yield f, c, positive, _cell_rules(r, f, c, positive[0])
+            if positive and nonorientable:
+                yield f, c, positive, rules(r, f, c, positive[0])
 
 
-def _classes(r: int) -> Iterator[Tuple[int, int, int, int, List[_Class]]]:
-    """Each taxonomy row (F, C, C+, C-) of N_r in display order, with the
-    classes its rules give (the list may be empty)."""
-    for f, c, cms, rules in _rule_rows(r):
+def _classes(surface: Surface) -> Iterator[Tuple[int, int, int, int, List[_Class]]]:
+    """Each taxonomy row (F, C, C+, C-) of the surface in display order, with
+    the classes its rules give (the list may be empty)."""
+    r = surface.beta
+    for f, c, cms, rules in _rule_rows(surface):
         for cm in cms:
             yield f, c, c - cm, cm, [rule(r, f, c, c - cm, cm) for rule in rules]
 
@@ -306,61 +327,42 @@ def trivial_action(surface: Surface) -> Action:
     return Action(SurgeryWord(BaseSpace.trivial(surface)), surface, None, None, identity_dd(surface))
 
 
-def taxonomy_cells(r: int) -> Iterator[Tuple[Taxonomy, List[_Text], List[_Text]]]:
+def taxonomy_cells(surface: Surface) -> Iterator[Tuple[Taxonomy, List[_Text], List[_Text]]]:
     """Rows of the enumeration table: unsigned taxonomy, then the negative and
     positive classes as (word text, separation, DD); either list may be empty."""
-    for f, c, cp, cm, classes in _classes(r):
+    for f, c, cp, cm, classes in _classes(surface):
         neg, pos = [], []
         for q, base, counts, eps, dd in classes:
             (neg if q == Sign.MINUS else pos).append((word_text(base.token(), counts), eps, dd))
         yield Taxonomy(f, cp, cm), neg, pos
 
 
-def cell_words(r: int, tax: Taxonomy) -> List[SurgeryWord]:
-    """The words of one taxonomy row of N_r, negative sign first; none if the
-    unsigned taxonomy is not a row of N_r.  Its admissibility is exactly the
-    domain `_rule_rows` walks: F + 2C <= r + 2 with F = C- = r (mod 2)."""
-    f, c, cp, cm = tax.f, tax.c, tax.cplus, tax.cminus
-    rules = _cell_rules(r, f, c, cm) if scherrer_admissible(tax.unsigned(), r) else []
+def cell_words(surface: Surface, tax: Taxonomy) -> List[SurgeryWord]:
+    """The words of one taxonomy row of the surface, negative sign first; none
+    if the unsigned taxonomy is not a row.  Its admissibility is exactly the
+    domain `_rule_rows` walks: F + 2C <= beta + 2 with F = C- = beta (mod 2),
+    and on T_g also C- = 0 and F = 0 or C = 0."""
+    r, f, c, cp, cm = surface.beta, tax.f, tax.c, tax.cplus, tax.cminus
+    if not scherrer_admissible(tax.unsigned(), r) or (surface.orientable and (cm or (f and c))):
+        return []
+    rules = _RULES[surface.orientable](r, f, c, cm)
     return [SurgeryWord(base, *counts) for _, base, counts, _, _ in (rule(r, f, c, cp, cm) for rule in rules)]
 
 
-def iter_nonorientable(r: int, include_trivial: bool = True) -> Iterator[Action]:
-    """All involutions on N_r, negative sign before positive within each row,
-    each built with its invariants straight from its cell rule."""
-    surface = Surface(False, r)
+def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
+    """All involutions on the surface, negative sign before positive within
+    each row, each built with its invariants straight from its cell rule."""
     if include_trivial:
         yield trivial_action(surface)
-    for f, c, cp, cm, classes in _classes(r):
+    for f, c, cp, cm, classes in _classes(surface):
         for sign, base, counts, eps, dd in classes:
             yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, sign), eps, dd)
 
 
-def count_nonorientable(r: int, include_trivial: bool = True) -> int:
+def count_actions(surface: Surface, include_trivial: bool = True) -> int:
     """Size of the enumeration without building the actions: each rule list
     of the table walk once per row that shares it."""
-    return sum(len(cms) * len(rules) for _, _, cms, rules in _rule_rows(r)) + (1 if include_trivial else 0)
-
-
-def enumerate_torus(g: int, include_trivial: bool = True) -> List[Action]:
-    """All involutions on T_g: the spit family, the free actions, and the
-    reflection/antipodal-with-tubes families; 4 + 2g classes in total."""
-    if g < 0:
-        raise ValueError("g >= 0")
-    out: List[Action] = []
-    if include_trivial:
-        out.append(trivial_action(Surface(True, g)))
-    for f in spit_fixed_points(g):
-        out.append(Action.from_word(SurgeryWord(BaseSpace.tspit(g, f))))
-    out.append(Action.from_word(SurgeryWord(BaseSpace.tanti(g))))
-    if g % 2:
-        out.append(Action.from_word(SurgeryWord(BaseSpace.trot(g))))
-    for c in range(1, g + 2):
-        if c <= g:
-            out.append(Action.from_word(SurgeryWord(BaseSpace.tanti(g - c), s10at=c)))
-        if c in reflection_ovals(g):
-            out.append(Action.from_word(SurgeryWord(BaseSpace.trefl(g, c))))
-    return out
+    return sum(len(cms) * len(rules) for _, _, cms, rules in _rule_rows(surface)) + (1 if include_trivial else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,7 @@ __all__ = [
     "trivial_action",
     "taxonomy_cells",
     "cell_words",
-    "iter_nonorientable",
-    "count_nonorientable",
-    "enumerate_torus",
+    "iter_actions",
+    "count_actions",
     "decide_isomorphic",
 ]

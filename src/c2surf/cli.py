@@ -71,25 +71,19 @@ def _lines(surface: str, tax: Optional[Taxonomy], signed, record: bool) -> str:
     ])
 
 
-def _action_line(a: Action, record: bool) -> str:
-    """The line of a built action: the classes on T_g and the trivial actions."""
-    q = a.taxonomy.q.value if a.taxonomy else "NA"
-    return _lines(a.surface.name, a.taxonomy, [(q, [(words.format_word(a.word), a.epsilon, a.dd)])], record)
-
-
-def _write_nonorientable(r: int, record: bool) -> None:
-    """The classes on N_r straight from the cell rules, one write per taxonomy row."""
-    surface, minus, plus = f"N{r}", Sign.MINUS.value, Sign.PLUS.value
-    for tax, neg, pos in classify.taxonomy_cells(r):
+def _write_classes(surface: Surface, record: bool) -> None:
+    """The classes on the surface straight from the cell rules, one write per taxonomy row."""
+    name, minus, plus = surface.name, Sign.MINUS.value, Sign.PLUS.value
+    for tax, neg, pos in classify.taxonomy_cells(surface):
         if neg or pos:
-            sys.stdout.write(_lines(surface, tax, ((minus, neg), (plus, pos)), record))
+            sys.stdout.write(_lines(name, tax, ((minus, neg), (plus, pos)), record))
 
 
-def _write_table(r: int) -> None:
+def _write_table(surface: Surface) -> None:
     """Appendix-style table: one line per non-empty taxonomy row, with
     negative/positive multiplicities and representative words."""
-    sys.stdout.write(f"N{r} | - | + | - | +\n")
-    for tax, neg, pos in classify.taxonomy_cells(r):
+    sys.stdout.write(f"{surface.name} | - | + | - | +\n")
+    for tax, neg, pos in classify.taxonomy_cells(surface):
         if neg or pos:
             counts = [str(len(ws)) if ws else "" for ws in (neg, pos)]
             texts = [", ".join(word for word, _, _ in ws) for ws in (neg, pos)]
@@ -125,14 +119,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.tables:
             if s.orientable:
                 raise CliError("tables are defined for N_r only", EXIT_USAGE)
-            _write_table(s.genus)
-        elif s.orientable:
-            for a in classify.enumerate_torus(s.genus, args.include_trivial):
-                sys.stdout.write(_action_line(a, record))
-        else:
-            if args.include_trivial:
-                sys.stdout.write(_action_line(classify.trivial_action(s), record))
-            _write_nonorientable(s.genus, record)
+            _write_table(s)
+            continue
+        if args.include_trivial:
+            a = classify.trivial_action(s)
+            sys.stdout.write(_lines(s.name, None, [("NA", [(words.format_word(a.word), None, a.dd)])], record))
+        _write_classes(s, record)
     return EXIT_OK
 
 
@@ -219,10 +211,8 @@ def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
             break
     yield f"three-way A/B agreement and totals r<={max_r}", ok
     enum_max = min(max_r, 80)
-    ok2 = all(
-        classify.count_nonorientable(r) == counting.total_count(Surface(False, r))
-        for r in range(1, enum_max + 1)
-    )
+    surfaces = [Surface(False, r) for r in range(1, enum_max + 1)]
+    ok2 = all(classify.count_actions(s) == counting.total_count(s) for s in surfaces)
     yield f"enumeration count matches closed form r<={enum_max}", ok2
 
 

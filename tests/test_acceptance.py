@@ -10,10 +10,9 @@ from contextlib import redirect_stdout
 
 from c2surf.bilinear import standard_space
 from c2surf.classify import (
-    count_nonorientable,
+    count_actions,
     dd_of_word,
-    enumerate_torus,
-    iter_nonorientable,
+    iter_actions,
     scherrer_admissible,
     taxonomy_cells,
 )
@@ -48,7 +47,7 @@ def timed(fn):
 
 def test_criterion_01_torus_counts():
     def check():
-        return all(len(enumerate_torus(g)) == 4 + 2 * g for g in range(101))
+        return all(sum(1 for _ in iter_actions(Surface(True, g))) == 4 + 2 * g for g in range(101))
 
     ok, elapsed = timed(check)
     report(1, "torus counts 4+2g for g=0..100", ok and elapsed < 1.0, elapsed)
@@ -57,11 +56,11 @@ def test_criterion_01_torus_counts():
 def test_criterion_02_nonorientable_counts():
     def check():
         for r in range(1, 201):
-            if count_nonorientable(r) != total_count(Surface(False, r)):
+            if count_actions(Surface(False, r)) != total_count(Surface(False, r)):
                 return False
         # the count-only walk matches the full action-by-action enumeration
         for r in list(range(1, 61)) + [120, 200]:
-            if sum(1 for _ in iter_nonorientable(r)) != total_count(Surface(False, r)):
+            if sum(1 for _ in iter_actions(Surface(False, r))) != total_count(Surface(False, r)):
                 return False
         return True
 
@@ -116,7 +115,7 @@ def test_criterion_04_golden_tables():
             if _normalize_ws(buf.getvalue()) != _normalize_ws(golden):
                 return False
         # N6: 20 populated taxonomy rows carrying all 27 actions
-        rows = [cell for cell in taxonomy_cells(6) if cell[1] or cell[2]]
+        rows = [cell for cell in taxonomy_cells(Surface(False, 6)) if cell[1] or cell[2]]
         if len(rows) != 20:
             return False
         return sum(len(n) + len(p) for _, n, p in rows) == 27
@@ -270,7 +269,7 @@ def test_criterion_11_structural_properties():
     def check():
         for r in range(1, 61):
             per_signed = {}
-            for a in iter_nonorientable(r, include_trivial=False):
+            for a in iter_actions(Surface(False, r), include_trivial=False):
                 tax = a.taxonomy
                 if not scherrer_admissible(tax, r):
                     return False
@@ -292,7 +291,7 @@ def test_criterion_11_structural_properties():
                 if count != expected:
                     return False
         for g in range(0, 31):
-            for a in enumerate_torus(g, include_trivial=False):
+            for a in iter_actions(Surface(True, g), include_trivial=False):
                 tax = a.taxonomy
                 if not scherrer_admissible(tax, 2 * g):
                     return False

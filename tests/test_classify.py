@@ -11,12 +11,12 @@ from c2surf.classify import (
     DDUnavailableError,
     Taxonomy,
     _family_dd,
-    count_nonorientable,
+    cell_words,
+    count_actions,
     decide_isomorphic,
     dd_of_word,
-    enumerate_torus,
     identity_dd,
-    iter_nonorientable,
+    iter_actions,
     scherrer_admissible,
     taxonomy_cells,
 )
@@ -44,6 +44,10 @@ def act(text: str) -> Action:
     return Action.from_word(parse_word(text))
 
 
+def actions_on(name: str, include_trivial: bool = True) -> list:
+    return list(iter_actions(Surface.parse(name), include_trivial))
+
+
 def test_scherrer_admissible():
     assert scherrer_admissible(Taxonomy(1, 0, 1, Sign.PLUS), 1)
     assert scherrer_admissible(Taxonomy(4, 0, 0), 2)  # admissible but unrealized
@@ -54,7 +58,7 @@ def test_scherrer_admissible():
 
 
 def test_enumerate_sphere():
-    actions = enumerate_torus(0)
+    actions = actions_on("T0")
     assert len(actions) == 4
     by_word = {format_word(a.word): a for a in actions}
     assert by_word["S22"].taxonomy == Taxonomy(2, 0, 0, Sign.PLUS)
@@ -65,16 +69,20 @@ def test_enumerate_sphere():
 
 def test_enumerate_torus_counts():
     for g in range(0, 40):
-        assert len(enumerate_torus(g)) == 4 + 2 * g
+        torus = Surface(True, g)
+        n = len(list(iter_actions(torus)))
+        assert n == 4 + 2 * g
+        assert count_actions(torus) == total_count(torus) == n
+        assert count_actions(torus, include_trivial=False) == n - 1
 
 
 def test_enumerate_torus_g0_matches_sphere():
-    words_t0 = {format_word(a.word) for a in enumerate_torus(0)}
+    words_t0 = {format_word(a.word) for a in actions_on("T0")}
     assert words_t0 == {"Triv(T0)", "S2a", "S21", "S22"}
 
 
 def test_enumerate_torus_g1():
-    actions = enumerate_torus(1)
+    actions = actions_on("T1")
     assert len(actions) == 6
     words = {format_word(a.word) for a in actions}
     assert words == {
@@ -85,16 +93,17 @@ def test_enumerate_torus_g1():
         "Trefl(1,2)",
         "S2a+S10AT",
     }
-    no_rot = {format_word(a.word) for a in enumerate_torus(2)}
+    no_rot = {format_word(a.word) for a in actions_on("T2")}
     assert not any(w.startswith("Trot") for w in no_rot)
 
 
 def test_enumerate_nonorientable_counts():
     for r in range(1, 61):
-        actions = list(iter_nonorientable(r))
-        assert len(actions) == total_count(Surface(False, r))
-        assert count_nonorientable(r) == len(actions)
-        assert count_nonorientable(r, include_trivial=False) == len(actions) - 1
+        surface = Surface(False, r)
+        actions = list(iter_actions(surface))
+        assert len(actions) == total_count(surface)
+        assert count_actions(surface) == len(actions)
+        assert count_actions(surface, include_trivial=False) == len(actions) - 1
 
 
 def _fmt_dd(a: Action) -> str:
@@ -133,13 +142,14 @@ def _enumerate_lines(surface: str, fmt: str):
 
 
 def test_cell_built_actions_equal_word_built():
-    # the cell rules state each class's invariants and DD, and the record and
-    # plain lines the CLI prints from them; re-deriving all of it from the
-    # word alone is the oracle, one `from_word` per class
-    for r in list(range(1, 61)) + [120, 200]:
-        actions = list(iter_nonorientable(r))
-        records, plain = _enumerate_lines(f"N{r}", "record"), _enumerate_lines(f"N{r}", "table")
-        assert len(records) == len(plain) == len(actions), r
+    # the cell rules state each class's surface, invariants and DD, and the
+    # record and plain lines the CLI prints from them; re-deriving all of it
+    # from the word alone is the oracle, one `from_word` per class
+    names = [f"N{r}" for r in list(range(1, 61)) + [120, 200]] + [f"T{g}" for g in range(41)]
+    for name in names:
+        actions = actions_on(name)
+        records, plain = _enumerate_lines(name, "record"), _enumerate_lines(name, "table")
+        assert len(records) == len(plain) == len(actions), name
         for a, record, line in zip(actions, records, plain):
             fresh = Action.from_word(parse_word(record.split(" ", 2)[1].removeprefix("word=")))
             assert fresh == a, record
@@ -149,18 +159,18 @@ def test_cell_built_actions_equal_word_built():
 
 def test_count_walk_matches_closed_form():
     for r in range(1, 401):
-        assert count_nonorientable(r) == total_count(Surface(False, r)), r
+        assert count_actions(Surface(False, r)) == total_count(Surface(False, r)), r
 
 
 def test_nonorientable_small_contents():
-    n1 = list(iter_nonorientable(1, include_trivial=False))
+    n1 = actions_on("N1", include_trivial=False)
     assert [format_word(a.word) for a in n1] == ["S22+FM"]
     assert n1[0].taxonomy == Taxonomy(1, 0, 1, Sign.PLUS)
-    n2 = list(iter_nonorientable(2, include_trivial=False))
+    n2 = actions_on("N2", include_trivial=False)
     assert len(n2) == 5
     n4_row = [
         a
-        for a in iter_nonorientable(4, include_trivial=False)
+        for a in actions_on("N4", include_trivial=False)
         if a.taxonomy.unsigned() == Taxonomy(0, 1, 0)
     ]
     assert len(n4_row) == 3
@@ -172,12 +182,12 @@ def test_actions_satisfy_structure():
     # a fixed set consisting of exactly one point never occurs (the RP^2
     # action has F = 1 but also a one-sided oval)
     for r in range(1, 40):
-        for a in iter_nonorientable(r, include_trivial=False):
+        for a in actions_on(f"N{r}", include_trivial=False):
             assert a.surface == Surface(False, r)
             assert scherrer_admissible(a.taxonomy, r)
             assert not (a.taxonomy.f == 1 and a.taxonomy.c == 0)
     for g in range(0, 20):
-        for a in enumerate_torus(g, include_trivial=False):
+        for a in actions_on(f"T{g}", include_trivial=False):
             assert a.surface == Surface(True, g)
             assert scherrer_admissible(a.taxonomy, 2 * g)
             assert not (a.taxonomy.f == 1 and a.taxonomy.c == 0)
@@ -189,7 +199,7 @@ def test_taxonomy_multiplicities():
     # the only repeated signed taxonomies are [0,C:(C,0),-] on even N_r
     for r in range(1, 41):
         per_signed = {}
-        for a in iter_nonorientable(r, include_trivial=False):
+        for a in actions_on(f"N{r}", include_trivial=False):
             key = a.taxonomy
             per_signed[key] = per_signed.get(key, 0) + 1
         for tax, count in per_signed.items():
@@ -208,12 +218,12 @@ def test_taxonomy_multiplicities():
 
 def test_duplicate_free():
     for r in range(1, 25):
-        actions = list(iter_nonorientable(r, include_trivial=False))
+        actions = actions_on(f"N{r}", include_trivial=False)
         for i, a in enumerate(actions):
             for b in actions[i + 1 :]:
                 assert not decide_isomorphic(a, b), (a, b)
     for g in range(0, 12):
-        actions = enumerate_torus(g, include_trivial=False)
+        actions = actions_on(f"T{g}", include_trivial=False)
         for i, a in enumerate(actions):
             for b in actions[i + 1 :]:
                 assert not decide_isomorphic(a, b), (a, b)
@@ -272,7 +282,7 @@ def _small_words():
 def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
     # the signed taxonomy is complete on T_1: every word there gets the DD of
     # the enumerated class with the same taxonomy
-    by_taxonomy = {a.taxonomy: a.dd for a in enumerate_torus(1, include_trivial=False)}
+    by_taxonomy = {a.taxonomy: a.dd for a in actions_on("T1", include_trivial=False)}
     checked = 0
     for w in _small_words():
         if underlying_surface(w) == Surface(True, 1):
@@ -384,29 +394,6 @@ def test_decide_isomorphic_dd_unavailable():
         decide_isomorphic(a, stripped)
 
 
-def test_action_records_are_self_consistent():
-    for r in (1, 2, 5, 8):
-        for a in iter_nonorientable(r):
-            a.verify()
-    for g in (0, 1, 4):
-        for a in enumerate_torus(g):
-            a.verify()
-
-
-def test_verify_checks_every_invariant():
-    a = act("S2a+2DCC+S10AT")
-    a.verify()
-    for wrong in (
-        Action(a.word, Surface(False, 5), a.taxonomy, a.epsilon, a.dd),
-        Action(a.word, a.surface, Taxonomy(0, 1, 0, Sign.PLUS), a.epsilon, a.dd),
-        Action(a.word, a.surface, a.taxonomy, Epsilon.SEPARATING, a.dd),
-        Action(a.word, a.surface, a.taxonomy, a.epsilon, DDTuple(3, 1, 2, 1)),
-        Action(a.word, a.surface, a.taxonomy, a.epsilon, None),
-    ):
-        with pytest.raises(AssertionError):
-            wrong.verify()
-
-
 def test_free_actions_match_the_cover_classification():
     # the enumeration's free classes have an empty fixed set by their words
     surfaces = [Surface(False, r) for r in range(1, 30)] + [Surface(True, g) for g in range(15)]
@@ -423,7 +410,7 @@ def test_free_actions_match_the_cover_classification():
 
 def test_torus_taxonomy_chart():
     for g in (2, 3, 5):
-        for a in enumerate_torus(g, include_trivial=False):
+        for a in actions_on(f"T{g}", include_trivial=False):
             word = format_word(a.word)
             tax = a.taxonomy
             if word.startswith("Tspit"):
@@ -444,7 +431,7 @@ def test_separating_actions_are_exactly_the_doubled_family():
     for r in range(2, 31, 2):
         separating = [
             a
-            for a in iter_nonorientable(r, include_trivial=False)
+            for a in actions_on(f"N{r}", include_trivial=False)
             if a.epsilon == Epsilon.SEPARATING
         ]
         # one doubled surface per oval count C = 1 .. r/2
@@ -455,14 +442,30 @@ def test_separating_actions_are_exactly_the_doubled_family():
     for r in range(1, 30, 2):
         assert all(
             a.epsilon != Epsilon.SEPARATING
-            for a in iter_nonorientable(r, include_trivial=False)
+            for a in actions_on(f"N{r}", include_trivial=False)
         )
 
 
 def test_taxonomy_cells_row_counts():
-    rows = [cell for cell in taxonomy_cells(6) if cell[1] or cell[2]]
+    rows = [cell for cell in taxonomy_cells(Surface(False, 6)) if cell[1] or cell[2]]
     assert len(rows) == 20
     assert sum(len(neg) + len(pos) for _, neg, pos in rows) == 27
-    rows4 = [cell for cell in taxonomy_cells(4) if cell[1] or cell[2]]
+    rows4 = [cell for cell in taxonomy_cells(Surface(False, 4)) if cell[1] or cell[2]]
     assert len(rows4) == 11
     assert sum(len(neg) + len(pos) for _, neg, pos in rows4) == 14
+
+
+def test_cell_words_cover_exactly_the_walked_rows():
+    # one cell's words are that row of the walk, and every taxonomy the walk
+    # skips (parity off, F + 2C > beta + 2, on T_g C- > 0 or F, C > 0) has none
+    surfaces = [Surface(False, r) for r in range(1, 31)] + [Surface(True, g) for g in range(16)]
+    for s in surfaces:
+        b = s.beta
+        rows = {tax: [word for word, _, _ in neg + pos] for tax, neg, pos in taxonomy_cells(s)}
+        for f in range(b + 5):
+            for c in range((b + 6 - f) // 2 + 1):
+                for cm in range(c + 1):
+                    tax = Taxonomy(f, c - cm, cm)
+                    walked = (f - b) % 2 == (cm - b) % 2 == 0 and f + 2 * c <= b + 2
+                    assert (tax in rows) == (walked and not (s.orientable and (cm or (f and c)))), (s, tax)
+                    assert [format_word(w) for w in cell_words(s, tax)] == rows.get(tax, []), (s, tax)

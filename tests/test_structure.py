@@ -20,6 +20,9 @@ def test_all_names_exist(name):
     mod = c2surf if name == "__init__" else importlib.import_module(f"c2surf.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+    # no name the package root imports shadows a submodule
+    shadowed = [n for n in MODULES if importlib.import_module(f"c2surf.{n}") is not getattr(c2surf, n)]
+    assert shadowed == []
 
 
 def _private_imports(path: pathlib.Path):
@@ -116,11 +119,11 @@ def test_bench_worker_calls_bind():
 
 CLASSIFY = SRC / "classify.py"
 PRODUCTION_ROOTS = (
-    "iter_nonorientable", "taxonomy_cells", "count_nonorientable", "_cell_rules",
+    "iter_actions", "taxonomy_cells", "count_actions", "_cell_rules", "_orientable_rules",
     "_rule_rows", "_classes", "cell_words",
 )
 CLI = SRC / "cli.py"
-CLI_PRODUCTION_ROOTS = ("_write_nonorientable", "_lines", "_write_table")
+CLI_PRODUCTION_ROOTS = ("cmd_enumerate", "_write_classes", "_lines", "_write_table")
 ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon"}
 DD = SRC / "dd.py"
 DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")
@@ -154,7 +157,8 @@ def test_enumeration_path_stays_off_the_oracle():
     # the enumerator, the tables and the count take every invariant from the
     # cell rules; re-deriving them from the word is the oracle's job
     assert _oracle_references(CLASSIFY) == []
-    # the N_r text the CLI prints comes from that table too, no word built
+    # the text `enumerate` prints, trivial lines included, comes from that
+    # table too, no word parsed or re-derived
     assert _oracle_references(CLI, CLI_PRODUCTION_ROOTS) == []
     # the DD classes come from the involution search; enumerating the whole
     # isometry group is the conjugacy oracle's job
@@ -164,11 +168,11 @@ def test_enumeration_path_stays_off_the_oracle():
 def test_oracle_reference_check_follows_calls(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        "def iter_nonorientable(r):\n    return _rule(r)\n"
+        "def iter_actions(r):\n    return _rule(r)\n"
         "def _rule(r):\n    return classify.Action.from_word(r), normalize(r)\n"
         "def taxonomy_cells(r):\n    pass\n"
     )
-    assert _oracle_references(probe, ("iter_nonorientable", "taxonomy_cells")) == [
+    assert _oracle_references(probe, ("iter_actions", "taxonomy_cells")) == [
         ("_rule", "from_word"),
         ("_rule", "normalize"),
     ]

@@ -10,7 +10,8 @@ one cell (`cell_words`) and the rows of `taxonomy_cells`, which give the
 appendix tables and the printed lines; a `SurgeryWord` is built only where a
 word is asked for.
 `Action.from_word` re-derives the same invariants from any word; it is the
-oracle that checks the table.
+oracle that checks the table, and the path of `inv` and the decision procedure,
+where a bounded memo derives each distinct word once.
 On orientable surfaces the signed taxonomy is already a complete invariant; on
 non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
 where the separation invariant and the double Dickson invariant finish the
@@ -21,6 +22,7 @@ on the Klein bottle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .dd import DDTuple, dd_direct_sum
@@ -86,6 +88,12 @@ def scherrer_admissible(t: Taxonomy, beta: int) -> bool:
     return True
 
 
+# Derived actions remembered by `Action.from_word`, keyed by the word.  The
+# 2,687 words with beta <= 12 and each op count <= 2 fit, at about 330 bytes
+# each; errors are not kept.
+_ACTION_CACHE_SIZE = 4096
+
+
 @dataclass(frozen=True, slots=True)
 class Action:
     """One isomorphism class: a representative word plus its invariants.
@@ -100,6 +108,7 @@ class Action:
     dd: Optional[DDTuple]
 
     @classmethod
+    @lru_cache(maxsize=_ACTION_CACHE_SIZE)
     def from_word(cls, w: SurgeryWord) -> "Action":
         surf = underlying_surface(w)
         if w.is_trivial():

@@ -136,7 +136,9 @@ def _t_witness(m: IntMatrix2) -> IntMatrix2:
 
     Conjugation by lower/upper elementary matrices moves the corner entry by
     multiples of the off-diagonal ones, so a Euclidean walk shrinks |a| to at
-    most 1; the leftover cases reach the swap matrix in two more steps.
+    most 1; the leftover cases reach the swap matrix in two more steps.  Each
+    Euclidean step takes the whole quotient, leaving |a| mod |b| (or mod |c|),
+    which is below |a| / 2, so the walk takes O(log |a|) steps.
     """
     cur = m
     conj = I2  # product of the step conjugators; cur == conj^-1 @ m @ conj
@@ -152,9 +154,12 @@ def _t_witness(m: IntMatrix2) -> IntMatrix2:
             step(_FLIP)  # cur is -T; negating the off-diagonal fixes it
         elif abs(a) > 1:
             if b != 0 and abs(b) <= abs(a):
-                step(_lower(-1 if a * b > 0 else 1))  # a -> a + lam b
+                q = abs(a) // abs(b)
+                step(_lower(-q if a * b > 0 else q))  # a -> a + lam b
             else:
-                step(_upper(1 if a * c > 0 else -1))  # a -> a - lam c
+                # a^2 + bc = 1 with |b| > |a| > 1 gives 0 < |c| < |a|
+                q = abs(a) // abs(c)
+                step(_upper(q if a * c > 0 else -q))  # a -> a - lam c
         elif a == -1:
             step(_SWAP)
         else:  # a == 1 and bc = 0 with the nonzero off-diagonal entry odd

@@ -19,6 +19,7 @@ an equivariant isomorphism, unequal ones certify nothing.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -342,6 +343,10 @@ def _base_syntax(kind: BaseKind):
 
 
 _BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
+# Distinct base tokens remembered by `_parse_base`.  A base is frozen and
+# validated on its first parse, so later parses of the same token share it;
+# the words with beta <= 12 and each op count <= 2 name 61 tokens.
+_BASE_CACHE_SIZE = 256
 _OP_RE = re.compile(rf"(\d*)({'|'.join(_OP_NAMES)})")
 
 
@@ -361,6 +366,7 @@ def parse_word(text: str) -> SurgeryWord:
     return SurgeryWord(base, *counts)
 
 
+@functools.lru_cache(maxsize=_BASE_CACHE_SIZE)
 def _parse_base(token: str) -> BaseSpace:
     syntax = _BASE_SYNTAX.get(token.partition("(")[0])
     m = syntax and syntax[0].fullmatch(token)

@@ -1,6 +1,7 @@
 import io
 import itertools
 from contextlib import redirect_stdout
+from dataclasses import fields
 
 import pytest
 
@@ -36,6 +37,8 @@ from c2surf.words import (
     normalize,
     parse_word,
     q_sign,
+    reflection_ovals,
+    spit_fixed_points,
     underlying_surface,
 )
 
@@ -347,6 +350,58 @@ def test_from_word_rewrites_only_where_dd_decides(monkeypatch):
     for w in reached:
         tax = Taxonomy(*fixed_data(w), q_sign(w))
         assert tax.ambiguous() or underlying_surface(w) == Surface(False, 2), format_word(w)
+
+
+def _words_up_to(max_beta: int):
+    """Every grammar-valid word with beta <= max_beta."""
+    for g in range(max_beta // 2 + 1):
+        yield SurgeryWord(BaseSpace.trivial(Surface(True, g)))
+    for r in range(1, max_beta + 1):
+        yield SurgeryWord(BaseSpace.trivial(Surface(False, r)))
+    bases = [BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.s22()]
+    for g in range(1, max_beta // 2 + 1):
+        bases += [BaseSpace.tanti(g)] + ([BaseSpace.trot(g)] if g % 2 else [])
+        bases += [BaseSpace.tspit(g, f) for f in spit_fixed_points(g)]
+        bases += [BaseSpace.trefl(g, c) for c in reflection_ovals(g)]
+    for base in bases:
+        room = max_beta - base.beta
+        for dcc, s10at, s11at, s1aat in itertools.product(range(room // 2 + 1), repeat=4):
+            left = room - 2 * (dcc + s10at + s11at + s1aat)
+            for dt in range(left // 4 + 1 if left >= 0 else 0):
+                for fm in range(min(left - 4 * dt, base.fixed_points + 2 * s11at) + 1):
+                    yield SurgeryWord(base, dcc, dt, s10at, s11at, s1aat, fm)
+
+
+def _split_spelling(w: SurgeryWord) -> str:
+    """The word's text with each operation written once per count, last op first."""
+    names = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
+    ops = [name for name, count in zip(names, w.op_counts) for _ in range(count)]
+    return "+".join([w.base.token(), *reversed(ops)])
+
+
+def test_from_word_memo_equals_the_derivation():
+    # the memo is an exact stand-in: every spelling of a word gets the action
+    # the uncached derivation gives, field by field, and the second spelling
+    # is served from the memo
+    derive = Action.from_word.__wrapped__
+    words_seen = 0
+    for w in _words_up_to(8):
+        fresh = derive(Action, w)
+        for text in (format_word(w), _split_spelling(w)):
+            served = Action.from_word(parse_word(text))
+            for field in fields(Action):
+                assert getattr(served, field.name) == getattr(fresh, field.name), (text, field.name)
+        words_seen += 1
+    info = Action.from_word.cache_info()
+    assert info.hits == info.misses == words_seen
+
+
+def test_from_word_memo_is_bounded():
+    for a in actions_on("N60", include_trivial=False):
+        Action.from_word(a.word)
+    info = Action.from_word.cache_info()
+    assert info.misses > 4096
+    assert info.maxsize == info.currsize == 4096
 
 
 def test_dd_separates_the_free_base_families():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -69,6 +70,31 @@ def test_reduce_witnesses_verify():
         expected = Gl2Class.S_CLASS if rep == S_REP else Gl2Class.T_CLASS
         assert cls == expected
         assert p.inverse() @ rep @ p == m
+
+
+def test_t_witness_walk_is_logarithmic(monkeypatch):
+    # T conjugated by upper(lam) or lower(lam) has entries near lam^2; the walk
+    # must shrink the corner entry by whole quotients, not by one step per
+    # unit, so it stays within 2 log2(largest entry) + 4 conjugation steps
+    limit = [0]
+    steps = []
+    conjugated_by = IntMatrix2.conjugated_by
+
+    def counted(m, q):
+        steps.append(q)
+        if len(steps) > limit[0]:
+            raise AssertionError(f"more than {limit[0]} steps")
+        return conjugated_by(m, q)
+
+    monkeypatch.setattr(IntMatrix2, "conjugated_by", counted)
+    for lam in (10**12, -(10**12)):
+        for q in (UPPER(lam), LOWER(lam)):
+            m = q.inverse() @ T_REP @ q
+            limit[0] = 2 * math.log2(max(abs(x) for x in m.entries())) + 4
+            steps.clear()
+            cls, p = gl2_reduce(m)
+            assert cls == Gl2Class.T_CLASS
+            assert p.inverse() @ T_REP @ p == m
 
 
 def test_parity_preserved_by_relations():

@@ -216,3 +216,61 @@ def test_word_construction_check_sees_every_form(tmp_path):
         (3, "SurgeryWord"),
         (4, "BaseSpace"),
     ]
+
+
+# The one unbounded cache left in src/: the isometry groups the oracles reuse,
+# kept until a certificate check replaces the whole-group spot checks.
+UNBOUNDED_CACHE_EXCEPTIONS = {("f2.py", "_ISOMETRY_CACHE")}
+
+
+def _unbounded_caches(path: pathlib.Path):
+    """(line, text) for every cache in a module that can grow for the life of
+    the process: ``functools.cache``, ``lru_cache`` with maxsize None, and a
+    module-level name containing CACHE bound to a dict."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "functools.cache") for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+            found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.Call) and "lru_cache" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            size = node.args[0] if node.args else next((kw.value for kw in node.keywords if kw.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.append((node.lineno, "lru_cache(maxsize=None)"))
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        name = getattr(node.target if isinstance(node, ast.AnnAssign) else node.targets[0], "id", "")
+        value = node.value
+        is_dict = isinstance(value, ast.Dict) or (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict")
+        if "CACHE" in name and is_dict and (path.name, name) not in UNBOUNDED_CACHE_EXCEPTIONS:
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # memory stays bounded: a memo in src/ names its size
+    assert _unbounded_caches(path) == []
+
+
+def test_unbounded_cache_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(x): pass\n"
+        "@functools.lru_cache(None)\ndef c(x): pass\n"
+        "@lru_cache(maxsize=256)\ndef d(x): pass\n"
+        "@lru_cache\ndef e(x): pass\n"
+        "_WORD_CACHE = {}\n_ISOMETRY_CACHE: dict = dict()\n_CACHE_SIZE = 4096\n"
+    )
+    assert _unbounded_caches(probe) == [
+        (2, "functools.cache"),
+        (3, "functools.cache"),
+        (5, "lru_cache(maxsize=None)"),
+        (7, "lru_cache(maxsize=None)"),
+        (13, "_WORD_CACHE"),
+        (14, "_ISOMETRY_CACHE"),
+    ]

@@ -10,6 +10,7 @@ from c2surf.words import (
     Surface,
     SurgeryWord,
     WordSyntaxError,
+    _parse_base,
     beta,
     epsilon,
     fixed_data,
@@ -114,6 +115,27 @@ def test_parse_errors():
     for bad in ("Tanti(1,2)", "S2a(1)", "Tanti", "Trefl(3)", "S2a()", "Triv(3)", "Tanti(N3)"):
         with pytest.raises(WordSyntaxError, match="bad base token"):
             parse_word(bad)
+
+
+def test_parse_memo_keeps_no_failure():
+    # a remembered base is shared, a bad token fails on every parse, and the
+    # word's own checks (the FM bound) run again on a remembered base
+    assert parse_word("Tanti(3)+DCC").base is parse_word("Tanti(3)").base
+    for _ in range(2):
+        with pytest.raises(InvalidWordError):
+            parse_word("Trot(2)")
+        with pytest.raises(WordSyntaxError):
+            parse_word("Tanti(x)")
+        with pytest.raises(InvalidWordError):
+            parse_word("S22+3FM")
+    assert parse_word("S22+2FM") == SurgeryWord(BaseSpace.s22(), fm=2)
+
+
+def test_parse_memo_is_bounded():
+    for g in range(1, 301):
+        assert parse_word(f"Tanti({g})").base == BaseSpace.tanti(g)
+    info = _parse_base.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256 and info.misses == 300
 
 
 def test_spit_and_reflection_parameters_round_trip():

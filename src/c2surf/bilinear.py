@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .f2 import F2Matrix, F2Vector, block_diag, rank
 
@@ -55,8 +56,10 @@ class BilinearSpace:
         return v.dot(self.gram.mul_vec(w))
 
 
+@lru_cache(maxsize=64)
 def omega_vector(space: BilinearSpace) -> F2Vector:
-    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G)."""
+    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G).
+    Remembered for the last 64 spaces, since every mirror needs it."""
     return space.gram.inverse().mul_vec(space.gram.diag())
 
 

@@ -113,11 +113,7 @@ def conjugacy_oracle(a: Involution, b: Involution, bound: int = ISOMETRY_BOUND) 
     """Whether some isometry P satisfies P^-1 a P = b, by exhaustive search."""
     if a.space.gram != b.space.gram:
         raise ValueError("involutions live on different spaces")
-    target = b.matrix
-    for p in isometries(a.space.gram, bound=bound):
-        if a.matrix @ p == p @ target:
-            return True
-    return False
+    return any(p.conjugates(a.matrix, b.matrix) for p in isometries(a.space.gram, bound=bound))
 
 
 def _chain_transvections(space: BilinearSpace) -> List[F2Matrix]:
@@ -175,9 +171,9 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
     class without materializing every conjugator.  The generators are
     involutions, so g m g is the conjugate of m by g.
     """
-    invs = involutions_in(space, bound=bound)
+    invs = {inv.matrix: inv for inv in involutions_in(space, bound=bound)}
     gens = isometry_generators(space)
-    remaining = {inv.matrix for inv in invs}
+    remaining = set(invs)
     classes: List[List[Involution]] = []
     while remaining:
         seed = next(iter(remaining))
@@ -185,7 +181,7 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
         if not conjugates <= remaining:
             raise AssertionError("conjugation left the involution set")
         remaining -= conjugates
-        classes.append([Involution(space, m) for m in sorted(conjugates, key=lambda m: m.rows)])
+        classes.append([invs[m] for m in sorted(conjugates, key=lambda m: m.rows)])
     return classes
 
 

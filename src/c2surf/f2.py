@@ -4,6 +4,11 @@ Vectors and matrices are immutable; coordinates are packed into Python ints
 (bit ``i`` is coordinate ``i``), which makes row operations single XORs and
 lets matrices serve as dict keys and set members.
 
+A product looks each row of the left operand up in subset-XOR tables of the
+right operand's rows, one table per eight rows, kept in a bounded memo keyed by
+those rows; the operands that repeat (the generators of a conjugation, a fixed
+target, a gram) build their tables once.
+
 The isometries of a form are found by one column-by-column search:
 ``involutive_isometries`` visits only the involutions, which is all the DD
 classification needs, and ``isometries`` lists the whole group for the
@@ -13,6 +18,7 @@ oracles that check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 
@@ -86,9 +92,10 @@ class F2Matrix:
     def __post_init__(self) -> None:
         if self.ncols < 0:
             raise ValueError("negative column count")
-        for r in self.rows:
-            if r < 0 or r >> self.ncols:
-                raise ValueError(f"row {r:#x} does not fit in {self.ncols} columns")
+        rows = self.rows
+        if rows and (min(rows) < 0 or max(rows) >> self.ncols):
+            bad = next(r for r in rows if r < 0 or r >> self.ncols)
+            raise ValueError(f"row {bad:#x} does not fit in {self.ncols} columns")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
@@ -105,15 +112,7 @@ class F2Matrix:
         return cls(tuple(packed), ncols)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[int], nrows: int) -> "F2Matrix":
-        rows = [0] * nrows
-        for j, col in enumerate(cols):
-            for i in range(nrows):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        return cls(tuple(rows), len(cols))
-
-    @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "F2Matrix":
         return cls(tuple(1 << i for i in range(n)), n)
 
@@ -142,7 +141,14 @@ class F2Matrix:
         return self.nrows == self.ncols
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_cols(list(self.rows), self.ncols)
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        return F2Matrix(tuple(cols), self.nrows)
 
     def diag(self) -> F2Vector:
         if not self.is_square():
@@ -162,20 +168,32 @@ class F2Matrix:
         return F2Matrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.ncols)
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(
-                f"inner dimensions {self.ncols} != {other.nrows}"
-            )
-        brows = other.rows
-        out = []
-        for a in self.rows:
-            acc = 0
-            while a:
-                low = a & -a
-                acc ^= brows[low.bit_length() - 1]
-                a ^= low
-            out.append(acc)
-        return F2Matrix(tuple(out), other.ncols)
+        if self.ncols != len(other.rows):
+            raise DimensionMismatch(f"inner dimensions {self.ncols} != {other.nrows}")
+        tables = _xor_tables(other.rows)
+        if len(tables) == 1:
+            out = tuple(map(tables[0].__getitem__, self.rows))
+        else:
+            out = tuple(_lookup(tables, a) for a in self.rows)
+        return F2Matrix(out, other.ncols)
+
+    def conjugates(self, a: "F2Matrix", b: "F2Matrix") -> bool:
+        """Whether ``a @ self == self @ b`` (for invertible self: self^-1 a
+        self = b), compared row by row up to the first row that differs."""
+        n = self.ncols
+        if not (len(self.rows) == len(a.rows) == len(b.rows) == a.ncols == b.ncols == n):
+            raise DimensionMismatch(f"need square matrices of one size, got {a.shape}, {self.shape}, {b.shape}")
+        prows = self.rows
+        tables = _xor_tables(b.rows)
+        for arow, prow in zip(a.rows, prows):
+            acc = 0  # row of a @ self: the rows of self that arow picks
+            while arow:
+                low = arow & -arow
+                acc ^= prows[low.bit_length() - 1]
+                arow ^= low
+            if acc != _lookup(tables, prow):
+                return False
+        return True
 
     def mul_vec(self, v: F2Vector) -> F2Vector:
         if self.ncols != v.n:
@@ -204,6 +222,36 @@ class F2Matrix:
             "".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows
         )
         return f"F2Matrix[{body}]"
+
+
+# Rows per subset-XOR table, so a table never has more than 256 entries.
+_TABLE_ROWS = 8
+_TABLE_MASK = (1 << _TABLE_ROWS) - 1
+# Right operands whose tables are kept: the generators, targets and grams
+# that repeat, with room for the one-off operands passing through.
+_TABLE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _xor_tables(rows: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Subset-XOR tables of ``rows``, eight rows each: entry x of table k is
+    the XOR of the rows 8k + i for the set bits i of x."""
+    tables = []
+    for start in range(0, len(rows), _TABLE_ROWS):
+        table = [0]
+        for r in rows[start : start + _TABLE_ROWS]:
+            table += [t ^ r for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _lookup(tables: Tuple[Tuple[int, ...], ...], x: int) -> int:
+    """The XOR of the rows behind ``tables`` that the set bits of x pick."""
+    acc = 0
+    for table in tables:
+        acc ^= table[x & _TABLE_MASK]
+        x >>= _TABLE_ROWS
+    return acc
 
 
 def _eliminate(rows: List[int], ncols: int) -> int:
@@ -335,7 +383,8 @@ def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
             cols.pop()
 
     extend(0)
-    return tuple(F2Matrix.from_cols(list(cs), n) for cs in out_cols)
+    # each solution lists the columns of M, which are the rows of M^T
+    return tuple(F2Matrix(cs, n).transpose() for cs in out_cols)
 
 
 def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:

@@ -154,6 +154,35 @@ def test_oracle_agrees_with_dd_on_all_pairs_dim3():
                 assert conjugacy_oracle(a, b) == (dd(a) == dd(b))
 
 
+def plain_scan(a: Involution, b: Involution) -> bool:
+    """The conjugacy oracle without its early exit: whole products compared."""
+    return any(a.matrix @ p == p @ b.matrix for p in isometries(a.space.gram))
+
+
+@pytest.mark.parametrize("kind, n, pairs", [("orthogonal", 4, None), ("orthogonal", 5, 100), ("symplectic", 4, 100)])
+def test_early_exit_oracle_equals_plain_scan(kind, n, pairs):
+    # every pair on O(4, 2), seeded pairs on O(5, 2) and Sp(4, 2)
+    invs = involutions_in(standard_space(kind, n))
+    if pairs is None:
+        todo = [(a, b) for a in invs for b in invs]
+    else:
+        rng = random.Random(n)
+        todo = [(rng.choice(invs), rng.choice(invs)) for _ in range(pairs)]
+    answers = [conjugacy_oracle(a, b) for a, b in todo]
+    assert answers == [plain_scan(a, b) for a, b in todo]
+    assert True in answers and False in answers
+
+
+def test_dd_classifies_orthogonal_dim7():
+    # O(7, 2) through the bound argument; ISOMETRY_BOUND stays at 6
+    classes = conjugacy_classes(standard_space("orthogonal", 7), bound=7)
+    assert sum(len(cls) for cls in classes) == 5104
+    assert len(classes) == 5
+    values = [{dd(inv) for inv in cls} for cls in classes]
+    assert [len(v) for v in values] == [1] * 5
+    assert len(set().union(*values)) == 5
+
+
 def test_transvections_generate_symplectic_group():
     for n in (2, 4):
         space = standard_space("symplectic", n)

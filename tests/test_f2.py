@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -53,8 +54,6 @@ def test_mat_mul_dimension_mismatch():
 
 
 def test_rank_of_product_bounded():
-    import random
-
     rng = random.Random(7)
     for _ in range(50):
         a = F2Matrix(tuple(rng.randrange(16) for _ in range(4)), 4)
@@ -237,3 +236,84 @@ def test_isometries_bound():
         isometries(F2Matrix.identity(7))
     with pytest.raises(ValueError):
         involutive_isometries(F2Matrix.identity(7))
+
+
+def entries(m: F2Matrix):
+    return [[(r >> j) & 1 for j in range(m.ncols)] for r in m.rows]
+
+
+def reference_rank(rows):
+    """Rank of a list of 0/1 lists, by textbook Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_entrywise_reference(seed):
+    # shapes from 0x0 up to 10 columns, so products also meet right operands
+    # of more than eight rows (more than one subset-XOR table)
+    rng = random.Random(seed)
+    for _ in range(150):
+        p, q, r = (rng.randrange(11) for _ in range(3))
+        a = F2Matrix(tuple(rng.getrandbits(q) for _ in range(p)), q)
+        b = F2Matrix(tuple(rng.getrandbits(r) for _ in range(q)), r)
+        ea, eb = entries(a), entries(b)
+        product = a @ b
+        assert product.shape == (p, r)
+        assert entries(product) == [
+            [sum(ea[i][k] & eb[k][j] for k in range(q)) & 1 for j in range(r)] for i in range(p)
+        ]
+        t = a.transpose()
+        assert t.shape == (q, p)
+        assert entries(t) == [[ea[i][j] for i in range(p)] for j in range(q)]
+        v = rng.getrandbits(q)
+        image = sum((sum(ea[i][k] & (v >> k) for k in range(q)) & 1) << i for i in range(p))
+        assert a.mul_vec(F2Vector(v, q)) == F2Vector(image, p)
+        square = F2Matrix(tuple(rng.getrandbits(q) for _ in range(q)), q)
+        if reference_rank(entries(square)) == q:
+            inv = square.inverse()
+            es, ei = entries(square), entries(inv)
+            ident = [[int(i == j) for j in range(q)] for i in range(q)]
+            for x, y in ((es, ei), (ei, es)):
+                assert [[sum(x[i][k] & y[k][j] for k in range(q)) & 1 for j in range(q)] for i in range(q)] == ident
+            # a @ square == square @ b exactly when b is the conjugate of a
+            a_sq = F2Matrix(tuple(rng.getrandbits(q) for _ in range(q)), q)
+            conj = inv @ a_sq @ square
+            assert square.conjugates(a_sq, conj)
+            if q:  # one changed entry of the conjugate breaks the equation
+                flipped = F2Matrix((conj.rows[0] ^ 1,) + conj.rows[1:], q)
+                assert not square.conjugates(a_sq, flipped)
+        else:
+            with pytest.raises(SingularMatrixError):
+                square.inverse()
+
+
+def test_kernel_errors_unchanged():
+    with pytest.raises(ValueError, match=r"^row 0x8 does not fit in 3 columns$"):
+        F2Matrix((1, 8, 16), 3)
+    with pytest.raises(ValueError, match=r"^row -0x1 does not fit in 3 columns$"):
+        F2Matrix((2, -1), 3)
+    with pytest.raises(ValueError, match=r"^row 0x1 does not fit in 0 columns$"):
+        F2Matrix((0, 1), 0)
+    with pytest.raises(ValueError, match=r"^negative column count$"):
+        F2Matrix((), -1)
+    with pytest.raises(DimensionMismatch, match=r"^inner dimensions 3 != 4$"):
+        F2Matrix.identity(3) @ F2Matrix.identity(4)
+    with pytest.raises(DimensionMismatch, match=r"^inner dimensions 0 != 2$"):
+        F2Matrix((), 0) @ F2Matrix.zero(2, 2)
+    with pytest.raises(DimensionMismatch, match=r"^matrix cols 3 != vector length 2$"):
+        F2Matrix.identity(3).mul_vec(F2Vector(0, 2))
+    with pytest.raises(DimensionMismatch, match=r"^inverse of a non-square matrix$"):
+        F2Matrix.zero(2, 3).inverse()
+    with pytest.raises(DimensionMismatch):
+        F2Matrix.identity(3).conjugates(F2Matrix.identity(3), F2Matrix.identity(2))

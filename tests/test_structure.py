@@ -128,6 +128,7 @@ ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", 
 DD = SRC / "dd.py"
 DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")
 DD_ORACLE_NAMES = {"isometries"}
+DD_CLOSURE_NAMES = {"orbit", "involutive_isometries"}
 
 
 def _oracle_references(path: pathlib.Path, roots=PRODUCTION_ROOTS, oracle_names=ORACLE_NAMES):
@@ -163,6 +164,11 @@ def test_enumeration_path_stays_off_the_oracle():
     # the DD classes come from the involution search; enumerating the whole
     # isometry group is the conjugacy oracle's job
     assert _oracle_references(DD, DD_PRODUCTION_ROOTS, DD_ORACLE_NAMES) == []
+    # and the conjugacy oracle stays a scan of the whole group, reading
+    # neither the involution search nor the orbit closure that it checks
+    assert _oracle_references(DD, ("conjugacy_oracle",), DD_ORACLE_NAMES | DD_CLOSURE_NAMES) == [
+        ("conjugacy_oracle", "isometries")
+    ]
 
 
 def test_oracle_reference_check_follows_calls(tmp_path):

@@ -56,10 +56,18 @@ class BilinearSpace:
         return v.dot(self.gram.mul_vec(w))
 
 
-@lru_cache(maxsize=64)
 def omega_vector(space: BilinearSpace) -> F2Vector:
-    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G).
-    Remembered for the last 64 spaces, since every mirror needs it."""
+    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G)."""
+    return _omega_vector(space)
+
+
+# Spaces whose Omega `_omega_vector` remembers, since every mirror needs it;
+# the DD oracle's O(2..6, 2), Sp(2, 2) and Sp(4, 2) are seven.
+_OMEGA_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_OMEGA_CACHE_SIZE)
+def _omega_vector(space: BilinearSpace) -> F2Vector:
     return space.gram.inverse().mul_vec(space.gram.diag())
 
 

@@ -117,7 +117,7 @@ class Action:
         return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))
 
     def is_trivial(self) -> bool:
-        return self.word.is_trivial()
+        return self.taxonomy is None
 
     def __repr__(self) -> str:
         return f"Action({format_word(self.word)} on {self.surface.name})"

@@ -348,22 +348,31 @@ _BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
 # the words with beta <= 12 and each op count <= 2 name 61 tokens.
 _BASE_CACHE_SIZE = 256
 _OP_RE = re.compile(rf"(\d*)({'|'.join(_OP_NAMES)})")
+# Distinct op tokens remembered by `_parse_op`, as written (surrounding
+# whitespace included); the same words spell their ops with 12 tokens.
+_OP_CACHE_SIZE = 256
+# Distinct words remembered by `_word`, keyed by base token and op counts, so
+# every spelling of a word shares one frozen, validated `SurgeryWord`; the
+# same words are 2,687.
+_WORD_CACHE_SIZE = 4096
 
 
 def parse_word(text: str) -> SurgeryWord:
-    """Parse ``BASE(+COUNT?OP)*``, e.g. ``S2a+2DCC+3S10AT+S11AT+2FM``."""
+    """Parse ``BASE(+COUNT?OP)*``, e.g. ``S2a+2DCC+3S10AT+S11AT+2FM``.
+    A bad base is reported before a bad op, and a bad op before a bad count."""
     parts = text.strip().split("+")
-    if not parts or not parts[0]:
+    token = parts[0].strip()
+    if not token:
         raise WordSyntaxError(f"empty word {text!r}")
-    base = _parse_base(parts[0].strip())
     counts = [0] * len(_OP_NAMES)
     for part in parts[1:]:
-        m = _OP_RE.fullmatch(part.strip())
-        if not m:
-            raise WordSyntaxError(f"bad operation token {part!r}")
-        count, name = m.groups()
-        counts[_OP_SLOTS[name]] += int(count) if count else 1
-    return SurgeryWord(base, *counts)
+        try:
+            slot, count = _parse_op(part)
+        except ValueError:
+            _parse_base(token)
+            raise
+        counts[slot] += count
+    return _word(token, *counts)
 
 
 @functools.lru_cache(maxsize=_BASE_CACHE_SIZE)
@@ -374,6 +383,23 @@ def _parse_base(token: str) -> BaseSpace:
         raise WordSyntaxError(f"bad base token {token!r}")
     _, converters, factory = syntax
     return factory(*[convert(arg) for convert, arg in zip(converters, m.groups())])
+
+
+@functools.lru_cache(maxsize=_OP_CACHE_SIZE)
+def _parse_op(part: str) -> Tuple[int, int]:
+    """(slot, count) of one op token such as ``2DCC``."""
+    m = _OP_RE.fullmatch(part.strip())
+    if not m:
+        raise WordSyntaxError(f"bad operation token {part!r}")
+    count, name = m.groups()
+    return _OP_SLOTS[name], int(count) if count else 1
+
+
+@functools.lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _word(token: str, *counts: int) -> SurgeryWord:
+    """The word on a base token with the six op counts; the base and the
+    word's own checks (the FM bound among them) run on its first build."""
+    return SurgeryWord(_parse_base(token), *counts)
 
 
 def word_text(token: str, counts: Tuple[int, int, int, int, int, int]) -> str:

@@ -404,6 +404,18 @@ def test_from_word_memo_is_bounded():
     assert info.maxsize == info.currsize == 4096
 
 
+def test_action_is_trivial_agrees_with_the_word(query_universe):
+    # an action answers from its own taxonomy, which only the trivial action lacks
+    for name in [f"T{g}" for g in range(9)] + [f"N{r}" for r in range(1, 21)]:
+        for a in actions_on(name):
+            assert a.is_trivial() == a.word.is_trivial(), a
+    trivial = 0
+    for w in query_universe:
+        assert Action.from_word(w).is_trivial() == w.is_trivial(), w
+        trivial += w.is_trivial()
+    assert trivial == 19
+
+
 def test_dd_separates_the_free_base_families():
     for r in (6, 8, 10, 12):
         for c in range(1, r // 2 - 1):

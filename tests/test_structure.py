@@ -2,6 +2,7 @@
 and the benchmark worker's calls into the package still bind."""
 
 import ast
+import functools
 import importlib
 import inspect
 import pathlib
@@ -9,6 +10,7 @@ import pathlib
 import pytest
 
 import c2surf
+from c2surf import classify, words
 
 MODULES = ("f2", "bilinear", "dd", "orbits", "words", "classify", "counting", "gl2", "cli")
 SRC = pathlib.Path(c2surf.__file__).parent
@@ -280,3 +282,50 @@ def test_unbounded_cache_check_sees_every_form(tmp_path):
         (13, "_WORD_CACHE"),
         (14, "_ISOMETRY_CACHE"),
     ]
+
+
+def _plain(obj) -> bool:
+    """A plain function or a class: what the benchmark tracer can rebind."""
+    return inspect.isfunction(obj) or inspect.isclass(obj)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_callables_are_plain(name):
+    # the per-layer metrics trace each public name by rebinding its function;
+    # a decorator's wrapper (an lru_cache) there would lose the span, so a
+    # memo sits behind a plain function instead
+    mod = importlib.import_module(f"c2surf.{name}")
+    public = [(n, getattr(mod, n)) for n in getattr(mod, "__all__", ())]
+    assert [n for n, obj in public if callable(obj) and not _plain(obj)] == []
+
+
+def test_plain_callable_check_sees_a_memo_wrapper():
+    assert _plain(_plain) and _plain(pathlib.Path)
+    assert not _plain(functools.lru_cache(maxsize=2)(_plain))
+
+
+def _declared_memos(module):
+    """name -> memo for every function a module's source puts under an
+    ``lru_cache`` decorator, at module level or in a class body."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    scopes = [("", module, tree.body)]
+    scopes += [(f"{node.name}.", getattr(module, node.name), node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+    found = {}
+    for prefix, owner, body in scopes:
+        for node in body:
+            if isinstance(node, ast.FunctionDef) and any("lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                obj = vars(owner)[node.name]
+                found[f"{module.__name__}.{prefix}{node.name}"] = getattr(obj, "__func__", obj)
+    return found
+
+
+def test_word_memos_start_empty(word_memos):
+    # every memo the word path declares is one that conftest empties, so each
+    # test starts with all of them holding nothing, a memo added later too
+    declared = {**_declared_memos(words), **_declared_memos(classify)}
+    assert {
+        "c2surf.words._parse_base", "c2surf.words._parse_op", "c2surf.words._word",
+        "c2surf.classify.Action.from_word",
+    } <= set(declared)
+    assert [name for name, memo in declared.items() if not any(memo is m for m in word_memos)] == []
+    assert {name: memo.cache_info().currsize for name, memo in declared.items() if memo.cache_info().currsize} == {}

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,8 @@ from c2surf.words import (
     SurgeryWord,
     WordSyntaxError,
     _parse_base,
+    _parse_op,
+    _word,
     beta,
     epsilon,
     fixed_data,
@@ -107,12 +112,16 @@ def test_parse_accepts_any_op_order_and_merges():
     assert parse_word("S2a+S10AT+2DCC+S10AT") == parse_word("S2a+2DCC+2S10AT")
 
 
+SYNTAX_ERRORS = ("", "S2b", "S2a+3XYZ", "Tspit(2)", "Triv(K3)", "S2a++DCC")
+BASE_SYNTAX_ERRORS = ("Tanti(1,2)", "S2a(1)", "Tanti", "Trefl(3)", "S2a()", "Triv(3)", "Tanti(N3)")
+
+
 def test_parse_errors():
-    for bad in ("", "S2b", "S2a+3XYZ", "Tspit(2)", "Triv(K3)", "S2a++DCC"):
+    for bad in SYNTAX_ERRORS:
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
     # each base takes exactly its declared parameters, each of its own kind
-    for bad in ("Tanti(1,2)", "S2a(1)", "Tanti", "Trefl(3)", "S2a()", "Triv(3)", "Tanti(N3)"):
+    for bad in BASE_SYNTAX_ERRORS:
         with pytest.raises(WordSyntaxError, match="bad base token"):
             parse_word(bad)
 
@@ -136,6 +145,89 @@ def test_parse_memo_is_bounded():
         assert parse_word(f"Tanti({g})").base == BaseSpace.tanti(g)
     info = _parse_base.cache_info()
     assert info.maxsize == 256 and info.currsize == 256 and info.misses == 300
+    # 5,000 distinct op tokens make 5,000 distinct words
+    for k in range(5000):
+        assert parse_word(f"S2a+{k}DCC").dcc == k
+    ops, built = _parse_op.cache_info(), _word.cache_info()
+    assert ops.maxsize == ops.currsize == 256 and ops.misses == 5000
+    assert built.maxsize == built.currsize == 4096 and built.misses == 5300
+
+
+_OPS = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
+_REFERENCE_OP_RE = re.compile(rf"(\d*)({'|'.join(_OPS)})")
+
+
+def reference_parse(text: str) -> SurgeryWord:
+    """The parser without the op and word memos: the base token, then each op
+    token in turn, then a new word."""
+    parts = text.strip().split("+")
+    if not parts or not parts[0]:
+        raise WordSyntaxError(f"empty word {text!r}")
+    base = _parse_base.__wrapped__(parts[0].strip())
+    counts = [0] * len(_OPS)
+    for part in parts[1:]:
+        m = _REFERENCE_OP_RE.fullmatch(part.strip())
+        if not m:
+            raise WordSyntaxError(f"bad operation token {part!r}")
+        count, name = m.groups()
+        counts[_OPS.index(name)] += int(count) if count else 1
+    return SurgeryWord(base, *counts)
+
+
+def _spellings(rng: random.Random, word: SurgeryWord):
+    """Three seeded spellings of a word: its ops shuffled; each count split in
+    two (a part may be 0 or 1, written bare or with its count); and the
+    shuffled spelling with whitespace around every token."""
+    ops = [(name, count) for name, count in zip(_OPS, word.op_counts) if count]
+    rng.shuffle(ops)
+    shuffled = [name if count == 1 else f"{count}{name}" for name, count in ops]
+    split = []
+    for name, count in ops:
+        first = rng.randint(0, count)
+        split += [f"{first}{name}", name if count - first == 1 else f"{count - first}{name}"]
+    rng.shuffle(split)
+    blanks = ("", " ", "\t", "  ", "\n ")
+    spaced = [f"{rng.choice(blanks)}{token}{rng.choice(blanks)}" for token in (word.base.token(), *shuffled)]
+    return ["+".join([word.base.token(), *shuffled]), "+".join([word.base.token(), *split]), "+".join(spaced)]
+
+
+def test_parse_matches_the_reference_parser(query_universe):
+    # every spelling of every query word parses as the reference parser reads
+    # it, and all spellings of one word share the word built first
+    rng = random.Random(14)
+    for word in query_universe:
+        texts = [format_word(word), *_spellings(rng, word)]
+        parsed = [parse_word(text) for text in texts]
+        for text, got in zip(texts, parsed):
+            assert got == reference_parse(text) == word, text
+            assert got is parsed[0], text
+    info = _word.cache_info()
+    assert info.misses == len(query_universe) == 2687
+    assert info.hits == 3 * len(query_universe)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_parse_errors_match_the_reference_parser():
+    # the same exception, type and message, as the reference parser, on every
+    # parse: the base is reported before a bad op, a bad op before a bad count
+    failing = SYNTAX_ERRORS + BASE_SYNTAX_ERRORS + (
+        "Trot(2)", "Tspit(0,4)", "Trefl(2,2)", "S22+3FM", "S21+FM", "Triv(T2)+DCC", "  +DCC", "S2a+DCC+",
+        "S2a+2 DCC", "S2a+-1DCC", "Tanti(x)+XYZ", "Trot(2)+XYZ", "S2b+DCC+3FM", "S22+3FM+XYZ", "S2a+DCC+XYZ+ABC",
+    )
+    for text in failing:
+        expected = _outcome(reference_parse, text)
+        assert isinstance(expected, tuple), text
+        for _ in range(3):
+            assert _outcome(parse_word, text) == expected, text
+    assert _outcome(parse_word, "Tanti(x)+XYZ") == (WordSyntaxError, "bad base token 'Tanti(x)'")
+    assert _outcome(parse_word, "Trot(2)+XYZ") == (InvalidWordError, "rotation bases need odd genus")
+    assert _outcome(parse_word, "S22+3FM+XYZ") == (WordSyntaxError, "bad operation token 'XYZ'")
 
 
 def test_spit_and_reflection_parameters_round_trip():

@@ -2,17 +2,17 @@
 
 Besides +-I, every involution has the shape [[a, b], [c, -a]] with
 a^2 + bc = 1 and determinant -1.  Such a matrix is conjugate to
-S = diag(1, -1) exactly when b and c are both even (the parity of the
-off-diagonal entries is preserved by conjugation by elementary matrices),
-and otherwise to the swap matrix T.  ``gl2_reduce`` returns a conjugator P
-with P^-1 R P = M for the class representative R.
+S = diag(1, -1) exactly when b and c are both even, and otherwise to the
+swap matrix T.  ``gl2_reduce`` finds the conjugator for either class with
+one Euclidean walk of elementary conjugations, which keep the parity of
+the off-diagonal entries, and returns a checked P with P^-1 R P = M for
+the class representative R.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, Tuple
 
 
@@ -49,9 +49,6 @@ class IntMatrix2:
             return IntMatrix2(-self.d, self.b, self.c, -self.a)
         raise ValueError(f"matrix with determinant {det} is not invertible over Z")
 
-    def conjugated_by(self, q: "IntMatrix2") -> "IntMatrix2":
-        return q.inverse() @ self @ q
-
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -63,8 +60,6 @@ I2 = IntMatrix2(1, 0, 0, 1)
 NEG_I2 = IntMatrix2(-1, 0, 0, -1)
 S_REP = IntMatrix2(1, 0, 0, -1)
 T_REP = IntMatrix2(0, 1, 1, 0)
-_SWAP = T_REP
-_FLIP = IntMatrix2(-1, 0, 0, 1)
 
 
 def gl2_is_involution(m: IntMatrix2) -> bool:
@@ -84,109 +79,69 @@ def gl2_class(m: IntMatrix2) -> Gl2Class:
     return Gl2Class.T_CLASS
 
 
-def _lower(lam: int) -> IntMatrix2:
-    return IntMatrix2(1, 0, lam, 1)
-
-
-def _upper(lam: int) -> IntMatrix2:
-    return IntMatrix2(1, lam, 0, 1)
-
-
-def _coprime_part(x: int, m: int) -> int:
-    """Largest divisor of x built from primes dividing m (both positive)."""
-    part = 1
-    g = gcd(x, m)
-    while g > 1:
-        part *= g
-        x //= g
-        g = gcd(x, m)
-    return part
-
-
-def _s_witness(m: IntMatrix2) -> IntMatrix2:
-    """P with P^-1 S P = m, via splitting n(n+1) = -b'c' across a 2x2 frame.
-
-    Writing a = 2n+1, b = 2b', c = 2c', any w, x, y, z with w x = n + 1,
-    y z = n and w y = b' automatically satisfy x z = -c' and det = 1, and
-    conjugating S by [[x, y], [z, w]] produces m.  Consecutive integers are
-    coprime, so each prime power of b' belongs to n or to n+1 outright.
-    """
-    n = (m.a - 1) // 2
-    bp, cp = m.b // 2, m.c // 2
-    if n == 0:
-        p = IntMatrix2(1, bp, 0, 1) if cp == 0 else IntMatrix2(1, 0, -cp, 1)
-    elif n == -1:
-        p = IntMatrix2(0, 1, -1, bp) if cp == 0 else IntMatrix2(cp, 1, -1, 0)
-    else:
-        u = _coprime_part(abs(bp), abs(n + 1))
-        w = u
-        x = ((n + 1) // u) if n + 1 > 0 else -((-(n + 1)) // u)
-        y = (abs(bp) // u) * (1 if bp > 0 else -1)
-        if n % y:
-            raise AssertionError(f"factor split failed for {m!r}")
-        z = n // y
-        p = IntMatrix2(x, y, z, w)
-    if p.inverse() @ S_REP @ p != m:
-        raise AssertionError(f"witness construction failed for {m!r}")
-    return p
-
-
-def _t_witness(m: IntMatrix2) -> IntMatrix2:
-    """P with P^-1 T P = m, accumulated from elementary conjugation steps.
-
-    Conjugation by lower/upper elementary matrices moves the corner entry by
-    multiples of the off-diagonal ones, so a Euclidean walk shrinks |a| to at
-    most 1; the leftover cases reach the swap matrix in two more steps.  Each
-    Euclidean step takes the whole quotient, leaving |a| mod |b| (or mod |c|),
-    which is below |a| / 2, so the walk takes O(log |a|) steps.
-    """
-    cur = m
-    conj = I2  # product of the step conjugators; cur == conj^-1 @ m @ conj
-
-    def step(q: IntMatrix2) -> None:
-        nonlocal cur, conj
-        cur = cur.conjugated_by(q)
-        conj = conj @ q
-
-    while cur != T_REP:
-        a, b, c = cur.a, cur.b, cur.c
-        if a == 0:
-            step(_FLIP)  # cur is -T; negating the off-diagonal fixes it
-        elif abs(a) > 1:
-            if b != 0 and abs(b) <= abs(a):
-                q = abs(a) // abs(b)
-                step(_lower(-q if a * b > 0 else q))  # a -> a + lam b
-            else:
-                # a^2 + bc = 1 with |b| > |a| > 1 gives 0 < |c| < |a|
-                q = abs(a) // abs(c)
-                step(_upper(q if a * c > 0 else -q))  # a -> a - lam c
-        elif a == -1:
-            step(_SWAP)
-        else:  # a == 1 and bc = 0 with the nonzero off-diagonal entry odd
-            if b == 0 and c == 0:
-                raise AssertionError("S landed in the T reduction")
-            if c == 0:
-                step(_upper((1 - b) // 2) if b != 1 else _lower(-1))
-            else:
-                step(_lower((c - 1) // 2) if c != 1 else _upper(1))
-
-    p = conj.inverse()
-    if p.inverse() @ T_REP @ p != m:
-        raise AssertionError(f"witness construction failed for {m!r}")
-    return p
+def _step(state: Tuple[int, ...], kind: str, lam: int = 0) -> Tuple[int, ...]:
+    """One step of ``gl2_reduce``'s walk, whose state (a, b, c, w, x, y, z)
+    holds cur = [[a, b], [c, -a]] and conj = [[w, x], [y, z]] with
+    cur == conj^-1 @ m @ conj: conjugate cur by the step matrix Q and make
+    conj @ Q the new conj.  Q is lower(lam) = [[1, 0], [lam, 1]], upper(lam)
+    = [[1, lam], [0, 1]], the swap T or the flip diag(-1, 1)."""
+    a, b, c, w, x, y, z = state
+    if kind == "lower":
+        return (a + lam * b, b, c - 2 * lam * a - lam * lam * b, w + lam * x, x, y + lam * z, z)
+    if kind == "upper":
+        return (a - lam * c, b + 2 * lam * a - lam * lam * c, c, w, x + lam * w, y, z + lam * y)
+    if kind == "swap":
+        return (-a, c, b, x, w, z, y)
+    return (a, -b, -c, -w, x, -y, z)  # the flip
 
 
 def gl2_reduce(m: IntMatrix2) -> Tuple[Gl2Class, IntMatrix2]:
-    """Class representative and a verified conjugator for a non-central
-    involution of determinant -1."""
+    """Class representative R and a verified conjugator P with P^-1 R P = m,
+    for a non-central involution of determinant -1.
+
+    A Euclidean walk of elementary conjugations shrinks the corner entry of
+    cur = [[a, b], [c, -a]].  Each step takes the whole quotient, leaving
+    |a| mod |b| (or mod |c|), which is below |a| / 2, so the walk takes
+    O(log |a|) steps.  Once |a| <= 1 at most three more steps reach S or T:
+    conjugation keeps the parity of b and c, so the walk ends at the
+    representative that parity names.
+    """
     cls = gl2_class(m)
     if cls in (Gl2Class.ID, Gl2Class.NEG_ID):
         raise ValueError("central involutions admit no reduction")
     if m.det() != -1:
         raise AssertionError("non-central involutions have determinant -1")
-    if cls == Gl2Class.S_CLASS:
-        return cls, _s_witness(m)
-    return cls, _t_witness(m)
+    rep = S_REP if cls is Gl2Class.S_CLASS else T_REP
+    state = (m.a, m.b, m.c, 1, 0, 0, 1)
+    while state[:3] != (rep.a, rep.b, rep.c):
+        a, b, c = state[:3]
+        if a == 0:
+            state = _step(state, "flip")  # cur is -T; negating the off-diagonal fixes it
+        elif abs(a) > 1:
+            if b != 0 and abs(b) <= abs(a):
+                q = abs(a) // abs(b)
+                state = _step(state, "lower", -q if a * b > 0 else q)  # a -> a + lam b
+            else:
+                # a^2 + bc = 1 with |b| > |a| > 1 gives 0 < |c| < |a|
+                q = abs(a) // abs(c)
+                state = _step(state, "upper", q if a * c > 0 else -q)  # a -> a - lam c
+        elif a == -1:
+            state = _step(state, "swap")
+        elif (b % 2 == 0 and c % 2 == 0) != (rep is S_REP):
+            raise AssertionError(f"conjugation changed the parity of b and c for {m!r}")
+        elif rep is S_REP:  # a == 1, so bc = 0: clear the even entry
+            state = _step(state, "upper", -b // 2) if c == 0 else _step(state, "lower", c // 2)
+        elif c == 0:  # a == 1 and bc = 0 with the nonzero off-diagonal entry odd
+            state = _step(state, "upper", (1 - b) // 2) if b != 1 else _step(state, "lower", -1)
+        else:
+            state = _step(state, "lower", (c - 1) // 2) if c != 1 else _step(state, "upper", 1)
+
+    _, _, _, w, x, y, z = state
+    det = w * z - x * y  # +-1
+    p = IntMatrix2(det * z, -det * x, -det * y, det * w)  # conj^-1
+    if p.inverse() @ rep @ p != m:
+        raise AssertionError(f"witness construction failed for {m!r}")
+    return cls, p
 
 
 # ---------------------------------------------------------------------------

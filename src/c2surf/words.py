@@ -69,7 +69,7 @@ class Surface:
 
     @classmethod
     def parse(cls, text: str) -> "Surface":
-        m = re.fullmatch(r"([TN])(\d+)", text)
+        m = re.fullmatch(r"([TN])([0-9]+)", text)
         if not m:
             raise WordSyntaxError(f"bad surface spec {text!r}")
         try:
@@ -333,10 +333,18 @@ def epsilon(w: SurgeryWord) -> Epsilon:
 # text form
 
 
+def _number(digits: str) -> int:
+    """A count or base parameter; one too long for `int` is a syntax error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise WordSyntaxError(str(exc)) from exc
+
+
 def _base_syntax(kind: BaseKind):
     """(pattern, parameter converters, factory) of a base token, read off its
     declaration: a surface name for Triv's parameter, a number for the others."""
-    params = [(r"([TN]\d+)", Surface.parse) if p == "surface" else (r"(\d+)", int) for p in kind.params]
+    params = [(r"([TN][0-9]+)", Surface.parse) if p == "surface" else (r"([0-9]+)", _number) for p in kind.params]
     args = ",".join(pattern for pattern, _ in params)
     pattern = re.compile(rf"{kind.value}\({args}\)" if params else kind.value)
     return pattern, [convert for _, convert in params], getattr(BaseSpace, kind.name.lower().replace("_", ""))
@@ -347,7 +355,7 @@ _BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
 # validated on its first parse, so later parses of the same token share it;
 # the words with beta <= 12 and each op count <= 2 name 61 tokens.
 _BASE_CACHE_SIZE = 256
-_OP_RE = re.compile(rf"(\d*)({'|'.join(_OP_NAMES)})")
+_OP_RE = re.compile(rf"([0-9]*)({'|'.join(_OP_NAMES)})")
 # Distinct op tokens remembered by `_parse_op`, as written (surrounding
 # whitespace included); the same words spell their ops with 12 tokens.
 _OP_CACHE_SIZE = 256
@@ -392,7 +400,7 @@ def _parse_op(part: str) -> Tuple[int, int]:
     if not m:
         raise WordSyntaxError(f"bad operation token {part!r}")
     count, name = m.groups()
-    return _OP_SLOTS[name], int(count) if count else 1
+    return _OP_SLOTS[name], _number(count) if count else 1
 
 
 @functools.lru_cache(maxsize=_WORD_CACHE_SIZE)

@@ -260,6 +260,33 @@ def test_inv_answers_long_op_runs(text, normal):
     assert format_word(normalize(parse_word(text))) == normal
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["inv", "S2a+٢DCC"], "error: bad operation token '٢DCC'\n"),  # an Arabic-Indic two
+        (["inv", "Tanti(٢)"], "error: bad base token 'Tanti(٢)'\n"),
+        (["enumerate", "N٢"], "error: bad surface spec 'N٢'\n"),
+        (["count", "N٣"], "error: bad surface spec 'N٣'\n"),
+    ],
+    ids=["inv-op", "inv-base", "enumerate", "count"],
+)
+def test_non_ascii_digits_are_syntax_errors(argv, err):
+    assert run(argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("text", ["S2a+{}DCC", "Tanti({})", "Triv(N{})"])
+def test_oversized_numbers_are_syntax_errors(text):
+    # 5,000 digits is past the interpreter's limit for int() of a string
+    # (4,300 digits; 3.10 words the message without "digits")
+    with start_cli(["inv", text.format("1" * 5000)]) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1  # no traceback
+
+
 def test_inv_rewrite_fuse_exits_4(monkeypatch):
     monkeypatch.setattr(words, "_NORMALIZE_FUSE", 1)
     code, out, err = run(["inv", "S2a+DCC+20000DT"])

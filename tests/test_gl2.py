@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from c2surf import gl2
 from c2surf.gl2 import (
     Gl2Class,
     I2,
@@ -53,9 +54,20 @@ def test_reduce_spot_values():
     assert p == IntMatrix2(1, 0, 1, 1)
     cls, p = gl2_reduce(T_REP)
     assert cls == Gl2Class.T_CLASS and p == I2
-    cls, p = gl2_reduce(IntMatrix2(3, 2, -4, -3))  # n=1, b'=1, c'=-2
+    cls, p = gl2_reduce(IntMatrix2(3, 2, -4, -3))
     assert cls == Gl2Class.S_CLASS
     assert p.inverse() @ S_REP @ p == IntMatrix2(3, 2, -4, -3)
+    # pinned T witnesses, so the walk's step choices cannot drift: T conjugated
+    # by upper/lower(+-10^12), then seeded conjugates from the query benchmark
+    for q in (UPPER(10**12), LOWER(10**12), UPPER(-(10**12)), LOWER(-(10**12))):
+        assert gl2_reduce(q.inverse() @ T_REP @ q) == (Gl2Class.T_CLASS, q)
+    for m, witness in [
+        (IntMatrix2(1427, -527, 3864, -1427), IntMatrix2(-19, 7, -65, 24)),
+        (IntMatrix2(6, 1, -35, -6), IntMatrix2(1, 0, 6, 1)),
+        (IntMatrix2(19, -24, 15, -19), IntMatrix2(-1, 1, -4, 5)),
+        (IntMatrix2(3, -8, 1, -3), IntMatrix2(1, -3, 0, 1)),
+    ]:
+        assert gl2_reduce(m) == (Gl2Class.T_CLASS, witness)
     with pytest.raises(ValueError):
         gl2_reduce(I2)
 
@@ -73,28 +85,31 @@ def test_reduce_witnesses_verify():
 
 
 def test_t_witness_walk_is_logarithmic(monkeypatch):
-    # T conjugated by upper(lam) or lower(lam) has entries near lam^2; the walk
-    # must shrink the corner entry by whole quotients, not by one step per
-    # unit, so it stays within 2 log2(largest entry) + 4 conjugation steps
+    # S and T conjugated by upper(lam), lower(lam) or their product have
+    # entries up to about lam^4; the walk must shrink the corner entry by whole
+    # quotients, not by one step per unit, so it stays within
+    # 2 log2(largest entry) + 4 steps
     limit = [0]
     steps = []
-    conjugated_by = IntMatrix2.conjugated_by
+    step = gl2._step
 
-    def counted(m, q):
-        steps.append(q)
+    def counted(state, kind, lam=0):
+        steps.append(kind)
         if len(steps) > limit[0]:
             raise AssertionError(f"more than {limit[0]} steps")
-        return conjugated_by(m, q)
+        return step(state, kind, lam)
 
-    monkeypatch.setattr(IntMatrix2, "conjugated_by", counted)
-    for lam in (10**12, -(10**12)):
-        for q in (UPPER(lam), LOWER(lam)):
-            m = q.inverse() @ T_REP @ q
-            limit[0] = 2 * math.log2(max(abs(x) for x in m.entries())) + 4
-            steps.clear()
-            cls, p = gl2_reduce(m)
-            assert cls == Gl2Class.T_CLASS
-            assert p.inverse() @ T_REP @ p == m
+    monkeypatch.setattr(gl2, "_step", counted)
+    for rep in (S_REP, T_REP):
+        for lam in (10**12, -(10**12)):
+            for q in (UPPER(lam), LOWER(lam), UPPER(lam) @ LOWER(lam)):
+                m = q.inverse() @ rep @ q
+                limit[0] = 2 * math.log2(max(abs(x) for x in m.entries())) + 4
+                steps.clear()
+                cls, p = gl2_reduce(m)
+                assert steps, "the walk took no counted step"
+                assert cls == (Gl2Class.S_CLASS if rep == S_REP else Gl2Class.T_CLASS)
+                assert p.inverse() @ rep @ p == m
 
 
 def test_parity_preserved_by_relations():

@@ -5,18 +5,17 @@ Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  A rule table gives each taxonomy cell its classes,
 each with its sign, word (base and op counts), separation invariant and DD:
 `_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
-(`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`,
-one cell (`cell_words`) and the rows of `taxonomy_cells`, which give the
-appendix tables and the printed lines; a `SurgeryWord` is built only where a
-word is asked for.
+(`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`
+and the rows of `taxonomy_cells`, which give the appendix tables and the
+printed lines; a `SurgeryWord` is built only where a word is asked for.
 `Action.from_word` re-derives the same invariants from any word; it is the
 oracle that checks the table, and the path of `inv` and the decision procedure,
 where a bounded memo derives each distinct word once.
 On orientable surfaces the signed taxonomy is already a complete invariant; on
 non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
 where the separation invariant and the double Dickson invariant finish the
-job.  So `dd_of_word` rewrites a word (`normalize`) only on that taxonomy and
-on the Klein bottle.
+job.  So `dd_of_word` rewrites a word (`normalize`) only on that taxonomy; on
+the Klein bottle every other class has its own signed taxonomy, which keys its DD.
 """
 
 from __future__ import annotations
@@ -132,12 +131,12 @@ _T1, _N2 = Surface(True, 1), Surface(False, 2)
 # Antipodal sphere or torus with C trivial-circle antitubes: the induced map
 # is a single symplectic transvection block, independent of C.
 _TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
-# The Klein-bottle involutions outside the crosscap families, keyed by
-# normalized word text.
-_KLEIN_DD: Dict[str, DDTuple] = {
-    "S2a+S11AT": DDTuple(1, 0, 0, 1),
-    "S22+S10AT": DDTuple(0, 1, 1, 0),
-    "S22+2FM": DDTuple(0, 1, 1, 0),
+# The Klein-bottle involutions outside the crosscap families (S2a+S11AT,
+# S22+S10AT and S22+2FM), keyed by signed taxonomy, which is complete there.
+_KLEIN_DD: Dict[Taxonomy, DDTuple] = {
+    Taxonomy(2, 0, 0, Sign.MINUS): DDTuple(1, 0, 0, 1),
+    Taxonomy(2, 1, 0, Sign.PLUS): DDTuple(0, 1, 1, 0),
+    Taxonomy(0, 0, 2, Sign.PLUS): DDTuple(0, 1, 1, 0),
 }
 
 
@@ -164,8 +163,10 @@ def dd_of_word(
     Covered: trivial actions; everything on S^2, RP^2, T_1, and the Klein
     bottle; and the crosscap families S2a/Tanti(1) + k DCC + C S10AT and
     S21 + k DCC, where the crosscap pairs enter through the direct-sum rule.
-    Only Klein-bottle words and [0,C:(C,0),-] words are normalized: every
-    family word has that taxonomy, and `normalize` keeps surface and taxonomy.
+    On T_1 and, outside [0,C:(C,0),-], on the Klein bottle the signed
+    taxonomy alone gives the DD.  Only [0,C:(C,0),-] words are normalized:
+    every family word has that taxonomy, and `normalize` keeps surface and
+    taxonomy.
     """
     surf = surf or underlying_surface(w)
     if w.is_trivial():
@@ -180,8 +181,8 @@ def dd_of_word(
         if tax == Taxonomy(0, 1, 0, Sign.MINUS):
             return _TUBE_FAMILY_DD[BaseKind.S2A]
         return _ZERO_DD
-    if not (tax.ambiguous() or surf == _N2):
-        return None
+    if not tax.ambiguous():
+        return _KLEIN_DD.get(tax) if surf == _N2 else None
     w = normalize(w)
     kind, c = w.base.kind, w.s10at
     family = (
@@ -191,8 +192,6 @@ def dd_of_word(
     )
     if family and not (w.dt or w.s11at or w.s1aat or w.fm):
         return _family_dd(kind, c, w.dcc)
-    if surf == _N2:
-        return _KLEIN_DD.get(format_word(w))
     return None
 
 
@@ -215,16 +214,17 @@ def _ovals_epsilon(c: int) -> Epsilon:
     return Epsilon.NON_SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
 
 
-def _low_genus_dd(r: int, base: BaseSpace, counts: _Counts) -> Optional[DDTuple]:
-    """DD of a class outside the crosscap families: derived on N_1 and N_2 only."""
+def _low_genus_dd(r: int, f: int, cp: int, cm: int, q: Sign) -> Optional[DDTuple]:
+    """DD of the class of row (F, C+, C-) and sign q outside the crosscap
+    families: derived on N_1 and N_2 only."""
     if r == 1:
         return _ZERO_DD
-    return _KLEIN_DD.get(word_text(base.token(), counts)) if r == 2 else None
+    return _KLEIN_DD.get(Taxonomy(f, cp, cm, q)) if r == 2 else None
 
 
 def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
     counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
-    return Sign.MINUS, _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, _S2A, counts)
+    return Sign.MINUS, _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, cp, cm, Sign.MINUS)
 
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
@@ -245,12 +245,12 @@ def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
 
 def _spit(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
     base, counts = BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
-    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, base, counts)
+    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
 def _rotation(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
     base, counts = BaseSpace.trot(r // 2 - c), (0, 0, c, 0, 0, 0)
-    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, base, counts)
+    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
 def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
@@ -346,18 +346,6 @@ def taxonomy_cells(surface: Surface) -> Iterator[Tuple[Taxonomy, List[_Text], Li
         yield Taxonomy(f, cp, cm), neg, pos
 
 
-def cell_words(surface: Surface, tax: Taxonomy) -> List[SurgeryWord]:
-    """The words of one taxonomy row of the surface, negative sign first; none
-    if the unsigned taxonomy is not a row.  Its admissibility is exactly the
-    domain `_rule_rows` walks: F + 2C <= beta + 2 with F = C- = beta (mod 2),
-    and on T_g also C- = 0 and F = 0 or C = 0."""
-    r, f, c, cp, cm = surface.beta, tax.f, tax.c, tax.cplus, tax.cminus
-    if not scherrer_admissible(tax.unsigned(), r) or (surface.orientable and (cm or (f and c))):
-        return []
-    rules = _RULES[surface.orientable](r, f, c, cm)
-    return [SurgeryWord(base, *counts) for _, base, counts, _, _ in (rule(r, f, c, cp, cm) for rule in rules)]
-
-
 def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
     """All involutions on the surface, negative sign before positive within
     each row, each built with its invariants straight from its cell rule."""
@@ -414,7 +402,6 @@ __all__ = [
     "dd_of_word",
     "trivial_action",
     "taxonomy_cells",
-    "cell_words",
     "iter_actions",
     "count_actions",
     "decide_isomorphic",

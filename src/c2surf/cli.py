@@ -104,8 +104,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         print("r A B Phi- Phi+ Phi total" if with_total else "r A B Phi- Phi+ Phi")
         for s in surfaces:
             rep = counting.phi_counts(s.genus)
-            if rep.total != counting.total_count(s):
-                raise CliError(f"count mismatch at N{s.genus}", EXIT_VERIFY)
             row = (
                 f"N{rep.r} {rep.A} {rep.B} {rep.phi_minus} {rep.phi_plus} {rep.phi}"
             )
@@ -145,8 +143,6 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_gl2(args: argparse.Namespace) -> int:
     m = gl2.IntMatrix2(args.a, args.b, args.c, args.d)
-    if not gl2.gl2_is_involution(m):
-        raise CliError(f"{m!r} is not an involution", EXIT_DOMAIN)
     cls = gl2.gl2_class(m)
     print(cls.value)
     if cls in (gl2.Gl2Class.S_CLASS, gl2.Gl2Class.T_CLASS):

@@ -169,7 +169,9 @@ def phi_counts(r: int) -> CountReport:
 
 
 def total_count(surface: Surface) -> int:
-    """Number of actions including the trivial one, by closed form."""
+    """Number of actions including the trivial one, by closed form: on T_g
+    the count `c2surf count` prints; on N_r a form independent of
+    `phi_counts`, kept to check it."""
     if surface.orientable:
         return 4 + 2 * surface.genus
     r = surface.genus

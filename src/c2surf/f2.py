@@ -59,10 +59,6 @@ class F2Vector:
     def ones(cls, n: int) -> "F2Vector":
         return cls((1 << n) - 1, n)
 
-    @classmethod
-    def basis(cls, n: int, i: int) -> "F2Vector":
-        return cls(1 << i, n)
-
     @property
     def coords(self) -> Tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))

@@ -16,7 +16,7 @@ import enum
 from typing import Dict, List, Set, Tuple
 
 from .bilinear import standard_space
-from .classify import Taxonomy, cell_words
+from .classify import iter_actions
 from .dd import isometry_generators
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
 from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
@@ -145,9 +145,9 @@ def covers_of(quotient: Surface) -> List[SurgeryWord]:
 
 
 def classify_free_structures(x: Surface) -> List[SurgeryWord]:
-    """All free involutions on the surface itself: the one enumeration cell
-    [0,0:(0,0)], in enumeration order."""
-    return cell_words(x, Taxonomy(0, 0, 0))
+    """All free involutions on the surface itself: the classes of the
+    enumeration with F = C = 0, in enumeration order."""
+    return [a.word for a in iter_actions(x, include_trivial=False) if a.taxonomy.f == a.taxonomy.c == 0]
 
 
 def brute_orbit_partition(kind: str, n: int) -> Dict[int, int]:

@@ -12,7 +12,6 @@ from c2surf.classify import (
     DDUnavailableError,
     Taxonomy,
     _family_dd,
-    cell_words,
     count_actions,
     decide_isomorphic,
     dd_of_word,
@@ -298,6 +297,19 @@ def test_dd_of_word_on_t1_follows_the_signed_taxonomy():
     assert a.dd == b.dd == DDTuple(1, 1, 1, 1)
 
 
+def test_dd_of_word_on_the_klein_bottle_follows_the_signed_taxonomy():
+    # the five nontrivial classes on N_2 have five signed taxonomies, so every
+    # Klein-bottle word of the grammar gets the DD of its enumerated class
+    by_taxonomy = {a.taxonomy: a.dd for a in actions_on("N2", include_trivial=False)}
+    assert len(by_taxonomy) == 5 and None not in by_taxonomy.values()
+    klein = [w for w in _words_up_to(2) if not w.is_trivial() and underlying_surface(w) == Surface(False, 2)]
+    for w in klein:
+        a = Action.from_word(w)
+        assert a.dd == by_taxonomy[a.taxonomy], format_word(w)
+    assert len(klein) == 8
+    assert act("S21+S11AT").dd == act("S22+S10AT").dd == DDTuple(0, 1, 1, 0)
+
+
 def test_dd_of_word_crosscapped_families():
     assert dd_of_word(parse_word("S2a+2DCC+S10AT")) == DDTuple(3, 1, 3, 1)
     assert dd_of_word(parse_word("Tanti(1)+DCC+S10AT")) == DDTuple(3, 1, 2, 1)
@@ -306,8 +318,9 @@ def test_dd_of_word_crosscapped_families():
 
 
 def _normalize_first_dd(w: SurgeryWord):
-    """DD with the rewrite first: the crosscap-family rule or the Klein-bottle
-    lookup on the normal form, for a nontrivial word off S^2, RP^2 and T_1."""
+    """DD with the rewrite first: the crosscap-family rule, or the Klein-bottle
+    lookup by the normal form's signed taxonomy, for a nontrivial word off
+    S^2, RP^2 and T_1."""
     n = normalize(w)
     kind, plain = n.base.kind, not (n.dt or n.s11at or n.s1aat or n.fm)
     if plain and (
@@ -317,13 +330,13 @@ def _normalize_first_dd(w: SurgeryWord):
     ):
         return _family_dd(kind, n.s10at, n.dcc)
     if underlying_surface(w) == Surface(False, 2):
-        return _KLEIN_DD.get(format_word(n))
+        return _KLEIN_DD.get(Taxonomy(*fixed_data(n), q_sign(n)))
     return None
 
 
 def test_dd_gate_loses_no_derived_value():
-    # dd_of_word rewrites only [0,C:(C,0),-] and Klein-bottle words, yet off
-    # S^2, RP^2 and T_1 it gives what rewriting every word first would give
+    # dd_of_word rewrites only [0,C:(C,0),-] words, yet off S^2, RP^2 and
+    # T_1 it gives what rewriting every word first would give
     checked = covered = 0
     for w in _small_words():
         surf = underlying_surface(w)
@@ -333,7 +346,7 @@ def test_dd_gate_loses_no_derived_value():
         assert Action.from_word(w).dd == dd_of_word(w) == want, format_word(w)
         checked += 1
         covered += want is not None
-    assert (checked, covered) == (23_283, 217)
+    assert (checked, covered) == (23_283, 218)
 
 
 def test_from_word_rewrites_only_where_dd_decides(monkeypatch):
@@ -348,8 +361,7 @@ def test_from_word_rewrites_only_where_dd_decides(monkeypatch):
         Action.from_word(w)
     assert reached
     for w in reached:
-        tax = Taxonomy(*fixed_data(w), q_sign(w))
-        assert tax.ambiguous() or underlying_surface(w) == Surface(False, 2), format_word(w)
+        assert Taxonomy(*fixed_data(w), q_sign(w)).ambiguous(), format_word(w)
 
 
 def _words_up_to(max_beta: int):
@@ -523,8 +535,9 @@ def test_taxonomy_cells_row_counts():
 
 
 def test_cell_words_cover_exactly_the_walked_rows():
-    # one cell's words are that row of the walk, and every taxonomy the walk
-    # skips (parity off, F + 2C > beta + 2, on T_g C- > 0 or F, C > 0) has none
+    # the walk has a row for exactly the admissible taxonomies and skips every
+    # other (parity off, F + 2C > beta + 2, on T_g C- > 0 or F, C > 0); the
+    # free involutions are its row [0,0:(0,0)], in order
     surfaces = [Surface(False, r) for r in range(1, 31)] + [Surface(True, g) for g in range(16)]
     for s in surfaces:
         b = s.beta
@@ -535,4 +548,4 @@ def test_cell_words_cover_exactly_the_walked_rows():
                     tax = Taxonomy(f, c - cm, cm)
                     walked = (f - b) % 2 == (cm - b) % 2 == 0 and f + 2 * c <= b + 2
                     assert (tax in rows) == (walked and not (s.orientable and (cm or (f and c)))), (s, tax)
-                    assert [format_word(w) for w in cell_words(s, tax)] == rows.get(tax, []), (s, tax)
+        assert [format_word(w) for w in classify_free_structures(s)] == rows.get(Taxonomy(0, 0, 0), []), s

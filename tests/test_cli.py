@@ -207,6 +207,8 @@ def test_inv_command():
     assert code == 3
     code, _, err = run(["inv", "S2a+3XYZ"])
     assert code == 2
+    code, out, _ = run(["inv", "S21+S11AT"])
+    assert "dd=0,1,1,0" in out.splitlines()
     code, out, _ = run(["inv", "Triv(N5)"])
     assert code == 0
     assert "taxonomy=trivial" in out.splitlines()
@@ -293,6 +295,21 @@ def test_inv_rewrite_fuse_exits_4(monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("error: rewriting did not terminate")
     assert len(err.splitlines()) == 1
+
+
+def test_count_on_n_r_reads_only_phi_counts(monkeypatch):
+    # `count N_r` prints phi_counts; total_count is the oracle that checks it
+    want = run(["count", "N1..N30"])
+    closed = counting.total_count
+
+    def orientable_only(surface):
+        if not surface.orientable:
+            raise AssertionError(f"count read total_count({surface.name})")
+        return closed(surface)
+
+    monkeypatch.setattr(counting, "total_count", orientable_only)
+    assert want[0] == 0 and run(["count", "N1..N30"]) == want
+    assert run(["count", "T0..T3"])[0] == 0
 
 
 def test_count_mismatch_exits_4(monkeypatch):

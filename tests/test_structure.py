@@ -122,11 +122,11 @@ def test_bench_worker_calls_bind():
 CLASSIFY = SRC / "classify.py"
 PRODUCTION_ROOTS = (
     "iter_actions", "taxonomy_cells", "count_actions", "_cell_rules", "_orientable_rules",
-    "_rule_rows", "_classes", "cell_words",
+    "_rule_rows", "_classes",
 )
 CLI = SRC / "cli.py"
 CLI_PRODUCTION_ROOTS = ("cmd_enumerate", "_write_classes", "_lines", "_write_table")
-ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon"}
+ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon", "scherrer_admissible"}
 DD = SRC / "dd.py"
 DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")
 DD_ORACLE_NAMES = {"isometries"}
@@ -187,6 +187,14 @@ def test_oracle_reference_check_follows_calls(tmp_path):
 
 
 ORBITS = SRC / "orbits.py"
+
+
+def test_free_involutions_stay_off_the_taxonomy_bound():
+    # the free involutions and covers take the enumeration's own rows; the
+    # taxonomy bound is the oracle that checks which rows the walk has
+    assert _oracle_references(
+        ORBITS, ("classify_free_structures", "covers_of"), {"cell_words", "scherrer_admissible"}
+    ) == []
 
 
 def _word_constructions(path: pathlib.Path):

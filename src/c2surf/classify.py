@@ -64,9 +64,6 @@ class Taxonomy:
         one signed taxonomy that several classes on N_r share."""
         return self.f == 0 and self.cminus == 0 and self.q == Sign.MINUS
 
-    def unsigned(self) -> "Taxonomy":
-        return Taxonomy(self.f, self.cplus, self.cminus)
-
     def label(self) -> str:
         return f"{self.f},{self.c}:({self.cplus},{self.cminus})"
 

@@ -9,6 +9,7 @@ the reader (128 + SIGPIPE, nothing printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -263,7 +264,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parsing keeps no
+    state in it (each parse returns a fresh namespace, no action appends to a
+    shared default), and building it costs far more than a `count`."""
     parser = argparse.ArgumentParser(
         prog="c2surf",
         description="Involutions on closed surfaces: counting, enumeration, invariants.",
@@ -309,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early fails this flush, not the exit's

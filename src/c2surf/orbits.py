@@ -16,7 +16,7 @@ import enum
 from typing import Dict, List, Set, Tuple
 
 from .bilinear import standard_space
-from .classify import iter_actions
+from .classify import Action, iter_actions
 from .dd import isometry_generators
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
 from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
@@ -141,13 +141,22 @@ def covers_of(quotient: Surface) -> List[SurgeryWord]:
     if b == 0:
         raise ValueError("the sphere is not a free quotient")
     covers = [Surface(True, b - 1)] + ([Surface(False, 2 * b - 2)] if b > 1 else [])
-    return [w for x in covers for w in classify_free_structures(x) if quotient_space(w) == quotient]
+    # each class's quotient read off its own invariants, as `quotient_space` does off the word
+    sign = Sign.PLUS if quotient.orientable else Sign.MINUS
+    return [
+        a.word for x in covers for a in _free_actions(x)
+        if 1 + a.surface.beta // 2 == b and a.taxonomy.q == sign
+    ]
+
+
+def _free_actions(x: Surface) -> List[Action]:
+    return [a for a in iter_actions(x, include_trivial=False) if a.taxonomy.f == a.taxonomy.c == 0]
 
 
 def classify_free_structures(x: Surface) -> List[SurgeryWord]:
     """All free involutions on the surface itself: the classes of the
     enumeration with F = C = 0, in enumeration order."""
-    return [a.word for a in iter_actions(x, include_trivial=False) if a.taxonomy.f == a.taxonomy.c == 0]
+    return [a.word for a in _free_actions(x)]
 
 
 def brute_orbit_partition(kind: str, n: int) -> Dict[int, int]:

@@ -173,7 +173,7 @@ def test_nonorientable_small_contents():
     n4_row = [
         a
         for a in actions_on("N4", include_trivial=False)
-        if a.taxonomy.unsigned() == Taxonomy(0, 1, 0)
+        if (a.taxonomy.f, a.taxonomy.cplus, a.taxonomy.cminus) == (0, 1, 0)
     ]
     assert len(n4_row) == 3
     signs = [a.taxonomy.q for a in n4_row]

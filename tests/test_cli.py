@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from c2surf import counting, words
+from c2surf import cli, counting, words
 from c2surf.bilinear import standard_space
 from c2surf.cli import main
 from c2surf.dd import dd_classifies
@@ -21,9 +21,13 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
+    """(exit code, stdout, stderr); an argparse exit gives the code ("SystemExit", code)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -51,6 +55,38 @@ def test_count_bad_spec():
     assert code == 2
     assert "bad surface" in err
     assert run(["count", "N7..N2"]) == (2, "", "error: bad surface range 'N7..N2'\n")
+
+
+# flags set and left unset in turn, then one error of each kind
+PARSER_REUSE_RUNS = [
+    ["count", "N5", "--no-include-trivial"],
+    ["count", "N5"],
+    ["enumerate", "N3", "--format", "record"],
+    ["enumerate", "N3"],
+    ["count"],  # argparse usage error
+    ["count", "X9"],  # grammar error
+    ["inv", "S22+2FM+FM"],  # domain error
+]
+
+
+def test_parser_reuse_keeps_no_state():
+    fresh = []
+    for argv in PARSER_REUSE_RUNS:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, ("SystemExit", 2), 2, 3]
+    assert fresh[4][2].startswith("usage: c2surf count")
+    cli.build_parser.cache_clear()
+    runs = PARSER_REUSE_RUNS + PARSER_REUSE_RUNS[:4]
+    assert [run(argv) for argv in runs] == fresh + fresh[:4]
+    assert cli.build_parser.cache_info().misses == 1
+    # a flag one call set is back at its default in the next
+    assert fresh[1][1].startswith("r A B Phi- Phi+ Phi total\n")
+    assert not fresh[3][1].startswith("surface=")
+    parser = cli.build_parser()
+    parser.parse_args(["enumerate", "N3", "--format", "record", "--include-trivial", "--tables"])
+    args = parser.parse_args(["enumerate", "N3"])
+    assert (args.format, args.include_trivial, args.tables) == ("table", False, False)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])

@@ -78,10 +78,7 @@ def outputs_digest(runs) -> str:
 
 
 @pytest.mark.parametrize("group", GROUPS)
-def test_outputs_are_pinned(group, query_universe, monkeypatch):
-    # building the parser is most of a run's cost; parsing with one is stateless
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_outputs_are_pinned(group, query_universe):
     runs, want = GROUPS[group]
     got = outputs_digest(runs(query_universe))
     assert got == want, f"{group}: outputs changed, digest now {got}"

@@ -97,10 +97,17 @@ class Involution:
         n = self.space.dim
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} != space dim {n}")
-        g = self.space.gram
-        if self.matrix.transpose() @ g @ self.matrix != g:
+        g, m = self.space.gram, self.matrix
+        # With M^2 = I, M^-1 = M, so M^T G M = G reads M^T G = G M, and
+        # M^T G = (G M)^T for symmetric G: the isometry test is G M symmetric.
+        # Otherwise the full product decides, so a matrix that is neither an
+        # isometry nor of order two still raises NotAnIsometry.
+        if m @ m == F2Matrix.identity(n):
+            if not (g @ m).is_symmetric():
+                raise NotAnIsometry("matrix is not an isometry of the form")
+        elif m.transpose() @ g @ m != g:
             raise NotAnIsometry("matrix is not an isometry of the form")
-        if self.matrix @ self.matrix != F2Matrix.identity(n):
+        else:
             raise NotOrderTwo("matrix does not square to the identity")
 
     def conjugate(self, p: F2Matrix) -> "Involution":

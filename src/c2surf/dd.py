@@ -11,7 +11,8 @@ to conjugacy within the isometry group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, involutive_isometries, isometries, orbit, rank
@@ -35,8 +36,7 @@ class DDTuple:
 
 def d_invariant(inv: Involution) -> int:
     """Rank of M + Id over GF(2)."""
-    n = inv.space.dim
-    return rank(inv.matrix + F2Matrix.identity(n))
+    return _d(inv.matrix.rows)
 
 
 def alpha_invariant(inv: Involution) -> int:
@@ -45,11 +45,7 @@ def alpha_invariant(inv: Involution) -> int:
     The functional vanishes on the orthogonal complement of Omega exactly when
     it is a multiple of the functional v |-> b(v, Omega), i.e. of diag(G).
     """
-    f = (inv.space.gram @ inv.matrix).diag()  # v |-> b(v, Mv), packed
-    if inv.space.dim % 2 == 0:
-        return 0 if f.is_zero() else 1
-    dg = inv.space.gram.diag()
-    return 0 if f.bits in (0, dg.bits) else 1
+    return _alpha(inv.space, inv.matrix.rows)
 
 
 def mirror(inv: Involution) -> Involution:
@@ -60,19 +56,55 @@ def mirror(inv: Involution) -> Involution:
     """
     if inv.space.kind != FormKind.EVO:
         return inv
-    omega = omega_vector(inv.space)
-    dg = inv.space.gram.diag()
-    rows = tuple(
-        inv.matrix.rows[i] ^ (dg.bits if (omega.bits >> i) & 1 else 0)
-        for i in range(inv.space.dim)
-    )
-    return Involution(inv.space, F2Matrix(rows, inv.space.dim))
+    return Involution(inv.space, F2Matrix(_mirror_rows(inv.space, inv.matrix.rows), inv.space.dim))
 
 
 def dd(inv: Involution) -> DDTuple:
-    """The full invariant [D, alpha, D(mirror), alpha(mirror)]."""
-    m = mirror(inv)
-    return DDTuple(d_invariant(inv), alpha_invariant(inv), d_invariant(m), alpha_invariant(m))
+    """The full invariant [D, alpha, D(mirror), alpha(mirror)], read off the
+    packed rows of M and of its mirror; the mirror is never validated again."""
+    space, rows = inv.space, inv.matrix.rows
+    m = _mirror_rows(space, rows)
+    return DDTuple(_d(rows), _alpha(space, rows), _d(m), _alpha(space, m))
+
+
+# Spaces whose form data `_form` remembers; the DD oracle reads seven.
+_FORM_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_FORM_CACHE_SIZE)
+def _form(space: BilinearSpace) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+    """What D, alpha and the mirror read off a space: diag(G) packed; the
+    rows the mirror changes, packed (Omega on EVO spaces, none on the
+    others, which are their own mirrors); and the pairs (j, 1 << i) with
+    G[i, j] = 1, the entries M[j, i] that the diagonal of G M sums."""
+    flips = omega_vector(space).bits if space.kind == FormKind.EVO else 0
+    n = space.dim
+    picks = tuple((j, 1 << i) for i, grow in enumerate(space.gram.rows) for j in range(n) if grow >> j & 1)
+    return space.gram.diag().bits, flips, picks
+
+
+def _d(rows: Tuple[int, ...]) -> int:
+    """D of the matrix with these rows: the rank of M + Id."""
+    return rank(F2Matrix(tuple(r ^ (1 << i) for i, r in enumerate(rows)), len(rows)))
+
+
+def _alpha(space: BilinearSpace, rows: Tuple[int, ...]) -> int:
+    """alpha of the matrix M with these rows, from the diagonal of G M."""
+    dg, _, picks = _form(space)
+    f = 0
+    for j, bit in picks:
+        f ^= rows[j] & bit
+    if f == 0 or (space.dim % 2 and f == dg):
+        return 0
+    return 1
+
+
+def _mirror_rows(space: BilinearSpace, rows: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The rows of the mirror of M: row i gains diag(G) where Omega_i = 1."""
+    dg, flips, _ = _form(space)
+    if not flips:
+        return rows
+    return tuple(r ^ dg if flips >> i & 1 else r for i, r in enumerate(rows))
 
 
 def dd_direct_sum(sym_part: DDTuple, r: int) -> DDTuple:
@@ -163,21 +195,53 @@ def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
     raise ValueError("generators are known for the standard orthogonal and symplectic grams only")
 
 
+def _conjugation(g: F2Matrix) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
+    """The map from the rows of m to the rows of g m g, with no matrix built.
+    The rows of m g come from g's cached tables; row i of g (m g) is the XOR
+    of the rows of m g that row i of g picks: one for a permutation, a few
+    for a transvection."""
+    times_g = g.row_map()
+    picks = [[j for j in range(g.ncols) if r >> j & 1] for r in g.rows]
+    first = [p[0] for p in picks]
+    extra = [(i, j) for i, p in enumerate(picks) for j in p[1:]]
+
+    def conjugate(rows: Tuple[int, ...]) -> Tuple[int, ...]:
+        mg = tuple(map(times_g, rows))
+        out = [mg[j] for j in first]
+        for i, j in extra:
+            out[i] ^= mg[j]
+        return tuple(out)
+
+    return conjugate
+
+
 def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List[List[Involution]]:
     """Partition of all involutions into conjugacy classes.
 
     Classes are the orbits of conjugation; closing each orbit under a
     generating set of the isometry group is an exhaustive search over the
     class without materializing every conjugator.  The generators are
-    involutions, so g m g is the conjugate of m by g.
+    involutions, so g m g is the conjugate of m by g.  The closure walks
+    packed row tuples through one conjugation kernel per generator; each
+    class hands back the involutions that the search validated, sorted by
+    rows.
     """
     invs = {inv.matrix: inv for inv in involutions_in(space, bound=bound)}
-    gens = isometry_generators(space)
+    by_rows = {m.rows: m for m in invs}
+    kernels = [_conjugation(g) for g in isometry_generators(space)]
+
+    def images(rows: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        found = [k(rows) for k in kernels]
+        # stop at the first step out, so a wrong kernel cannot roam GL(n, 2)
+        if not all(r in by_rows for r in found):
+            raise AssertionError("conjugation left the involution set")
+        return found
+
     remaining = set(invs)
     classes: List[List[Involution]] = []
     while remaining:
         seed = next(iter(remaining))
-        conjugates = orbit(seed, lambda m: [g @ m @ g for g in gens])
+        conjugates = {by_rows[rows] for rows in orbit(seed.rows, images)}
         if not conjugates <= remaining:
             raise AssertionError("conjugation left the involution set")
         remaining -= conjugates

@@ -7,7 +7,10 @@ lets matrices serve as dict keys and set members.
 A product looks each row of the left operand up in subset-XOR tables of the
 right operand's rows, one table per eight rows, kept in a bounded memo keyed by
 those rows; the operands that repeat (the generators of a conjugation, a fixed
-target, a gram) build their tables once.
+target, a gram) build their tables once.  ``F2Matrix.row_map`` hands out the
+lookup itself, so the closures that step through a group (``group_closure``,
+the conjugacy orbits of ``dd``, the vector census of ``orbits``) map packed
+rows and ints through each generator's tables and build no matrix per step.
 
 The isometries of a form are found by one column-by-column search:
 ``involutive_isometries`` visits only the involutions, which is all the DD
@@ -18,7 +21,7 @@ oracles that check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 
@@ -166,12 +169,17 @@ class F2Matrix:
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.ncols != len(other.rows):
             raise DimensionMismatch(f"inner dimensions {self.ncols} != {other.nrows}")
-        tables = _xor_tables(other.rows)
+        return F2Matrix(tuple(map(other.row_map(), self.rows)), other.ncols)
+
+    def row_map(self) -> Callable[[int], int]:
+        """The map x |-> x @ self on row vectors packed as ints: the XOR of the
+        rows that the set bits of x pick, read from this matrix's cached
+        subset-XOR tables.  Mapping it over the rows of m gives the rows of
+        m @ self without building either matrix."""
+        tables = _xor_tables(self.rows)
         if len(tables) == 1:
-            out = tuple(map(tables[0].__getitem__, self.rows))
-        else:
-            out = tuple(_lookup(tables, a) for a in self.rows)
-        return F2Matrix(out, other.ncols)
+            return tables[0].__getitem__
+        return partial(_lookup, tables)
 
     def conjugates(self, a: "F2Matrix", b: "F2Matrix") -> bool:
         """Whether ``a @ self == self @ b`` (for invertible self: self^-1 a
@@ -180,14 +188,14 @@ class F2Matrix:
         if not (len(self.rows) == len(a.rows) == len(b.rows) == a.ncols == b.ncols == n):
             raise DimensionMismatch(f"need square matrices of one size, got {a.shape}, {self.shape}, {b.shape}")
         prows = self.rows
-        tables = _xor_tables(b.rows)
+        times_b = b.row_map()
         for arow, prow in zip(a.rows, prows):
             acc = 0  # row of a @ self: the rows of self that arow picks
             while arow:
                 low = arow & -arow
                 acc ^= prows[low.bit_length() - 1]
                 arow ^= low
-            if acc != _lookup(tables, prow):
+            if acc != times_b(prow):
                 return False
         return True
 
@@ -250,11 +258,11 @@ def _lookup(tables: Tuple[Tuple[int, ...], ...], x: int) -> int:
     return acc
 
 
-def _eliminate(rows: List[int], ncols: int) -> int:
-    """Reduce ``rows`` in place to reduced echelon form on the coefficient
-    columns ``0..ncols-1``; higher bits ride along.  Returns the rank r: each
-    of ``rows[:r]`` has its pivot at its lowest set bit, clear in every other
-    row, and ``rows[r:]`` are zero on the coefficients."""
+def _echelon(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
+    """Forward elimination on the coefficient columns ``0..ncols-1``; higher
+    bits ride along.  Returns (echelon, dependent): each echelon row has its
+    pivot at its lowest set bit, clear in every later echelon row, and the
+    dependent rows are zero on the coefficients."""
     coeffs = (1 << ncols) - 1
     echelon: List[int] = []
     dependent: List[int] = []
@@ -263,6 +271,15 @@ def _eliminate(rows: List[int], ncols: int) -> int:
             if row & prow & -prow:
                 row ^= prow
         (echelon if row & coeffs else dependent).append(row)
+    return echelon, dependent
+
+
+def _eliminate(rows: List[int], ncols: int) -> int:
+    """Reduce ``rows`` in place to reduced echelon form on the coefficient
+    columns ``0..ncols-1``; higher bits ride along.  Returns the rank r: each
+    of ``rows[:r]`` has its pivot at its lowest set bit, clear in every other
+    row, and ``rows[r:]`` are zero on the coefficients."""
+    echelon, dependent = _echelon(rows, ncols)
     # back substitution, last pivot row first: each row meets only later pivots
     reduced: List[int] = []
     for row in reversed(echelon):
@@ -275,8 +292,9 @@ def _eliminate(rows: List[int], ncols: int) -> int:
 
 
 def rank(m: F2Matrix) -> int:
-    """Row rank over GF(2), by XOR elimination on packed rows."""
-    return _eliminate(list(m.rows), m.ncols)
+    """Row rank over GF(2): the echelon rows of a forward elimination on
+    packed rows (no back substitution)."""
+    return len(_echelon(m.rows, m.ncols)[0])
 
 
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -427,7 +445,9 @@ def orbit(start: _Point, images: Callable[[_Point], Iterable[_Point]]) -> Set[_P
 
 
 def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
-    """Subgroup generated by invertible square matrices, by breadth-first closure."""
+    """Subgroup generated by invertible square matrices, by breadth-first
+    closure on packed rows: each step maps a row tuple through a generator's
+    ``row_map``, and only the finished closure becomes matrices."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -437,7 +457,9 @@ def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
             raise DimensionMismatch("generators must be square of equal dimension")
         if rank(g) != n:
             raise SingularMatrixError(f"singular generator {g!r}")
-    return frozenset(orbit(F2Matrix.identity(n), lambda m: [m @ g for g in gens]))
+    steps = [g.row_map() for g in gens]
+    closure = orbit(F2Matrix.identity(n).rows, lambda rows: [tuple(map(step, rows)) for step in steps])
+    return frozenset(F2Matrix(rows, n) for rows in closure)
 
 
 __all__ = [

@@ -69,14 +69,14 @@ CENSUS_BOUND = 12
 
 def orbit_census(kind: str, n: int) -> int:
     """Number of orbits of the full isometry group on GF(2)^n, by brute-force
-    partition of all vectors under a generating set."""
+    partition of all vectors under a generating set.  Vectors stay packed
+    ints: g v is the row vector v times g^T, read from the tables of g^T."""
     if n > CENSUS_BOUND:
         raise ValueError(f"dimension {n} above census bound {CENSUS_BOUND}")
-    gens = isometry_generators(standard_space(kind, n))
+    maps = [g.transpose().row_map() for g in isometry_generators(standard_space(kind, n))]
 
     def images(bits: int) -> List[int]:
-        v = F2Vector(bits, n)
-        return [g.mul_vec(v).bits for g in gens]
+        return [g_times(bits) for g_times in maps]
 
     seen: Set[int] = set()
     found = 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -106,6 +107,49 @@ def test_make_involution_cases():
     )  # 3-cycle, orthogonal
     with pytest.raises(NotOrderTwo):
         Involution(standard_space("orthogonal", 3), not_order_two)
+    neither = F2Matrix.from_rows([[1, 1], [1, 0]])  # order three, and e1 . e1 goes 1 -> 0
+    with pytest.raises(NotAnIsometry):
+        Involution(evo2, neither)
+
+
+def reference_validation(space: BilinearSpace, m: F2Matrix):
+    """The exception the full check raises: M^T G M = G first, then M^2 = I."""
+    if m.transpose() @ space.gram @ m != space.gram:
+        return NotAnIsometry
+    if m @ m != F2Matrix.identity(space.dim):
+        return NotOrderTwo
+    return None
+
+
+def validation_outcome(space: BilinearSpace, m: F2Matrix):
+    try:
+        Involution(space, m)
+    except (NotAnIsometry, NotOrderTwo) as exc:
+        return type(exc)
+    return None
+
+
+def test_validation_matches_full_check():
+    # every matrix up to 3x3, seeded 4x4 ones, on orthonormal, symplectic
+    # and non-orthonormal grams: same acceptance, same exception
+    grams = [F2Matrix.identity(n) for n in (1, 2, 3, 4)]
+    grams += [standard_space("symplectic", n).gram for n in (2, 4)]
+    grams += [F2Matrix.from_rows([[1, 1], [1, 0]]), F2Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
+    rng = random.Random(4)
+    outcomes = set()
+    for gram in grams:
+        space = BilinearSpace(gram)
+        n = space.dim
+        if n <= 3:
+            cases = [F2Matrix(rows, n) for rows in itertools.product(range(1 << n), repeat=n)]
+        else:
+            cases = [F2Matrix(tuple(rng.randrange(1 << n) for _ in range(n)), n) for _ in range(3000)]
+            cases += list(isometries(gram))
+        for m in cases:
+            want = reference_validation(space, m)
+            assert validation_outcome(space, m) is want, (gram, m)
+            outcomes.add(want)
+    assert outcomes == {None, NotAnIsometry, NotOrderTwo}
 
 
 def test_every_isometry_fixes_omega():

@@ -7,10 +7,12 @@ from c2surf.bilinear import (
     FormKind,
     Involution,
     identity_involution,
+    omega_vector,
     standard_space,
 )
 from c2surf.dd import (
     DDTuple,
+    _conjugation,
     alpha_invariant,
     block_swap_involution,
     conjugacy_classes,
@@ -23,7 +25,7 @@ from c2surf.dd import (
     isometry_generators,
     mirror,
 )
-from c2surf.f2 import F2Matrix, block_diag, group_closure, isometries
+from c2surf.f2 import F2Matrix, F2Vector, block_diag, group_closure, isometries, rank
 
 
 def swap_on_evo2() -> Involution:
@@ -181,6 +183,80 @@ def test_dd_classifies_orthogonal_dim7():
     values = [{dd(inv) for inv in cls} for cls in classes]
     assert [len(v) for v in values] == [1] * 5
     assert len(set().union(*values)) == 5
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("orthogonal", n) for n in range(2, 7)] + [("symplectic", n) for n in (2, 4, 6)]
+)
+def test_conjugation_kernel_equals_matrix_products(kind, n):
+    # the row kernel of conjugacy_classes against the products it replaced
+    space = standard_space(kind, n)
+    gens = isometry_generators(space)
+    kernels = [_conjugation(g) for g in gens]
+    for inv in involutions_in(space):
+        m = inv.matrix
+        assert [k(m.rows) for k in kernels] == [(g @ m @ g).rows for g in gens], m
+
+
+def test_conjugacy_closure_stops_at_a_step_out(monkeypatch):
+    # a kernel that is no conjugation fails at its first image outside the
+    # involution set, before the closure can wander through GL(n, 2)
+    calls = []
+
+    def shear(g):
+        def kernel(rows):
+            calls.append(rows)
+            return (rows[0], rows[1] ^ rows[0]) + rows[2:]
+
+        return kernel
+
+    monkeypatch.setattr("c2surf.dd._conjugation", shear)
+    space = standard_space("orthogonal", 5)
+    with pytest.raises(AssertionError, match="left the involution set"):
+        conjugacy_classes(space)
+    assert len(calls) == len(isometry_generators(space))  # one step from the first seed
+
+
+def reference_mirror(inv: Involution) -> Involution:
+    """The mirror v |-> M v + b(v, v) Omega, built column by column from that
+    definition and validated as an involution."""
+    space = inv.space
+    if space.kind != FormKind.EVO:
+        return inv
+    n = space.dim
+    omega = omega_vector(space).bits
+    cols = []
+    for j in range(n):
+        e = F2Vector(1 << j, n)
+        cols.append(inv.matrix.mul_vec(e).bits ^ (omega if space.pairing(e, e) else 0))
+    return Involution(space, F2Matrix(tuple(cols), n).transpose())
+
+
+def reference_dd(inv: Involution) -> DDTuple:
+    """DD from the matrix operations: rank(M + I), diag(G @ M), the mirror."""
+
+    def d_alpha(x: Involution):
+        n = x.space.dim
+        f = (x.space.gram @ x.matrix).diag().bits
+        alpha = 0 if f == 0 or (n % 2 and f == x.space.gram.diag().bits) else 1
+        return rank(x.matrix + F2Matrix.identity(n)), alpha
+
+    return DDTuple(*d_alpha(inv), *d_alpha(reference_mirror(inv)))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [standard_space("orthogonal", n) for n in range(2, 8)]
+    + [standard_space("symplectic", n) for n in (2, 4, 6)]
+    + [BilinearSpace(F2Matrix.from_rows([[1, 1], [1, 0]]))],
+    ids=lambda sp: f"{sp.kind.value}{sp.dim}-{sp.gram.rows}",
+)
+def test_dd_equals_matrix_reference(space):
+    for inv in involutions_in(space, bound=7):
+        want = reference_dd(inv)
+        assert dd(inv) == want, inv.matrix
+        assert (d_invariant(inv), alpha_invariant(inv)) == (want.d, want.alpha)
+        assert mirror(inv).matrix == reference_mirror(inv).matrix
 
 
 def test_transvections_generate_symplectic_group():

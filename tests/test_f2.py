@@ -13,8 +13,10 @@ from c2surf.f2 import (
     group_closure,
     involutive_isometries,
     isometries,
+    orbit,
     rank,
 )
+from c2surf.dd import isometry_generators
 
 A4 = F2Matrix.from_rows(
     [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
@@ -88,6 +90,34 @@ def test_group_closure_is_a_group():
         assert m.inverse() in g
         for n in list(g)[:10]:
             assert m @ n in g
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("orthogonal", n) for n in range(1, 6)] + [("symplectic", 2), ("symplectic", 4)]
+)
+def test_group_closure_equals_matrix_product_closure(kind, n):
+    # the closure on packed rows against the one by F2Matrix products it replaced
+    space = standard_space(kind, n)
+    gens = isometry_generators(space)
+    closure = group_closure(gens)
+    assert closure == frozenset(orbit(F2Matrix.identity(n), lambda m: [m @ g for g in gens]))
+    assert closure == frozenset(isometries(space.gram))
+
+
+def test_row_map_is_the_row_vector_product():
+    # one table (up to eight rows) and two
+    rng = random.Random(3)
+    for ncols in (1, 5, 8, 9, 13):
+        for nrows in (1, 7, 8, 9, 12):
+            m = F2Matrix(tuple(rng.randrange(1 << ncols) for _ in range(nrows)), ncols)
+            times_m = m.row_map()
+            for _ in range(20):
+                x = rng.randrange(1 << nrows)
+                want = 0  # the rows of m that the set bits of x pick
+                for i in range(nrows):
+                    if x >> i & 1:
+                        want ^= m.rows[i]
+                assert times_m(x) == want == m.transpose().mul_vec(F2Vector(x, nrows)).bits
 
 
 def test_solve_roundtrip():

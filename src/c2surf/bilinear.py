@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .f2 import F2Matrix, F2Vector, block_diag, rank
 
@@ -58,16 +57,6 @@ class BilinearSpace:
 
 def omega_vector(space: BilinearSpace) -> F2Vector:
     """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G)."""
-    return _omega_vector(space)
-
-
-# Spaces whose Omega `_omega_vector` remembers, since every mirror needs it;
-# the DD oracle's O(2..6, 2), Sp(2, 2) and Sp(4, 2) are seven.
-_OMEGA_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_OMEGA_CACHE_SIZE)
-def _omega_vector(space: BilinearSpace) -> F2Vector:
     return space.gram.inverse().mul_vec(space.gram.diag())
 
 

@@ -111,7 +111,6 @@ class F2Matrix:
         return cls(tuple(packed), ncols)
 
     @classmethod
-    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "F2Matrix":
         return cls(tuple(1 << i for i in range(n)), n)
 
@@ -365,13 +364,7 @@ def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
     cols: List[int] = []
     gcols: List[int] = []  # G @ c_j, packed
 
-    def g_times(col: int) -> int:
-        acc = 0  # G is symmetric, so G c is the sum of the rows of G picked by c
-        while col:
-            low = col & -col
-            acc ^= grows[low.bit_length() - 1]
-            col ^= low
-        return acc
+    g_times = gram.row_map()  # G is symmetric, so G c is c @ G
 
     def extend(k: int) -> None:
         if k == n:

@@ -351,13 +351,10 @@ def _base_syntax(kind: BaseKind):
 
 
 _BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
-# Distinct base tokens remembered by `_parse_base`.  A base is frozen and
-# validated on its first parse, so later parses of the same token share it;
-# the words with beta <= 12 and each op count <= 2 name 61 tokens.
-_BASE_CACHE_SIZE = 256
 _OP_RE = re.compile(rf"([0-9]*)({'|'.join(_OP_NAMES)})")
 # Distinct op tokens remembered by `_parse_op`, as written (surrounding
-# whitespace included); the same words spell their ops with 12 tokens.
+# whitespace included); the words with beta <= 12 and each op count <= 2
+# spell their ops with 12 tokens.
 _OP_CACHE_SIZE = 256
 # Distinct words remembered by `_word`, keyed by base token and op counts, so
 # every spelling of a word shares one frozen, validated `SurgeryWord`; the
@@ -383,7 +380,6 @@ def parse_word(text: str) -> SurgeryWord:
     return _word(token, *counts)
 
 
-@functools.lru_cache(maxsize=_BASE_CACHE_SIZE)
 def _parse_base(token: str) -> BaseSpace:
     syntax = _BASE_SYNTAX.get(token.partition("(")[0])
     m = syntax and syntax[0].fullmatch(token)

@@ -331,13 +331,28 @@ def _declared_memos(module):
     return found
 
 
+def test_memo_inventory():
+    # every memo in src/ is named here, so a new memo is added on purpose and
+    # one that stops paying is seen when it is deleted
+    declared = {}
+    for name in MODULES:
+        declared.update(_declared_memos(importlib.import_module(f"c2surf.{name}")))
+    assert set(declared) == {
+        "c2surf.f2._xor_tables",
+        "c2surf.dd._form",
+        "c2surf.words._parse_op",
+        "c2surf.words._word",
+        "c2surf.classify.Action.from_word",
+        "c2surf.cli.build_parser",
+    }
+
+
 def test_word_memos_start_empty(word_memos):
     # every memo the word path declares is one that conftest empties, so each
     # test starts with all of them holding nothing, a memo added later too
     declared = {**_declared_memos(words), **_declared_memos(classify)}
     assert {
-        "c2surf.words._parse_base", "c2surf.words._parse_op", "c2surf.words._word",
-        "c2surf.classify.Action.from_word",
+        "c2surf.words._parse_op", "c2surf.words._word", "c2surf.classify.Action.from_word",
     } <= set(declared)
     assert [name for name, memo in declared.items() if not any(memo is m for m in word_memos)] == []
     assert {name: memo.cache_info().currsize for name, memo in declared.items() if memo.cache_info().currsize} == {}

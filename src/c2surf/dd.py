@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Set, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, involutive_isometries, isometries, orbit, rank
@@ -72,15 +72,12 @@ _FORM_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_FORM_CACHE_SIZE)
-def _form(space: BilinearSpace) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
-    """What D, alpha and the mirror read off a space: diag(G) packed; the
+def _form(space: BilinearSpace) -> Tuple[int, int]:
+    """What alpha and the mirror read off a space: diag(G) packed, and the
     rows the mirror changes, packed (Omega on EVO spaces, none on the
-    others, which are their own mirrors); and the pairs (j, 1 << i) with
-    G[i, j] = 1, the entries M[j, i] that the diagonal of G M sums."""
+    others, which are their own mirrors)."""
     flips = omega_vector(space).bits if space.kind == FormKind.EVO else 0
-    n = space.dim
-    picks = tuple((j, 1 << i) for i, grow in enumerate(space.gram.rows) for j in range(n) if grow >> j & 1)
-    return space.gram.diag().bits, flips, picks
+    return space.gram.diag().bits, flips
 
 
 def _d(rows: Tuple[int, ...]) -> int:
@@ -89,19 +86,20 @@ def _d(rows: Tuple[int, ...]) -> int:
 
 
 def _alpha(space: BilinearSpace, rows: Tuple[int, ...]) -> int:
-    """alpha of the matrix M with these rows, from the diagonal of G M."""
-    dg, _, picks = _form(space)
+    """alpha of the matrix M with these rows, from the diagonal of G M: G is
+    symmetric, so bit i of the XOR of rows[j] & G.rows[j] over j is
+    sum_j M[j, i] G[i, j] = (G M)[i, i]."""
     f = 0
-    for j, bit in picks:
-        f ^= rows[j] & bit
-    if f == 0 or (space.dim % 2 and f == dg):
+    for r, grow in zip(rows, space.gram.rows):
+        f ^= r & grow
+    if f == 0 or (space.dim % 2 and f == _form(space)[0]):
         return 0
     return 1
 
 
 def _mirror_rows(space: BilinearSpace, rows: Tuple[int, ...]) -> Tuple[int, ...]:
     """The rows of the mirror of M: row i gains diag(G) where Omega_i = 1."""
-    dg, flips, _ = _form(space)
+    dg, flips = _form(space)
     if not flips:
         return rows
     return tuple(r ^ dg if flips >> i & 1 else r for i, r in enumerate(rows))
@@ -197,9 +195,9 @@ def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
 
 def _conjugation(g: F2Matrix) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
     """The map from the rows of m to the rows of g m g, with no matrix built.
-    The rows of m g come from g's cached tables; row i of g (m g) is the XOR
-    of the rows of m g that row i of g picks: one for a permutation, a few
-    for a transvection."""
+    The rows of m g come from the tables of g that this kernel holds; row i
+    of g (m g) is the XOR of the rows of m g that row i of g picks: one for a
+    permutation, a few for a transvection."""
     times_g = g.row_map()
     picks = [[j for j in range(g.ncols) if r >> j & 1] for r in g.rows]
     first = [p[0] for p in picks]
@@ -251,16 +249,15 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
 
 def dd_classifies(space: BilinearSpace) -> bool:
     """Whether DD equality matches conjugacy for every pair of involutions."""
-    classes = conjugacy_classes(space)
-    values: Dict[Tuple[int, int, int, int], int] = {}
-    for idx, cls in enumerate(classes):
+    seen: Set[Tuple[int, int, int, int]] = set()
+    for cls in conjugacy_classes(space):
         vals = {dd(inv).as_tuple() for inv in cls}
         if len(vals) != 1:
             return False
         val = vals.pop()
-        if val in values:
+        if val in seen:
             return False
-        values[val] = idx
+        seen.add(val)
     return True
 
 

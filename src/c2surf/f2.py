@@ -4,13 +4,14 @@ Vectors and matrices are immutable; coordinates are packed into Python ints
 (bit ``i`` is coordinate ``i``), which makes row operations single XORs and
 lets matrices serve as dict keys and set members.
 
-A product looks each row of the left operand up in subset-XOR tables of the
-right operand's rows, one table per eight rows, kept in a bounded memo keyed by
-those rows; the operands that repeat (the generators of a conjugation, a fixed
-target, a gram) build their tables once.  ``F2Matrix.row_map`` hands out the
-lookup itself, so the closures that step through a group (``group_closure``,
-the conjugacy orbits of ``dd``, the vector census of ``orbits``) map packed
-rows and ints through each generator's tables and build no matrix per step.
+Row i of a product ``a @ b`` is the XOR of the rows of b that the set bits
+of row i of a pick.  A caller that maps many rows through one matrix asks
+``F2Matrix.row_map`` for subset-XOR tables of that matrix's rows, one table
+per eight rows, and holds them for as long as it reuses the matrix: the
+closures that step through a group (``group_closure``, the conjugacy orbits of
+``dd``, the vector census of ``orbits``) and the isometry search map packed
+rows and ints through them and build no matrix per step.  Nothing is kept
+between calls.
 
 The isometries of a form are found by one column-by-column search:
 ``involutive_isometries`` visits only the involutions, which is all the DD
@@ -21,7 +22,7 @@ oracles that check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 
@@ -168,14 +169,21 @@ class F2Matrix:
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.ncols != len(other.rows):
             raise DimensionMismatch(f"inner dimensions {self.ncols} != {other.nrows}")
-        return F2Matrix(tuple(map(other.row_map(), self.rows)), other.ncols)
+        orows = other.rows
+        return F2Matrix(tuple(_picked(orows, r) for r in self.rows), other.ncols)
 
     def row_map(self) -> Callable[[int], int]:
         """The map x |-> x @ self on row vectors packed as ints: the XOR of the
-        rows that the set bits of x pick, read from this matrix's cached
-        subset-XOR tables.  Mapping it over the rows of m gives the rows of
-        m @ self without building either matrix."""
-        tables = _xor_tables(self.rows)
+        rows that the set bits of x pick, read from subset-XOR tables of this
+        matrix's rows that each call builds.  Mapping it over the rows of m
+        gives the rows of m @ self without building either matrix."""
+        rows = self.rows
+        tables = []
+        for start in range(0, len(rows), _TABLE_ROWS):
+            table = [0]  # entry x: the XOR of rows start + i for the set bits i of x
+            for r in rows[start : start + _TABLE_ROWS]:
+                table += [t ^ r for t in table]
+            tables.append(table)
         if len(tables) == 1:
             return tables[0].__getitem__
         return partial(_lookup, tables)
@@ -186,15 +194,9 @@ class F2Matrix:
         n = self.ncols
         if not (len(self.rows) == len(a.rows) == len(b.rows) == a.ncols == b.ncols == n):
             raise DimensionMismatch(f"need square matrices of one size, got {a.shape}, {self.shape}, {b.shape}")
-        prows = self.rows
-        times_b = b.row_map()
+        prows, brows = self.rows, b.rows
         for arow, prow in zip(a.rows, prows):
-            acc = 0  # row of a @ self: the rows of self that arow picks
-            while arow:
-                low = arow & -arow
-                acc ^= prows[low.bit_length() - 1]
-                arow ^= low
-            if acc != times_b(prow):
+            if _picked(prows, arow) != _picked(brows, prow):
                 return False
         return True
 
@@ -230,25 +232,19 @@ class F2Matrix:
 # Rows per subset-XOR table, so a table never has more than 256 entries.
 _TABLE_ROWS = 8
 _TABLE_MASK = (1 << _TABLE_ROWS) - 1
-# Right operands whose tables are kept: the generators, targets and grams
-# that repeat, with room for the one-off operands passing through.
-_TABLE_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _xor_tables(rows: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Subset-XOR tables of ``rows``, eight rows each: entry x of table k is
-    the XOR of the rows 8k + i for the set bits i of x."""
-    tables = []
-    for start in range(0, len(rows), _TABLE_ROWS):
-        table = [0]
-        for r in rows[start : start + _TABLE_ROWS]:
-            table += [t ^ r for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+def _picked(rows: Tuple[int, ...], x: int) -> int:
+    """The XOR of the ``rows`` that the set bits of x pick, one bit at a time."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return acc
 
 
-def _lookup(tables: Tuple[Tuple[int, ...], ...], x: int) -> int:
+def _lookup(tables: List[List[int]], x: int) -> int:
     """The XOR of the rows behind ``tables`` that the set bits of x pick."""
     acc = 0
     for table in tables:

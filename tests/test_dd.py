@@ -244,13 +244,45 @@ def reference_dd(inv: Involution) -> DDTuple:
     return DDTuple(*d_alpha(inv), *d_alpha(reference_mirror(inv)))
 
 
-@pytest.mark.parametrize(
-    "space",
-    [standard_space("orthogonal", n) for n in range(2, 8)]
-    + [standard_space("symplectic", n) for n in (2, 4, 6)]
-    + [BilinearSpace(F2Matrix.from_rows([[1, 1], [1, 0]]))],
-    ids=lambda sp: f"{sp.kind.value}{sp.dim}-{sp.gram.rows}",
-)
+def symmetric_gram(n: int, mask: int) -> F2Matrix:
+    """The symmetric n x n matrix whose entries on and above the diagonal,
+    row by row, are the bits of ``mask``."""
+    rows = [0] * n
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for k, (i, j) in enumerate(cells):
+        if mask >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return F2Matrix(tuple(rows), n)
+
+
+def reference_spaces():
+    """The standard spaces and one 2x2 gram, then every other symmetric
+    invertible gram of dimension 1 to 3 and twelve seeded 4x4 ones with an
+    off-diagonal entry, so alpha meets G M for a G that is not diagonal."""
+    spaces = [standard_space("orthogonal", n) for n in range(2, 8)]
+    spaces += [standard_space("symplectic", n) for n in (2, 4, 6)]
+    spaces.append(BilinearSpace(F2Matrix.from_rows([[1, 1], [1, 0]])))
+    grams = {sp.gram for sp in spaces}
+    for n in (1, 2, 3):
+        for mask in range(1 << n * (n + 1) // 2):
+            gram = symmetric_gram(n, mask)
+            if gram not in grams and rank(gram) == n:
+                grams.add(gram)
+                spaces.append(BilinearSpace(gram))
+    rng = random.Random(20)
+    dense = 0
+    while dense < 12:
+        gram = symmetric_gram(4, rng.getrandbits(10))
+        off_diagonal = any(r & ~(1 << i) for i, r in enumerate(gram.rows))
+        if off_diagonal and gram not in grams and rank(gram) == 4:
+            grams.add(gram)
+            spaces.append(BilinearSpace(gram))
+            dense += 1
+    return spaces
+
+
+@pytest.mark.parametrize("space", reference_spaces(), ids=lambda sp: f"{sp.kind.value}{sp.dim}-{sp.gram.rows}")
 def test_dd_equals_matrix_reference(space):
     for inv in involutions_in(space, bound=7):
         want = reference_dd(inv)

@@ -290,8 +290,7 @@ def reference_rank(rows):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kernel_matches_entrywise_reference(seed):
-    # shapes from 0x0 up to 10 columns, so products also meet right operands
-    # of more than eight rows (more than one subset-XOR table)
+    # shapes from 0x0 up to 10 columns
     rng = random.Random(seed)
     for _ in range(150):
         p, q, r = (rng.randrange(11) for _ in range(3))

@@ -338,7 +338,6 @@ def test_memo_inventory():
     for name in MODULES:
         declared.update(_declared_memos(importlib.import_module(f"c2surf.{name}")))
     assert set(declared) == {
-        "c2surf.f2._xor_tables",
         "c2surf.dd._form",
         "c2surf.words._parse_op",
         "c2surf.words._word",

@@ -224,26 +224,24 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
     class hands back the involutions that the search validated, sorted by
     rows.
     """
-    invs = {inv.matrix: inv for inv in involutions_in(space, bound=bound)}
-    by_rows = {m.rows: m for m in invs}
+    invs = {inv.matrix.rows: inv for inv in involutions_in(space, bound=bound)}
     kernels = [_conjugation(g) for g in isometry_generators(space)]
 
     def images(rows: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         found = [k(rows) for k in kernels]
         # stop at the first step out, so a wrong kernel cannot roam GL(n, 2)
-        if not all(r in by_rows for r in found):
+        if not all(r in invs for r in found):
             raise AssertionError("conjugation left the involution set")
         return found
 
     remaining = set(invs)
     classes: List[List[Involution]] = []
     while remaining:
-        seed = next(iter(remaining))
-        conjugates = {by_rows[rows] for rows in orbit(seed.rows, images)}
+        conjugates = orbit(next(iter(remaining)), images)
         if not conjugates <= remaining:
             raise AssertionError("conjugation left the involution set")
         remaining -= conjugates
-        classes.append([invs[m] for m in sorted(conjugates, key=lambda m: m.rows)])
+        classes.append([invs[rows] for rows in sorted(conjugates)])
     return classes
 
 

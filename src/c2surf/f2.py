@@ -13,7 +13,10 @@ closures that step through a group (``group_closure``, the conjugacy orbits of
 rows and ints through them and build no matrix per step.  Nothing is kept
 between calls.
 
-The isometries of a form are found by one column-by-column search:
+The isometries of a form are found by one search, which runs column by
+column over the isometries of the inverse gram, whose columns are the rows
+of the answers.  Each depth adds the two equations its column brings to its
+parent's reduced echelon system, instead of solving its system anew.
 ``involutive_isometries`` visits only the involutions, which is all the DD
 classification needs, and ``isometries`` lists the whole group for the
 oracles that check it.
@@ -216,9 +219,11 @@ class F2Matrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.ncols
-        work = [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
-        if _eliminate(work, n) < n:
-            raise SingularMatrixError("matrix is singular")
+        work: Optional[List[int]] = []
+        for i, r in enumerate(self.rows):  # [M | I] to reduced echelon form
+            work = _adjoin(work, r | 1 << (n + i), n, 0)
+            if work is None:  # a dependent row keeps its bit of I
+                raise SingularMatrixError("matrix is singular")
         work.sort(key=lambda w: w & -w)  # row i pivots on column i
         return F2Matrix(tuple(w >> n for w in work), n)
 
@@ -269,23 +274,6 @@ def _echelon(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
     return echelon, dependent
 
 
-def _eliminate(rows: List[int], ncols: int) -> int:
-    """Reduce ``rows`` in place to reduced echelon form on the coefficient
-    columns ``0..ncols-1``; higher bits ride along.  Returns the rank r: each
-    of ``rows[:r]`` has its pivot at its lowest set bit, clear in every other
-    row, and ``rows[r:]`` are zero on the coefficients."""
-    echelon, dependent = _echelon(rows, ncols)
-    # back substitution, last pivot row first: each row meets only later pivots
-    reduced: List[int] = []
-    for row in reversed(echelon):
-        for prow in reduced:
-            if row & prow & -prow:
-                row ^= prow
-        reduced.append(row)
-    rows[:] = reduced + dependent
-    return len(reduced)
-
-
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2): the echelon rows of a forward elimination on
     packed rows (no back substitution)."""
@@ -301,20 +289,30 @@ def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     return F2Matrix(tuple(rows), n + b.ncols)
 
 
-def _affine_solutions(rows: List[int], n: int) -> Optional[Tuple[int, List[int]]]:
-    """Solutions of a linear system over n unknowns, each equation packed as
-    ``mask | rhs << n``.  Returns (particular, null-basis) or None when
-    inconsistent.  The list is reduced in place.
-    """
-    rk = _eliminate(rows, n)
-    if any(rows[rk:]):
-        return None
-    leading = rows[:rk]
+def _adjoin(system: List[int], row: int, n: int, k: int) -> Optional[List[int]]:
+    """The reduced echelon ``system`` with the equation ``row`` added.  An
+    equation packs its coefficients on bits ``0..n-1`` and above them its
+    right-hand sides, one per depth: bit ``n + d`` is its right-hand side at
+    depth d.  A row that reduces to no coefficient is a consistency check:
+    None when its right-hand side is 1 at depth k or later."""
+    for prow in system:
+        if row & prow & -prow:
+            row ^= prow
+    if not row & ((1 << n) - 1):
+        return None if row >> (n + k) else system
+    pivot = row & -row
+    return [prow ^ row if prow & pivot else prow for prow in system] + [row]
+
+
+def _solutions(system: List[int], n: int, k: int) -> Tuple[int, List[int]]:
+    """The solutions of a reduced echelon ``system`` (as built by ``_adjoin``)
+    at depth k: a particular solution, read off bit ``n + k`` of each row,
+    and a basis of the null space, one vector per free coefficient."""
     particular = pivots = 0
-    for row in leading:
+    for row in system:
         pivot = row & -row
         pivots |= pivot
-        if row >> n:
+        if row >> (n + k) & 1:
             particular |= pivot
     basis = []
     free = ((1 << n) - 1) ^ pivots
@@ -322,7 +320,7 @@ def _affine_solutions(rows: List[int], n: int) -> Optional[Tuple[int, List[int]]
         bit = free & -free
         free ^= bit
         vec = bit
-        for row in leading:
+        for row in system:
             if row & bit:
                 vec |= row & -row
         basis.append(vec)
@@ -342,52 +340,58 @@ def _check_bound(gram: F2Matrix, bound: int) -> None:
 
 def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
     """Every M with M^T G M = G, and with M^2 = I when ``involutive``, for a
-    symmetric invertible gram G, by column-by-column constraint propagation.
+    symmetric invertible gram G, found row by row.
 
-    Symmetry makes c_j^T G c_k = G[j, k] the same condition for (j, k) and
-    (k, j), and makes the diagonal one linear (v |-> v^T G v is v . diag(G)),
-    so column k ranges over an affine subspace cut out by the columns before
-    it.  Every solution is invertible: det(M)^2 det(G) = det(G) = 1.  An
-    isometry is an involution exactly when G M is symmetric (M^T G = G M^-1),
-    which adds (G c_k)_i = (G c_i)_k for i < k to the system of column k.
+    Inverting M G M^T = G shows that N = M^T is an isometry of H = G^-1, so
+    the search runs column by column over the isometries N of H, and the
+    columns of N are the rows of M.  Symmetry makes c_j^T H c_k = H[j, k] the
+    same condition for (j, k) and (k, j), and makes the diagonal one linear
+    (v |-> v^T H v is v . diag(H)), so column k ranges over an affine
+    subspace: (H c_j) . c_k = H[j, k] for j < k and diag(H) . c_k = H[k, k].
+    Every solution is invertible: det(N)^2 det(H) = det(H) = 1.  N is an
+    involution exactly when H N is symmetric (N^T H = H N^-1), which adds
+    H[i] . c_k = (H c_i)_k for i < k.
+
+    Column k + 1 meets the equations of column k again, with new right-hand
+    sides, plus the two that column k brings.  So each equation carries the
+    vector whose bit d is its right-hand side at depth d (H[j] for H c_j,
+    H c_i for H[i], diag(H) for the diagonal), and each depth adjoins the two
+    new equations to its parent's reduced echelon system.  A depth reads its
+    right-hand sides as bit k of the reduced rows, and a dependent equation
+    checks every later depth at once.
     """
     if not (gram.is_symmetric() and gram.is_invertible()):
         raise ValueError("gram matrix must be symmetric and invertible")
     n = gram.ncols
-    grows = gram.rows
-    diag_bits = gram.diag().bits
-    out_cols: List[Tuple[int, ...]] = []
-    cols: List[int] = []
-    gcols: List[int] = []  # G @ c_j, packed
+    inverse = gram.inverse()
+    hrows = inverse.rows
+    h_times = inverse.row_map()  # H is symmetric, so H c is c @ H
+    found: List[F2Matrix] = []
+    rows: List[int] = []
 
-    g_times = gram.row_map()  # G is symmetric, so G c is c @ G
-
-    def extend(k: int) -> None:
-        if k == n:
-            out_cols.append(tuple(cols))
-            return
-        eqs = [gcols[j] | ((grows[k] >> j & 1) << n) for j in range(k)]
-        eqs.append(diag_bits | ((grows[k] >> k & 1) << n))
-        if involutive:
-            eqs += [grows[i] | ((gcols[i] >> k & 1) << n) for i in range(k)]
-        sol = _affine_solutions(eqs, n)
-        if sol is None:
-            return
-        particular, basis = sol
-        span = [(particular, g_times(particular))]  # (c, G c) over the affine subspace
+    def extend(k: int, system: List[int]) -> None:
+        particular, basis = _solutions(system, n, k)
+        span = [(particular, h_times(particular))]  # (c, H c) over the affine subspace
         for b in basis:
-            gb = g_times(b)
-            span += [(c ^ b, gc ^ gb) for c, gc in span]
-        for cand, gcand in span:
-            cols.append(cand)
-            gcols.append(gcand)
-            extend(k + 1)
-            gcols.pop()
-            cols.pop()
+            hb = h_times(b)
+            span += [(c ^ b, hc ^ hb) for c, hc in span]
+        if k + 1 == n:
+            found.extend(F2Matrix((*rows, c), n) for c, _ in span)
+            return
+        for c, hc in span:
+            nxt = _adjoin(system, hc | hrows[k] << n, n, k + 1)
+            if involutive and nxt is not None:
+                nxt = _adjoin(nxt, hrows[k] | hc << n, n, k + 1)
+            if nxt is not None:
+                rows.append(c)
+                extend(k + 1, nxt)
+                rows.pop()
 
-    extend(0)
-    # each solution lists the columns of M, which are the rows of M^T
-    return tuple(F2Matrix(cs, n).transpose() for cs in out_cols)
+    if not n:
+        return (inverse,)  # the empty matrix, the one isometry of the zero space
+    diag = inverse.diag().bits
+    extend(0, [diag | diag << n] if diag else [])
+    return tuple(found)
 
 
 def isometries(gram: F2Matrix, bound: int = ISOMETRY_BOUND) -> Tuple[F2Matrix, ...]:

@@ -515,8 +515,8 @@ def test_stdout_closed_before_the_last_flush_exits_141_quietly():
 
 def test_ctrl_c_exits_130_without_traceback():
     # the oracle leg needs work left after its first line (over 0.5 s):
-    # `verify generators --n 6` still closes and searches O(6, 2) by then
-    for argv, first in [(["verify", "generators", "--n", "6"], "PASS "), STREAMED_OUTPUTS["tables"]]:
+    # `verify rewrites --max-beta 400` still checks rules for about 3 s by then
+    for argv, first in [(["verify", "rewrites", "--max-beta", "400"], "PASS "), STREAMED_OUTPUTS["tables"]]:
         with start_cli(argv) as proc:
             try:
                 assert proc.stdout.readline().startswith(first), argv

@@ -9,7 +9,8 @@ from c2surf.f2 import (
     F2Matrix,
     F2Vector,
     SingularMatrixError,
-    _affine_solutions,
+    _adjoin,
+    _solutions,
     group_closure,
     involutive_isometries,
     isometries,
@@ -194,8 +195,9 @@ def test_inverse_matches_brute_force(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_affine_solutions_match_brute_force(n):
-    # every system of up to three (mask, rhs) equations in n unknowns
+def test_adjoined_solutions_match_brute_force(n):
+    # every system of up to three (mask, rhs) equations in n unknowns, each
+    # adjoined in turn with its right-hand side at depth 0
     rows = [(mask, rhs) for mask in range(1 << n) for rhs in (0, 1)]
     for k in range(4):
         for eqs in itertools.product(rows, repeat=k):
@@ -204,7 +206,11 @@ def test_affine_solutions_match_brute_force(n):
                 for x in range(1 << n)
                 if all((mask & x).bit_count() & 1 == rhs for mask, rhs in eqs)
             }
-            sol = _affine_solutions([mask | (rhs << n) for mask, rhs in eqs], n)
+            system = []
+            for mask, rhs in eqs:
+                if system is not None:
+                    system = _adjoin(system, mask | (rhs << n), n, 0)
+            sol = None if system is None else _solutions(system, n, 0)
             if sol is None:
                 assert brute == set(), eqs
                 continue
@@ -259,6 +265,26 @@ def test_isometries_match_brute_force_on_every_gram(n):
 )
 def test_involutive_isometries_are_the_involutions(kind, n):
     assert_involutions_of(standard_space(kind, n).gram)
+
+
+@pytest.mark.parametrize("kind, n", [("orthogonal", 5), ("orthogonal", 6), ("symplectic", 6)])
+def test_searches_follow_a_congruence(kind, n):
+    # G = P^T S P with G^2 != I, so the searches, which run over G^-1, meet a
+    # gram that is not its own inverse: the isometries of G are P^-1 M P for
+    # the isometries M of S, and so are the involutions
+    s = standard_space(kind, n).gram
+    ident = F2Matrix.identity(n)
+    rng = random.Random(n)
+    while True:
+        p = F2Matrix(tuple(rng.randrange(1 << n) for _ in range(n)), n)
+        if p.is_invertible() and (g := p.transpose() @ s @ p) @ g != ident:
+            break
+    p_inv = p.inverse()
+    searches = [involutive_isometries] + [isometries] * (kind == "orthogonal")
+    for search in searches:
+        found = search(g)
+        assert len(found) == len(set(found))
+        assert set(found) == {p_inv @ m @ p for m in search(s)}, search
 
 
 def test_isometries_bound():

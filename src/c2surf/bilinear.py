@@ -89,11 +89,11 @@ class Involution:
         g, m = self.space.gram, self.matrix
         # With M^2 = I, M^-1 = M, so M^T G M = G reads M^T G = G M, and
         # M^T G = (G M)^T for symmetric G: the isometry test is G M symmetric.
-        # Both are read off packed rows: row i of M M is row i of M mapped
-        # through M, and G M is compared with its transpose bit by bit.
-        # Otherwise the full product decides, so a matrix that is neither an
-        # isometry nor of order two still raises NotAnIsometry.
-        times_m = m.row_map()
+        # Both are read off 2n row products, with no table of M: row i of M M
+        # is row i of M times M, and G M is compared with its transpose bit by
+        # bit.  Otherwise the full product decides, so a matrix that is neither
+        # an isometry nor of order two still raises NotAnIsometry.
+        times_m = m.mul_row
         if all(times_m(r) == 1 << i for i, r in enumerate(m.rows)):
             gm = [times_m(r) for r in g.rows]
             if any((gm[i] >> j ^ gm[j] >> i) & 1 for i in range(n) for j in range(i)):

@@ -8,6 +8,8 @@ each with its sign, word (base and op counts), separation invariant and DD:
 (`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`
 and the rows of `taxonomy_cells`, which give the appendix tables and the
 printed lines; a `SurgeryWord` is built only where a word is asked for.
+A walk builds each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
+`taxonomy_cells` spells each base once and reads op texts from one `op_table`.
 `Action.from_word` re-derives the same invariants from any word; it is the
 oracle that checks the table, and the path of `inv` and the decision procedure,
 where a bounded memo derives each distinct word once.
@@ -36,9 +38,9 @@ from .words import (
     fixed_data,
     format_word,
     normalize,
+    op_table,
     q_sign,
     underlying_surface,
-    word_text,
 )
 
 
@@ -219,34 +221,36 @@ def _low_genus_dd(r: int, f: int, cp: int, cm: int, q: Sign) -> Optional[DDTuple
     return _KLEIN_DD.get(Taxonomy(f, cp, cm, q)) if r == 2 else None
 
 
-def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
     return Sign.MINUS, _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, cp, cm, Sign.MINUS)
 
 
-def _doubled(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c + 1
     dd = _family_dd(BaseKind.S21, 0, k) if c == 1 else None
     return Sign.MINUS, _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
 
 
-def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c
     return Sign.MINUS, _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, k)
 
 
-def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c - 1
     return Sign.MINUS, _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, k)
 
 
-def _spit(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    base, counts = BaseSpace.tspit((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
+def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
+    key, counts = ((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
+    base = bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key))  # built once per walk
     return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
-def _rotation(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
-    base, counts = BaseSpace.trot(r // 2 - c), (0, 0, c, 0, 0, 0)
+def _rotation(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
+    g, counts = r // 2 - c, (0, 0, c, 0, 0, 0)
+    base = bases.get(g) or bases.setdefault(g, BaseSpace.trot(g))  # an int key, a Tspit key is a pair
     return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
@@ -271,7 +275,7 @@ def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
     return rules
 
 
-def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     """Tanti(g - C) + C S10AT on T_g (S2a when g = C).  DD is derived for the
     S2a and Tanti(1) bases only: the tube block, zero without tubes."""
     base = BaseSpace.tanti(r // 2 - c)
@@ -279,7 +283,7 @@ def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
     return Sign.MINUS, base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
 
 
-def _orientable_base(r: int, f: int, c: int, cp: int, cm: int) -> _Class:
+def _orientable_base(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     """A bare base with positive sign on T_g: Tspit(g,F), Trefl(g,C) or Trot(g).
     DD is derived on T_0 and T_1 only, where these act trivially on H^1."""
     g = r // 2
@@ -321,11 +325,11 @@ def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, List[Callabl
 
 def _classes(surface: Surface) -> Iterator[Tuple[int, int, int, int, List[_Class]]]:
     """Each taxonomy row (F, C, C+, C-) of the surface in display order, with
-    the classes its rules give (the list may be empty)."""
-    r = surface.beta
+    the classes its rules give (the list may be empty), bases built once a walk."""
+    r, bases = surface.beta, {}
     for f, c, cms, rules in _rule_rows(surface):
         for cm in cms:
-            yield f, c, c - cm, cm, [rule(r, f, c, c - cm, cm) for rule in rules]
+            yield f, c, c - cm, cm, [rule(r, f, c, c - cm, cm, bases) for rule in rules]
 
 
 def trivial_action(surface: Surface) -> Action:
@@ -335,11 +339,19 @@ def trivial_action(surface: Surface) -> Action:
 
 def taxonomy_cells(surface: Surface) -> Iterator[Tuple[Taxonomy, List[_Text], List[_Text]]]:
     """Rows of the enumeration table: unsigned taxonomy, then the negative and
-    positive classes as (word text, separation, DD); either list may be empty."""
+    positive classes as (word text, separation, DD); either list may be empty.
+    A word is its base's token, spelled once per base of the walk, plus the
+    op texts of one `op_table` (no count exceeds beta / 2 + 1)."""
+    dcc, dt, s10at, s11at, s1aat, fm = op_table(surface.beta // 2 + 1)
+    # (token, base) by id, as deepcopy's memo: hashing a frozen base costs a
+    # Python call, and an entry keeps its base, so no id is reused in the walk
+    tokens: Dict[int, Tuple[str, BaseSpace]] = {}
     for f, c, cp, cm, classes in _classes(surface):
         neg, pos = [], []
-        for q, base, counts, eps, dd in classes:
-            (neg if q == Sign.MINUS else pos).append((word_text(base.token(), counts), eps, dd))
+        for q, base, (n1, n2, n3, n4, n5, n6), eps, dd in classes:
+            spelled = tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base))
+            text = spelled[0] + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6]
+            (neg if q is Sign.MINUS else pos).append((text, eps, dd))
         yield Taxonomy(f, cp, cm), neg, pos
 
 

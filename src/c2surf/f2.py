@@ -175,6 +175,10 @@ class F2Matrix:
         orows = other.rows
         return F2Matrix(tuple(_picked(orows, r) for r in self.rows), other.ncols)
 
+    def mul_row(self, x: int) -> int:
+        """x @ self for one packed row vector, by the bit walk of ``@``: no table."""
+        return _picked(self.rows, x)
+
     def row_map(self) -> Callable[[int], int]:
         """The map x |-> x @ self on row vectors packed as ints: the XOR of the
         rows that the set bits of x pick, read from subset-XOR tables of this

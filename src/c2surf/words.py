@@ -97,7 +97,7 @@ class BaseKind(enum.Enum):
 
     def __new__(cls, token: str, *params: str) -> "BaseKind":
         kind = object.__new__(cls)
-        kind._value_ = token
+        kind._value_ = kind.token = token  # read as a plain attribute, not through Enum's `value`
         kind.params = params
         return kind
 
@@ -209,8 +209,8 @@ class BaseSpace:
 
     def token(self) -> str:
         if not self.kind.params:
-            return self.kind.value
-        return f"{self.kind.value}({','.join(str(getattr(self, p)) for p in self.kind.params)})"
+            return self.kind.token
+        return f"{self.kind.token}({','.join([str(getattr(self, p)) for p in self.kind.params])})"
 
 
 def spit_fixed_points(g: int) -> range:
@@ -346,11 +346,11 @@ def _base_syntax(kind: BaseKind):
     declaration: a surface name for Triv's parameter, a number for the others."""
     params = [(r"([TN][0-9]+)", Surface.parse) if p == "surface" else (r"([0-9]+)", _number) for p in kind.params]
     args = ",".join(pattern for pattern, _ in params)
-    pattern = re.compile(rf"{kind.value}\({args}\)" if params else kind.value)
+    pattern = re.compile(rf"{kind.token}\({args}\)" if params else kind.token)
     return pattern, [convert for _, convert in params], getattr(BaseSpace, kind.name.lower().replace("_", ""))
 
 
-_BASE_SYNTAX = {k.value: _base_syntax(k) for k in BaseKind}
+_BASE_SYNTAX = {k.token: _base_syntax(k) for k in BaseKind}
 _OP_RE = re.compile(rf"([0-9]*)({'|'.join(_OP_NAMES)})")
 # Distinct op tokens remembered by `_parse_op`, as written (surrounding
 # whitespace included); the words with beta <= 12 and each op count <= 2
@@ -406,16 +406,23 @@ def _word(token: str, *counts: int) -> SurgeryWord:
     return SurgeryWord(_parse_base(token), *counts)
 
 
-def word_text(token: str, counts: Tuple[int, int, int, int, int, int]) -> str:
-    """Canonical text of a base token and the six op counts: the token, then
-    the ops in fixed order with count prefixes (``S2a+2DCC+S10AT``)."""
-    ops = [name if count == 1 else f"{count}{name}" for name, count in zip(_OP_NAMES, counts) if count]
-    return "+".join([token, *ops]) if ops else token
+def _count_text(count: int) -> str:
+    """What a positive op count writes before the op's name: "+", "+2", ..."""
+    return "+" if count == 1 else f"+{count}"
+
+
+def op_table(max_count: int) -> List[List[str]]:
+    """For each op in word order, the text that each count 0..max_count adds
+    to a word ("", "+DCC", "+2DCC", ...), for a caller that spells many words."""
+    prefixes = [_count_text(count) for count in range(1, max_count + 1)]
+    return [["", *[prefix + name for prefix in prefixes]] for name in _OP_NAMES]
 
 
 def format_word(w: SurgeryWord) -> str:
-    """Canonical text of a word."""
-    return word_text(w.base.token(), w.op_counts)
+    """Canonical text of a word: the base token, then the ops in fixed order
+    with count prefixes (``S2a+2DCC+S10AT``)."""
+    ops = [_count_text(count) + name for name, count in zip(_OP_NAMES, w.op_counts) if count]
+    return "".join([w.base.token(), *ops])
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +670,7 @@ __all__ = [
     "underlying_surface",
     "epsilon",
     "parse_word",
-    "word_text",
+    "op_table",
     "format_word",
     "RewriteRule",
     "rewrite_equivalences",

@@ -112,28 +112,26 @@ def _fmt_dd(a: Action) -> str:
     return "NA" if a.dd is None else ",".join(map(str, a.dd.as_tuple()))
 
 
-def _expected_record(a: Action) -> str:
-    """The record line of an action, written out from its fields."""
-    tax = a.taxonomy
+def _expected_lines(a: Action):
+    """The record line and the plain line of an action, written out from its
+    fields, with its word spelled once for both."""
+    tax, word, dd = a.taxonomy, format_word(a.word), _fmt_dd(a)
     fields = {
         "surface": a.surface.name,
-        "word": format_word(a.word),
+        "word": word,
         "F": tax.f if tax else "NA",
         "C": tax.c if tax else "NA",
         "C+": tax.cplus if tax else "NA",
         "C-": tax.cminus if tax else "NA",
         "Q": tax.q.value if tax else "NA",
         "eps": a.epsilon.value if a.epsilon else "NA",
-        "dd": _fmt_dd(a),
+        "dd": dd,
     }
-    return " ".join(f"{key}={value}" for key, value in fields.items())
-
-
-def _expected_plain(a: Action) -> str:
-    """The plain line of an action: surface, signed taxonomy, eps, DD, word."""
-    tax = repr(a.taxonomy) if a.taxonomy else "trivial"
+    record = " ".join(f"{key}={value}" for key, value in fields.items())
+    # the plain line: surface, signed taxonomy, eps, DD, word
+    signed = repr(tax) if tax else "trivial"
     eps = a.epsilon.value if a.epsilon else "-"
-    return f"{a.surface.name} {tax} eps={eps} dd={_fmt_dd(a)} {format_word(a.word)}"
+    return record, f"{a.surface.name} {signed} eps={eps} dd={dd} {word}"
 
 
 def _enumerate_lines(surface: str, fmt: str):
@@ -155,8 +153,7 @@ def test_cell_built_actions_equal_word_built():
         for a, record, line in zip(actions, records, plain):
             fresh = Action.from_word(parse_word(record.split(" ", 2)[1].removeprefix("word=")))
             assert fresh == a, record
-            assert record == _expected_record(fresh)
-            assert line == _expected_plain(fresh)
+            assert (record, line) == _expected_lines(fresh)
 
 
 def test_count_walk_matches_closed_form():
@@ -532,6 +529,33 @@ def test_taxonomy_cells_row_counts():
     rows4 = [cell for cell in taxonomy_cells(Surface(False, 4)) if cell[1] or cell[2]]
     assert len(rows4) == 11
     assert sum(len(neg) + len(pos) for _, neg, pos in rows4) == 14
+
+
+@pytest.mark.parametrize("walk", [taxonomy_cells, iter_actions], ids=lambda w: w.__name__)
+@pytest.mark.parametrize("names", [("N12", "N13"), ("N12", "N12")], ids="-".join)
+def test_interleaved_walks_share_no_state(walk, names):
+    # each walk keeps its own bases and tokens, so two walks stepped in turn
+    # yield exactly what each yields alone
+    alone = [list(walk(Surface.parse(name))) for name in names]
+    walks = [walk(Surface.parse(name)) for name in names]
+    stepped = [[], []]
+    done = object()
+    for steps in itertools.zip_longest(*walks, fillvalue=done):
+        for out, step in zip(stepped, steps):
+            if step is not done:
+                out.append(step)
+    assert stepped == alone
+
+
+def test_walk_builds_each_base_once():
+    # within one walk every class on a Tspit(g,F) or Trot(g) base shares that
+    # base's one copy (the actions are kept, so no id is reused)
+    for name in ("N12", "N13", "N40"):
+        actions, built = actions_on(name, include_trivial=False), {}
+        for a in actions:
+            built.setdefault(a.word.base, set()).add(id(a.word.base))
+        assert {base for base, copies in built.items() if len(copies) > 1} == set(), name
+        assert BaseKind.T_SPIT in {base.kind for base in built}, name
 
 
 def test_cell_words_cover_exactly_the_walked_rows():

@@ -21,6 +21,7 @@ from c2surf.words import (
     fixed_data,
     format_word,
     normalize,
+    op_table,
     orientability,
     parse_word,
     q_sign,
@@ -106,6 +107,18 @@ def test_parse_format_roundtrip():
     ]
     for t in texts:
         assert format_word(parse_word(t)) == t
+
+
+def test_op_table_spells_each_count_as_format_word_does():
+    table = op_table(12)
+    assert [column[:3] for column in table[:2]] == [["", "+DCC", "+2DCC"], ["", "+DT", "+2DT"]]
+    for slot, column in enumerate(table):
+        assert len(column) == 13
+        for count, text in enumerate(column):
+            counts = tuple(count if i == slot else 0 for i in range(6))
+            word = SurgeryWord(BaseSpace.tspit(11, 24), *counts)
+            assert format_word(word) == "Tspit(11,24)" + text
+            assert parse_word(format_word(word)) == word
 
 
 def test_parse_accepts_any_op_order_and_merges():

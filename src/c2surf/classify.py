@@ -109,7 +109,7 @@ class Action:
     @lru_cache(maxsize=_ACTION_CACHE_SIZE)
     def from_word(cls, w: SurgeryWord) -> "Action":
         surf = underlying_surface(w)
-        if w.is_trivial():
+        if w.base.kind is BaseKind.TRIVIAL:
             return cls(w, surf, None, None, dd_of_word(w, surf))
         tax = Taxonomy(*fixed_data(w), q_sign(w))
         return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))
@@ -157,7 +157,9 @@ def dd_of_word(
     w: SurgeryWord, surf: Optional[Surface] = None, tax: Optional[Taxonomy] = None
 ) -> Optional[DDTuple]:
     """DD whenever a derived formula covers the word, else None; `surf` and
-    `tax` (its surface and signed taxonomy) are computed if not given.
+    `tax` (its surface and signed taxonomy) are computed if not given.  Only a
+    nontrivial word has a signed taxonomy, so a caller that gives `tax` has
+    already answered whether the word is trivial.
 
     Covered: trivial actions; everything on S^2, RP^2, T_1, and the Klein
     bottle; and the crosscap families S2a/Tanti(1) + k DCC + C S10AT and
@@ -168,12 +170,13 @@ def dd_of_word(
     taxonomy.
     """
     surf = surf or underlying_surface(w)
-    if w.is_trivial():
-        return identity_dd(surf)
+    if tax is None:
+        if w.is_trivial():
+            return identity_dd(surf)
+        tax = Taxonomy(*fixed_data(w), q_sign(w))
     if surf.beta <= 1:
         # H^1 has dimension at most one, so every involution induces the identity
         return _ZERO_DD
-    tax = tax or Taxonomy(*fixed_data(w), q_sign(w))
     if surf == _T1:
         # the signed taxonomy is complete on T_1, and only the class of
         # S2a + S10AT acts nontrivially on H^1
@@ -381,18 +384,22 @@ def decide_isomorphic(a: Action, b: Action) -> bool:
     Matching signed taxonomies settle everything except the non-orientable
     [0,C:(C,0),-] family, where the separation invariant singles out the
     doubled surface and DD separates the two free-base families.
+    Surfaces and taxonomies are compared field by field, with no dataclass
+    `__eq__` call.
     """
-    if a.surface != b.surface:
+    s, t = a.surface, b.surface
+    if s.genus != t.genus or s.orientable != t.orientable:
         return False
-    if a.is_trivial() or b.is_trivial():
-        return a.is_trivial() and b.is_trivial()
-    if a.taxonomy != b.taxonomy:
+    ta, tb = a.taxonomy, b.taxonomy
+    if ta is None or tb is None:  # a trivial action
+        return ta is tb
+    if ta.f != tb.f or ta.cplus != tb.cplus or ta.cminus != tb.cminus or ta.q is not tb.q:
         return False
-    if a.surface.orientable or not a.taxonomy.ambiguous():
+    if s.orientable or not ta.ambiguous():
         return True
-    if a.epsilon != b.epsilon:
+    if a.epsilon is not b.epsilon:
         return False
-    if a.epsilon == Epsilon.SEPARATING:
+    if a.epsilon is Epsilon.SEPARATING:
         return True
     if a.dd is None or b.dd is None:
         missing = a if a.dd is None else b

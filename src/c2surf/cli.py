@@ -20,7 +20,7 @@ from .bilinear import standard_space
 from .dd import dd_classifies
 from .f2 import ISOMETRY_BOUND
 from .classify import Action, Taxonomy
-from .words import Epsilon, Sign, Surface, WordSyntaxError
+from .words import Sign, Surface, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -28,9 +28,6 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
-# The eps field of a line, read with no Enum `value` per line; None: the trivial action.
-_RECORD_EPS = {None: "NA", **{eps: eps.value for eps in Epsilon}}
-_PLAIN_EPS = {**_RECORD_EPS, None: "-"}
 
 
 class CliError(Exception):
@@ -60,17 +57,19 @@ def _fmt_dd(value) -> str:
 
 def _lines(surface: str, tax: Optional[Taxonomy], signed, record: bool) -> str:
     """The lines of one unsigned taxonomy row (None: the trivial action), the row's text
-    built once, from (sign text, classes) pairs, each class as (word text, eps, DD)."""
+    built once, from (sign text, classes) pairs, each class as (word text, eps, DD).
+    A line reads its ε text as a plain attribute and formats a DD only when it has one."""
     if record:
         head = f"F={tax.f} C={tax.c} C+={tax.cplus} C-={tax.cminus} Q=" if tax else "F=NA C=NA C+=NA C-=NA Q="
         return "".join([
-            f"surface={surface} word={word} {head}{q} eps={_RECORD_EPS[eps]} dd={_fmt_dd(dd)}\n"
+            f"surface={surface} word={word} {head}{q} eps={eps.text if eps else 'NA'} "
+            f"dd={'NA' if dd is None else _fmt_dd(dd)}\n"
             for q, classes in signed for word, eps, dd in classes
         ])
     label = tax.label() if tax else None
     heads = [(f"{surface} [{label},{q}]" if tax else f"{surface} trivial", classes) for q, classes in signed]
     return "".join([
-        f"{head} eps={_PLAIN_EPS[eps]} dd={_fmt_dd(dd)} {word}\n"
+        f"{head} eps={eps.text if eps else '-'} dd={'NA' if dd is None else _fmt_dd(dd)} {word}\n"
         for head, classes in heads for word, eps, dd in classes
     ])
 

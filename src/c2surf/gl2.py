@@ -63,18 +63,20 @@ T_REP = IntMatrix2(0, 1, 1, 0)
 
 
 def gl2_is_involution(m: IntMatrix2) -> bool:
-    return m @ m == I2
+    """m @ m == I2, read entry by entry on the four ints."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    trace = a + d
+    return a * a + b * c == 1 and c * b + d * d == 1 and b * trace == 0 and c * trace == 0
 
 
 def gl2_class(m: IntMatrix2) -> Gl2Class:
     """Conjugacy class via the off-diagonal parity rule."""
     if not gl2_is_involution(m):
         raise ValueError(f"{m!r} is not an involution")
-    if m == I2:
-        return Gl2Class.ID
-    if m == NEG_I2:
-        return Gl2Class.NEG_ID
-    if m.b % 2 == 0 and m.c % 2 == 0:
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if b == 0 == c and a == d:  # a diagonal involution is +-1 on the diagonal
+        return Gl2Class.ID if a == 1 else Gl2Class.NEG_ID
+    if b % 2 == 0 and c % 2 == 0:
         return Gl2Class.S_CLASS
     return Gl2Class.T_CLASS
 
@@ -109,11 +111,13 @@ def gl2_reduce(m: IntMatrix2) -> Tuple[Gl2Class, IntMatrix2]:
     cls = gl2_class(m)
     if cls in (Gl2Class.ID, Gl2Class.NEG_ID):
         raise ValueError("central involutions admit no reduction")
-    if m.det() != -1:
+    ma, mb, mc, md = m.a, m.b, m.c, m.d
+    if ma * md - mb * mc != -1:
         raise AssertionError("non-central involutions have determinant -1")
     rep = S_REP if cls is Gl2Class.S_CLASS else T_REP
-    state = (m.a, m.b, m.c, 1, 0, 0, 1)
-    while state[:3] != (rep.a, rep.b, rep.c):
+    ra, rb, rc, rd = rep.a, rep.b, rep.c, rep.d
+    state = (ma, mb, mc, 1, 0, 0, 1)
+    while state[:3] != (ra, rb, rc):
         a, b, c = state[:3]
         if a == 0:
             state = _step(state, "flip")  # cur is -T; negating the off-diagonal fixes it
@@ -138,10 +142,17 @@ def gl2_reduce(m: IntMatrix2) -> Tuple[Gl2Class, IntMatrix2]:
 
     _, _, _, w, x, y, z = state
     det = w * z - x * y  # +-1
-    p = IntMatrix2(det * z, -det * x, -det * y, det * w)  # conj^-1
-    if p.inverse() @ rep @ p != m:
+    pa, pb, pc, pd = det * z, -det * x, -det * y, det * w  # p = conj^-1
+    # P^-1 R P = M on the ints, as R P = P M with P invertible over Z: det(P) =
+    # det^3, a unit exactly when det is
+    if det * det != 1 or (
+        ra * pa + rb * pc != pa * ma + pb * mc
+        or ra * pb + rb * pd != pa * mb + pb * md
+        or rc * pa + rd * pc != pc * ma + pd * mc
+        or rc * pb + rd * pd != pc * mb + pd * md
+    ):
         raise AssertionError(f"witness construction failed for {m!r}")
-    return cls, p
+    return cls, IntMatrix2(pa, pb, pc, pd)
 
 
 # ---------------------------------------------------------------------------

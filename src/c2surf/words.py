@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional, Tuple
 
 
@@ -46,6 +46,11 @@ class Epsilon(enum.Enum):
     SEPARATING = "sep"
     NON_SEPARATING = "nonsep"
     NO_FIXED_CIRCLES = "nofix"
+
+    def __new__(cls, text: str) -> "Epsilon":
+        eps = object.__new__(cls)
+        eps._value_ = eps.text = text  # read as a plain attribute, not through Enum's `value`
+        return eps
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +89,8 @@ class Surface:
 class BaseKind(enum.Enum):
     """The base grammar, declared once: each kind's token and the parameters
     written after it, in order (``Tspit(g,F)`` is written ``Tspit(2,6)``).
-    The factory that builds a kind is named after it (T_SPIT: ``tspit``)."""
+    The factory that builds a kind is named after it (T_SPIT: ``tspit``).
+    A kind's `position` in this declaration is what a base's hash reads of it."""
 
     TRIVIAL = ("Triv", "surface")
     S2A = ("S2a",)
@@ -99,6 +105,7 @@ class BaseKind(enum.Enum):
         kind = object.__new__(cls)
         kind._value_ = kind.token = token  # read as a plain attribute, not through Enum's `value`
         kind.params = params
+        kind.position = len(cls.__members__)
         return kind
 
 
@@ -109,13 +116,18 @@ _PRESERVING_BASES = {BaseKind.S22, BaseKind.T_ROT, BaseKind.T_SPIT}
 @dataclass(frozen=True, slots=True)
 class BaseSpace:
     """A base equivariant surface.  Use the factory methods; they normalize
-    the genus-zero coincidences Tanti(0)=S2a, Tspit(0,2)=S22, Trefl(0,1)=S21."""
+    the genus-zero coincidences Tanti(0)=S2a, Tspit(0,2)=S22, Trefl(0,1)=S21.
+
+    The hash is computed once, from ints only (the kind's position, then the
+    parameters), so it is the same in every process: a base pickled under one
+    hash seed hashes like a fresh one under another."""
 
     kind: BaseKind
     g: int = 0
     f: int = 0  # fixed points of a spit base
     c: int = 0  # ovals of a reflection base
     surface: Optional[Surface] = None  # trivial actions only
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.kind
@@ -138,6 +150,12 @@ class BaseSpace:
                 raise InvalidWordError("Trefl(0,1) must be written S21")
             if self.c not in reflection_ovals(self.g):
                 raise InvalidWordError(f"bad reflection oval count C={self.c} at g={self.g}")
+        s = self.surface
+        key = (k.position, self.g, self.f, self.c) if s is None else (k.position, s.orientable, s.genus)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def trivial(surface: Surface) -> "BaseSpace":
@@ -227,11 +245,13 @@ def reflection_ovals(g: int) -> range:
 
 _OP_NAMES = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
 _OP_SLOTS = {name: slot for slot, name in enumerate(_OP_NAMES)}
+_NO_OPS = (0,) * len(_OP_NAMES)
 
 
 @dataclass(frozen=True, slots=True)
 class SurgeryWord:
-    """A base space with surgery-operation multiplicities."""
+    """A base space with surgery-operation multiplicities.  Like a base, a
+    word computes its hash once, from ints only: its base's hash and counts."""
 
     base: BaseSpace
     dcc: int = 0
@@ -240,6 +260,7 @@ class SurgeryWord:
     s11at: int = 0
     s1aat: int = 0
     fm: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = (self.dcc, self.dt, self.s10at, self.s11at, self.s1aat, self.fm)
@@ -252,6 +273,10 @@ class SurgeryWord:
                 f"{self.fm} FM surgeries but only "
                 f"{self.base.fixed_points + 2 * self.s11at} fixed points available"
             )
+        object.__setattr__(self, "_hash", hash((self.base._hash, counts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def op_counts(self) -> Tuple[int, int, int, int, int, int]:
@@ -365,12 +390,14 @@ _WORD_CACHE_SIZE = 4096
 def parse_word(text: str) -> SurgeryWord:
     """Parse ``BASE(+COUNT?OP)*``, e.g. ``S2a+2DCC+3S10AT+S11AT+2FM``.
     A bad base is reported before a bad op, and a bad op before a bad count."""
-    parts = text.strip().split("+")
-    token = parts[0].strip()
+    head, plus, ops = text.strip().partition("+")
+    token = head.strip()
     if not token:
         raise WordSyntaxError(f"empty word {text!r}")
+    if not plus:
+        return _word(token, *_NO_OPS)
     counts = [0] * len(_OP_NAMES)
-    for part in parts[1:]:
+    for part in ops.split("+"):
         try:
             slot, count = _parse_op(part)
         except ValueError:

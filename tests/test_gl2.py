@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -82,6 +83,42 @@ def test_reduce_witnesses_verify():
         expected = Gl2Class.S_CLASS if rep == S_REP else Gl2Class.T_CLASS
         assert cls == expected
         assert p.inverse() @ rep @ p == m
+
+
+def _reference_class(m: IntMatrix2) -> Gl2Class:
+    """The parity rule written with `IntMatrix2` products and equality."""
+    if m @ m != I2:
+        raise ValueError(f"{m!r} is not an involution")
+    if m == I2:
+        return Gl2Class.ID
+    if m == NEG_I2:
+        return Gl2Class.NEG_ID
+    return Gl2Class.S_CLASS if m.b % 2 == 0 and m.c % 2 == 0 else Gl2Class.T_CLASS
+
+
+def _outcome(f, m: IntMatrix2):
+    try:
+        return f(m)
+    except ValueError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_integer_kernels_match_the_matrix_ops():
+    # on every matrix with entries in [-3, 3], the integer kernels answer as
+    # the matrix operations do, and every non-central involution reduces to a
+    # witness that the matrix operations confirm
+    entries = range(-3, 4)
+    reduced = 0
+    for m in (IntMatrix2(*e) for e in itertools.product(entries, repeat=4)):
+        assert gl2_is_involution(m) == (m @ m == I2), m
+        cls = _outcome(gl2_class, m)
+        assert cls == _outcome(_reference_class, m), m
+        if cls in (Gl2Class.S_CLASS, Gl2Class.T_CLASS):
+            got, p = gl2_reduce(m)
+            assert got is cls and p.inverse() @ (S_REP if cls is Gl2Class.S_CLASS else T_REP) @ p == m, m
+            reduced += 1
+    # a^2 + bc = 1 with d = -a: 2 matrices at a = 0, 13 at each of a = +-1, 4 at each of a = +-2
+    assert reduced == 36
 
 
 def test_t_witness_walk_is_logarithmic(monkeypatch):

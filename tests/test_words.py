@@ -1,10 +1,17 @@
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2surf import words
+from c2surf.classify import iter_actions
 from c2surf.words import (
     BaseSpace,
     Epsilon,
@@ -214,6 +221,72 @@ def test_parse_matches_the_reference_parser(query_universe):
     info = _word.cache_info()
     assert info.misses == len(query_universe) == 2687
     assert info.hits == 3 * len(query_universe)
+
+
+def _equal_with_equal_hash(built, word) -> None:
+    assert built == word and hash(built) == hash(word), (built, word)
+    assert {built: True}.get(word), (built, word)
+
+
+def test_every_construction_path_gives_equal_hashes(query_universe):
+    # a word's hash is cached at construction; every way of building a query
+    # word (three parsed spellings, the constructor on a freshly built base,
+    # `replace`) gives an equal word with an equal hash, and so do the normal
+    # form and each enumerated word against their parsed text
+    rng = random.Random(31)
+    for word in query_universe:
+        b = word.base
+        fresh = SurgeryWord(BaseSpace(b.kind, b.g, b.f, b.c, b.surface), *word.op_counts)
+        for built in (*[parse_word(text) for text in _spellings(rng, word)], fresh, replace(word)):
+            _equal_with_equal_hash(built, word)
+        if not word.is_trivial():
+            _equal_with_equal_hash(replace(fresh, dcc=word.dcc + 1), replace(word, dcc=word.dcc + 1))
+        normal = normalize(word)
+        _equal_with_equal_hash(parse_word(format_word(normal)), normal)
+        _equal_with_equal_hash(normalize(fresh), normal)
+    assert len({hash(word) for word in query_universe}) == len(query_universe)
+    surfaces = [Surface(False, r) for r in range(1, 13)] + [Surface(True, g) for g in range(7)]
+    for surface in surfaces:
+        for action in iter_actions(surface):
+            _equal_with_equal_hash(parse_word(format_word(action.word)), action.word)
+
+
+def test_cached_hash_is_in_no_repr_or_match_args():
+    word = parse_word("Tspit(2,2)+DCC+S11AT")
+    assert "_hash" not in repr(word.base) and "_hash" not in repr(word)
+    assert BaseSpace.__match_args__ == ("kind", "g", "f", "c", "surface")
+    assert SurgeryWord.__match_args__ == ("base", "dcc", "dt", "s10at", "s11at", "s1aat", "fm")
+
+
+# Pickle the words parsed from stdin, with the hash of a str under this seed.
+_PICKLE_WORDS = (
+    "import pickle, sys; from c2surf.words import parse_word; "
+    "texts = sys.stdin.read().split(); "
+    "sys.stdout.buffer.write(pickle.dumps((hash('Tspit'), [parse_word(t) for t in texts])))"
+)
+# Load them and print: whether the str hash differs here, how many words came,
+# how many miss their freshly parsed twin by hash or in a set.
+_CHECK_PICKLED = (
+    "import pickle, sys; from c2surf.words import format_word, parse_word; "
+    "seen, loaded = pickle.loads(sys.stdin.buffer.read()); "
+    "bad = [w for w in loaded if hash(w) != hash(parse_word(format_word(w))) or w not in {parse_word(format_word(w))}]; "
+    "print(seen != hash('Tspit'), len(loaded), len(bad))"
+)
+
+
+def _run_under_seed(seed: str, code: str, stdin: bytes) -> bytes:
+    src = str(pathlib.Path(words.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True).stdout
+
+
+def test_pickled_word_hashes_like_a_fresh_one(query_universe):
+    # the hash is built from ints only, so a word pickled under one hash seed
+    # still finds its fresh twin in a dict under another (a hash built from
+    # the kind's token, a str, would not); the str hashes show the seeds differ
+    texts = "\n".join(format_word(word) for word in query_universe).encode()
+    dumped = _run_under_seed("1", _PICKLE_WORDS, texts)
+    assert _run_under_seed("2", _CHECK_PICKLED, dumped).split() == [b"True", b"2687", b"0"]
 
 
 def _outcome(parse, text):

@@ -2,22 +2,23 @@
 isomorphism-decision procedure.
 
 Every action is emitted as a surgery word with its invariants (taxonomy,
-sign, separation, DD).  A rule table gives each taxonomy cell its classes,
-each with its sign, word (base and op counts), separation invariant and DD:
+sign, separation, DD).  A rule table gives each taxonomy cell its classes by
+sign, each with its word (base and op counts), separation invariant and DD:
 `_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
 (`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`
 and the rows of `taxonomy_cells`, which give the appendix tables and the
 printed lines; a `SurgeryWord` is built only where a word is asked for.
 A walk builds each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
 `taxonomy_cells` spells each base once and reads op texts from one `op_table`.
-`Action.from_word` re-derives the same invariants from any word; it is the
-oracle that checks the table, and the path of `inv` and the decision procedure,
-where a bounded memo derives each distinct word once.
+`Action.from_word` re-derives the taxonomy, sign and separation from any word;
+it is the oracle that checks the table, and the path of `inv` and the decision
+procedure, where a bounded memo derives each distinct word once.
 On orientable surfaces the signed taxonomy is already a complete invariant; on
 non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
-where the separation invariant and the double Dickson invariant finish the
-job.  So `dd_of_word` rewrites a word (`normalize`) only on that taxonomy; on
-the Klein bottle every other class has its own signed taxonomy, which keys its DD.
+where the separation invariant and one bit of the quotient (`_tube_bit`)
+finish the job.  So `dd_of_word` reads a word's DD off the one rule of its
+class, keyed by surface, signed taxonomy, separation and that bit; it never
+rewrites the word, and every DD fact lives in the rules.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .words import (
     epsilon,
     fixed_data,
     format_word,
-    normalize,
     op_table,
     q_sign,
     underlying_surface,
@@ -45,7 +45,9 @@ from .words import (
 
 
 class DDUnavailableError(ValueError):
-    """Isomorphism undecidable: no derived DD value covers one of the words."""
+    """Isomorphism undecidable: an action of a [0,C:(C,0),-] cell on N_r that
+    the separation does not settle carries no DD (a word's action always has
+    its class's DD; an action built by hand may not)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +128,6 @@ class Action:
 
 
 _ZERO_DD = DDTuple(0, 0, 0, 0)
-_T1, _N2 = Surface(True, 1), Surface(False, 2)
 # Antipodal sphere or torus with C trivial-circle antitubes: the induced map
 # is a single symplectic transvection block, independent of C.
 _TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
@@ -153,48 +154,39 @@ def identity_dd(surface: Surface) -> DDTuple:
     return DDTuple(0, 1, 1, 0)
 
 
+def _tube_bit(w: SurgeryWord) -> int:
+    """b = <phi u phi, [Q^]>: phi the double cover's class, Q^ the quotient with
+    its reflector circles capped.  1 on S2a, g + 1 (mod 2) on Tanti(g), 0 on the
+    other bases; each S1aAT adds a crosscap to Q with phi = 1 on it."""
+    kind = w.base.kind
+    bit = 1 if kind is BaseKind.S2A else w.base.g + 1 if kind is BaseKind.T_ANTI else 0
+    return (bit + w.s1aat) % 2
+
+
 def dd_of_word(
     w: SurgeryWord, surf: Optional[Surface] = None, tax: Optional[Taxonomy] = None
 ) -> Optional[DDTuple]:
-    """DD whenever a derived formula covers the word, else None; `surf` and
-    `tax` (its surface and signed taxonomy) are computed if not given.  Only a
-    nontrivial word has a signed taxonomy, so a caller that gives `tax` has
-    already answered whether the word is trivial.
-
-    Covered: trivial actions; everything on S^2, RP^2, T_1, and the Klein
-    bottle; and the crosscap families S2a/Tanti(1) + k DCC + C S10AT and
-    S21 + k DCC, where the crosscap pairs enter through the direct-sum rule.
-    On T_1 and, outside [0,C:(C,0),-], on the Klein bottle the signed
-    taxonomy alone gives the DD.  Only [0,C:(C,0),-] words are normalized:
-    every family word has that taxonomy, and `normalize` keeps surface and
-    taxonomy.
-    """
+    """DD of the word's class, as its cell rule gives it (None where the rule
+    derives none); `surf` and `tax` (its surface and signed taxonomy) are
+    computed if not given, and a caller that gives `tax` has answered that the
+    word is nontrivial.  The class is the one rule of the word's sign in its
+    cell, except in [0,C:(C,0),-] on N_r: there separation picks the doubled
+    surface and `_tube_bit` the other two.  Only that rule is called, and a
+    word that lands on no class raises LookupError."""
     surf = surf or underlying_surface(w)
     if tax is None:
         if w.is_trivial():
             return identity_dd(surf)
         tax = Taxonomy(*fixed_data(w), q_sign(w))
-    if surf.beta <= 1:
-        # H^1 has dimension at most one, so every involution induces the identity
-        return _ZERO_DD
-    if surf == _T1:
-        # the signed taxonomy is complete on T_1, and only the class of
-        # S2a + S10AT acts nontrivially on H^1
-        if tax == Taxonomy(0, 1, 0, Sign.MINUS):
-            return _TUBE_FAMILY_DD[BaseKind.S2A]
-        return _ZERO_DD
-    if not tax.ambiguous():
-        return _KLEIN_DD.get(tax) if surf == _N2 else None
-    w = normalize(w)
-    kind, c = w.base.kind, w.s10at
-    family = (
-        kind == BaseKind.S2A
-        or (kind == BaseKind.T_ANTI and w.base.g == 1)
-        or (kind == BaseKind.S21 and c == 0)
-    )
-    if family and not (w.dt or w.s11at or w.s1aat or w.fm):
-        return _family_dd(kind, c, w.dcc)
-    return None
+    r, f, c, cm = surf.beta, tax.f, tax.c, tax.cminus
+    rules = _RULES[surf.orientable](r, f, c, cm)[tax.q is Sign.PLUS]
+    if len(rules) > 1:
+        sep = epsilon(w) is Epsilon.SEPARATING
+        pick = _doubled if sep else _antipodal_tubes if _tube_bit(w) else _torus_antipodal_tubes
+        rules = [rule for rule in rules if rule is pick]
+    if not rules:
+        raise LookupError(f"{format_word(w)} lands on no class of {tax!r} on {surf.name}")
+    return rules[0](r, f, c, tax.cplus, cm, {})[3]
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +196,11 @@ def dd_of_word(
 _S2A, _S21, _TANTI1 = BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.tanti(1)
 # Op counts in word order: DCC, DT, S10AT, S11AT, S1aAT, FM.
 _Counts = Tuple[int, int, int, int, int, int]
-# What a class rule gives for one row (r, F, C, C+, C-) of its cell: the sign,
-# the word as its base and op counts, the separation invariant and the DD.
-_Class = Tuple[Sign, BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
+# What a class rule gives for one row (r, F, C, C+, C-) of its cell: the word
+# as its base and op counts, the separation invariant and the DD.
+_Class = Tuple[BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
+# The class rules of a cell: those of negative sign, then those of positive sign.
+_Rules = Tuple[List[Callable[..., _Class]], List[Callable[..., _Class]]]
 # A class as the tables print it: word text, separation invariant, DD.
 _Text = Tuple[str, Epsilon, Optional[DDTuple]]
 
@@ -226,56 +220,56 @@ def _low_genus_dd(r: int, f: int, cp: int, cm: int, q: Sign) -> Optional[DDTuple
 
 def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
-    return Sign.MINUS, _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, cp, cm, Sign.MINUS)
+    return _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, cp, cm, Sign.MINUS)
 
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c + 1
     dd = _family_dd(BaseKind.S21, 0, k) if c == 1 else None
-    return Sign.MINUS, _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
+    return _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
 
 
 def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c
-    return Sign.MINUS, _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, k)
+    return _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, k)
 
 
 def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c - 1
-    return Sign.MINUS, _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, k)
+    return _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, k)
 
 
 def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     key, counts = ((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
     base = bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key))  # built once per walk
-    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
+    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
 def _rotation(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     g, counts = r // 2 - c, (0, 0, c, 0, 0, 0)
     base = bases.get(g) or bases.setdefault(g, BaseSpace.trot(g))  # an int key, a Tspit key is a pair
-    return Sign.PLUS, base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
+    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
 
 
-def _cell_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
-    """The class rules of the cell [F, C:(C+,C-)] on N_r, negative sign first.
+def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
+    """The class rules of the cell [F, C:(C+,C-)] on N_r, by sign.
     The guards read C- only through C- > 0, so one positive C- stands for all."""
-    rules: List[Callable[..., _Class]] = []
+    neg: List[Callable[..., _Class]] = []
     if (cm > 0 or f > 0) and f + 2 * c <= r:
-        rules.append(_antipodal_ovals)
+        neg.append(_antipodal_ovals)
     elif f == 0 and cm == 0 and r % 2 == 0 and c <= r // 2:
         if c >= 1:
-            rules.append(_doubled)
+            neg.append(_doubled)
         if c < r // 2:
-            rules.append(_antipodal_tubes)
+            neg.append(_antipodal_tubes)
         if c < r // 2 - 1:
-            rules.append(_torus_antipodal_tubes)
+            neg.append(_torus_antipodal_tubes)
     if (f + 2 * c) % 4 == (r + 2) % 4:
         if cm > 0 or (0 < f <= r and c >= 1):
-            rules.append(_spit)
-        elif f == 0 and cm == 0 and 0 < c <= r // 2:
-            rules.append(_rotation)
-    return rules
+            return neg, [_spit]
+        if f == 0 and cm == 0 and 0 < c <= r // 2:
+            return neg, [_rotation]
+    return neg, []
 
 
 def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
@@ -283,7 +277,7 @@ def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict)
     S2a and Tanti(1) bases only: the tube block, zero without tubes."""
     base = BaseSpace.tanti(r // 2 - c)
     dd = _family_dd(base.kind, c, 0) if r // 2 - c <= 1 else None
-    return Sign.MINUS, base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
+    return base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
 
 
 def _orientable_base(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
@@ -292,30 +286,26 @@ def _orientable_base(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _
     g = r // 2
     base = BaseSpace.tspit(g, f) if f else BaseSpace.trefl(g, c) if c else BaseSpace.trot(g)
     eps = Epsilon.SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
-    return Sign.PLUS, base, (0,) * 6, eps, _ZERO_DD if g <= 1 else None
+    return base, (0,) * 6, eps, _ZERO_DD if g <= 1 else None
 
 
-def _orientable_rules(r: int, f: int, c: int, cm: int) -> List[Callable[..., _Class]]:
-    """The class rules of the cell [F, C:(C,0)] on T_g (r = 2g), negative sign first."""
-    rules: List[Callable[..., _Class]] = []
-    if f == 0 and 2 * c <= r:
-        rules.append(_orientable_antipodal)
-    if (f + 2 * c) % 4 == (r + 2) % 4:
-        rules.append(_orientable_base)
-    return rules
+def _orientable_rules(r: int, f: int, c: int, cm: int) -> _Rules:
+    """The class rules of the cell [F, C:(C,0)] on T_g (r = 2g), by sign."""
+    neg = [_orientable_antipodal] if f == 0 and 2 * c <= r else []
+    return neg, [_orientable_base] if (f + 2 * c) % 4 == (r + 2) % 4 else []
 
 
-# The rule list of each surface family, by orientability.
+# The rule lists of each surface family, by orientability.
 _RULES = {False: _cell_rules, True: _orientable_rules}
 
 
-def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, List[Callable[..., _Class]]]]:
+def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, _Rules]]:
     """The rule table of a surface with beta = r, walked once in display
     order: the (F, C) pairs that pass F + 2C <= r + 2 with F = r (mod 2), F
     descending and C ascending; for each, the C- of its rows (ascending,
-    C- = r mod 2) in the groups that share one rule list, C- = 0 and then,
-    on N_r only, every positive C-.  On T_g a fixed set is points or
-    circles, never both, so only the pairs with F = 0 or C = 0 are walked."""
+    C- = r mod 2) in the groups that share one pair of rule lists, C- = 0
+    and then, on N_r only, every positive C-.  On T_g a fixed set is points
+    or circles, never both, so only the pairs with F = 0 or C = 0 are walked."""
     r, nonorientable, rules = surface.beta, not surface.orientable, _RULES[surface.orientable]
     for f in range(r + 2, -1, -2):
         for c in range((r + 2 - f) // 2 + 1 if nonorientable or f == 0 else 1):
@@ -326,13 +316,15 @@ def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, List[Callabl
                 yield f, c, positive, rules(r, f, c, positive[0])
 
 
-def _classes(surface: Surface) -> Iterator[Tuple[int, int, int, int, List[_Class]]]:
+def _classes(surface: Surface) -> Iterator[Tuple[int, int, int, int, int, List[_Class]]]:
     """Each taxonomy row (F, C, C+, C-) of the surface in display order, with
-    the classes its rules give (the list may be empty), bases built once a walk."""
+    the number n of its negative classes and the classes its rules give, the
+    first n negative (the list may be empty), bases built once a walk."""
     r, bases = surface.beta, {}
-    for f, c, cms, rules in _rule_rows(surface):
+    for f, c, cms, (neg, pos) in _rule_rows(surface):
+        rules, n = neg + pos, len(neg)
         for cm in cms:
-            yield f, c, c - cm, cm, [rule(r, f, c, c - cm, cm, bases) for rule in rules]
+            yield f, c, c - cm, cm, n, [rule(r, f, c, c - cm, cm, bases) for rule in rules]
 
 
 def trivial_action(surface: Surface) -> Action:
@@ -349,13 +341,11 @@ def taxonomy_cells(surface: Surface) -> Iterator[Tuple[Taxonomy, List[_Text], Li
     # (token, base) by id, as deepcopy's memo: hashing a frozen base costs a
     # Python call, and an entry keeps its base, so no id is reused in the walk
     tokens: Dict[int, Tuple[str, BaseSpace]] = {}
-    for f, c, cp, cm, classes in _classes(surface):
-        neg, pos = [], []
-        for q, base, (n1, n2, n3, n4, n5, n6), eps, dd in classes:
-            spelled = tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base))
-            text = spelled[0] + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6]
-            (neg if q is Sign.MINUS else pos).append((text, eps, dd))
-        yield Taxonomy(f, cp, cm), neg, pos
+    for f, c, cp, cm, n, classes in _classes(surface):
+        texts = [((tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base)))[0]
+                  + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
+                 for base, (n1, n2, n3, n4, n5, n6), eps, dd in classes]
+        yield Taxonomy(f, cp, cm), texts[:n], texts[n:]
 
 
 def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
@@ -363,15 +353,17 @@ def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Act
     each row, each built with its invariants straight from its cell rule."""
     if include_trivial:
         yield trivial_action(surface)
-    for f, c, cp, cm, classes in _classes(surface):
-        for sign, base, counts, eps, dd in classes:
-            yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, sign), eps, dd)
+    for f, c, cp, cm, n, classes in _classes(surface):
+        for i, (base, counts, eps, dd) in enumerate(classes):
+            tax = Taxonomy(f, cp, cm, Sign.MINUS if i < n else Sign.PLUS)
+            yield Action(SurgeryWord(base, *counts), surface, tax, eps, dd)
 
 
 def count_actions(surface: Surface, include_trivial: bool = True) -> int:
-    """Size of the enumeration without building the actions: each rule list
-    of the table walk once per row that shares it."""
-    return sum(len(cms) * len(rules) for _, _, cms, rules in _rule_rows(surface)) + (1 if include_trivial else 0)
+    """Size of the enumeration without building the actions: each pair of
+    rule lists of the table walk once per row that shares it."""
+    rows = _rule_rows(surface)
+    return sum(len(cms) * (len(neg) + len(pos)) for _, _, cms, (neg, pos) in rows) + (1 if include_trivial else 0)
 
 
 # ---------------------------------------------------------------------------

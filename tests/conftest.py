@@ -27,8 +27,8 @@ def _word_path_memos():
 def empty_word_memos():
     """Start each test with the word path's memos empty.  `parse_word` and
     `Action.from_word` remember their answers for the life of the process, so
-    without this a test that patches a step behind them (the rewrite fuse,
-    `normalize`) would be served an answer an earlier test derived."""
+    without this a test that patches a step behind them (a word check, the
+    rewriting system) would be served an answer an earlier test derived."""
     for memo in _word_path_memos():
         memo.cache_clear()
 

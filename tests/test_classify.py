@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from c2surf import classify, cli
+from c2surf import classify, cli, words
 from c2surf.classify import (
     _KLEIN_DD,
     Action,
@@ -23,7 +23,7 @@ from c2surf.classify import (
 )
 from c2surf.counting import total_count
 from c2surf.dd import DDTuple
-from c2surf.orbits import classify_free_structures, covers_of, orbit_census
+from c2surf.orbits import characteristic_class, classify_free_structures, content, covers_of, orbit_census
 from c2surf.words import (
     BaseKind,
     BaseSpace,
@@ -316,9 +316,9 @@ def test_dd_of_word_crosscapped_families():
 
 
 def _normalize_first_dd(w: SurgeryWord):
-    """DD with the rewrite first: the crosscap-family rule, or the Klein-bottle
-    lookup by the normal form's signed taxonomy, for a nontrivial word off
-    S^2, RP^2 and T_1."""
+    """DD of a nontrivial word with the rewrite first: the crosscap-family rule,
+    or the Klein-bottle lookup by the normal form's signed taxonomy; None
+    where neither covers the normal form."""
     n = normalize(w)
     kind, plain = n.base.kind, not (n.dt or n.s11at or n.s1aat or n.fm)
     if plain and (
@@ -333,33 +333,55 @@ def _normalize_first_dd(w: SurgeryWord):
 
 
 def test_dd_gate_loses_no_derived_value():
-    # dd_of_word rewrites only [0,C:(C,0),-] words, yet off S^2, RP^2 and
-    # T_1 it gives what rewriting every word first would give
-    checked = covered = 0
-    for w in _small_words():
-        surf = underlying_surface(w)
-        if surf.beta <= 1 or surf == Surface(True, 1):
-            continue
-        want = _normalize_first_dd(w)
-        assert Action.from_word(w).dd == dd_of_word(w) == want, format_word(w)
-        checked += 1
-        covered += want is not None
-    assert (checked, covered) == (23_283, 218)
+    # the lookup gives every DD that rewriting a word first derives, on the
+    # small words and on every class word that `enumerate` prints
+    names = [f"N{r}" for r in range(1, 61)] + [f"T{g}" for g in range(41)]
+    class_words = [a.word for name in names for a in actions_on(name, include_trivial=False)]
+    counts = []
+    for ws in (_small_words(), class_words):
+        checked = covered = 0
+        for w in ws:
+            want = _normalize_first_dd(w)
+            assert want is None or dd_of_word(w) == want, format_word(w)
+            checked += 1
+            covered += want is not None
+        counts.append((checked, covered))
+    assert counts == [(23_296, 223), (72_353, 1_015)]
 
 
-def test_from_word_rewrites_only_where_dd_decides(monkeypatch):
-    reached = []
+def test_tube_bit_is_the_content_of_the_characteristic_class():
+    # on the free words of the cell [0,0:(0,0),-] on N_r, the bit that picks a
+    # word's class is the orbit (A1 or A2) of its double-cover class
+    bases = [BaseSpace.s2a()] + [BaseSpace.tanti(g) for g in range(1, 20)] + [BaseSpace.trot(g) for g in range(1, 20, 2)]
+    checked = 0
+    for base in bases:
+        for s in range(1, 21 - base.g):
+            w = SurgeryWord(base, dcc=s)
+            surf = underlying_surface(w)
+            assert not surf.orientable and surf.beta <= 40
+            assert Taxonomy(*fixed_data(w), q_sign(w)) == Taxonomy(0, 0, 0, Sign.MINUS)
+            assert classify._tube_bit(w) == content(characteristic_class(w)), format_word(w)
+            checked += 1
+    assert checked == 20 + 190 + 100
 
-    def counting_normalize(w):
-        reached.append(w)
-        return normalize(w)
 
-    monkeypatch.setattr(classify, "normalize", counting_normalize)
-    for w in _small_words():
-        Action.from_word(w)
-    assert reached
-    for w in reached:
-        assert Taxonomy(*fixed_data(w), q_sign(w)).ambiguous(), format_word(w)
+def test_a_word_on_no_class_raises(monkeypatch):
+    # the lookup never guesses: a bit that points at a class the cell lacks
+    # (no Tanti(1) class in [0,1:(1,0),-] on N_4) raises
+    monkeypatch.setattr(classify, "_tube_bit", lambda w: 0)
+    with pytest.raises(LookupError, match=r"S2a\+DCC\+S10AT lands on no class"):
+        dd_of_word(parse_word("S2a+DCC+S10AT"))
+
+
+def test_from_word_never_rewrites(monkeypatch, query_universe):
+    # every invariant of a word, DD included, is read off the word and its
+    # class's rule; the rewriting system is the oracle of `verify rewrites`
+    def refuse(w):
+        raise AssertionError(f"normalize({format_word(w)}) on the word path")
+
+    monkeypatch.setattr(words, "normalize", refuse)
+    for w in itertools.chain(_small_words(), query_universe):
+        assert Action.from_word(w).dd == dd_of_word(w), format_word(w)
 
 
 def _words_up_to(max_beta: int):
@@ -520,7 +542,7 @@ def test_decide_matches_the_dataclass_equality_reference(query_universe):
         unavailable += isinstance(got, tuple)
     assert len(cross) == 2000 and len(trivial) == 19
     assert len(pairs) == 609_386 + 2000 + 2 * 19 * 2687
-    assert unavailable > 0  # the known DD gap is met, so the error path is compared too
+    assert unavailable == 0  # every word has its class's DD; the error path has its own test
 
 
 def test_free_actions_match_the_cover_classification():

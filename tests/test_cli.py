@@ -325,9 +325,11 @@ def test_oversized_numbers_are_syntax_errors(text):
     assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1  # no traceback
 
 
-def test_inv_rewrite_fuse_exits_4(monkeypatch):
+def test_rewrite_fuse_exits_4(monkeypatch):
+    # normalizing the first instance of `verify rewrites` takes a rewrite and then
+    # a fixpoint check, two passes against a fuse of one; `inv` never rewrites
     monkeypatch.setattr(words, "_NORMALIZE_FUSE", 1)
-    code, out, err = run(["inv", "S2a+DCC+20000DT"])
+    code, out, err = run(["verify", "rewrites"])
     assert code == 4 and out == ""
     assert err.startswith("error: rewriting did not terminate")
     assert len(err.splitlines()) == 1

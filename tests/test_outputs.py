@@ -54,7 +54,7 @@ GROUPS = {
     ),
     "inv": (
         lambda universe: [["inv", format_word(w)] for w in universe],
-        "84ac5c4aad71a1bd60cffb632585e8ab7e670cb4588d8a05d9a2d11394bd8fed",
+        "3159a0e4cb60c9b2472600a6292715b3a395be2ba8948a6be591571065605f3c",
     ),
     "gl2": (
         lambda _: [["gl2", *map(str, m)] for m in GL2_EDGE_CASES + list(_gl2_conjugates(200, 5))],

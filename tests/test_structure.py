@@ -174,6 +174,12 @@ def test_enumeration_path_stays_off_the_oracle():
     ]
 
 
+def test_word_path_stays_off_the_rewriting_system():
+    # a word's DD is read off its class's rule, and the decision compares
+    # invariants; rewriting words is the oracle of `verify rewrites`
+    assert _oracle_references(CLASSIFY, ("dd_of_word", "decide_isomorphic"), {"normalize"}) == []
+
+
 def test_oracle_reference_check_follows_calls(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(

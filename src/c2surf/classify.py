@@ -128,9 +128,10 @@ class Action:
 
 
 _ZERO_DD = DDTuple(0, 0, 0, 0)
-# Antipodal sphere or torus with C trivial-circle antitubes: the induced map
-# is a single symplectic transvection block, independent of C.
-_TUBE_FAMILY_DD = {BaseKind.S2A: DDTuple(1, 1, 1, 1), BaseKind.T_ANTI: DDTuple(2, 1, 2, 1)}
+# Antipodal sphere or torus (Tanti(g), g = 0 or 1) with C trivial-circle
+# antitubes, by g: the induced map is a single symplectic transvection block,
+# independent of C.
+_TUBE_FAMILY_DD = (DDTuple(1, 1, 1, 1), DDTuple(2, 1, 2, 1))
 # The Klein-bottle involutions outside the crosscap families (S2a+S11AT,
 # S22+S10AT and S22+2FM), keyed by signed taxonomy, which is complete there.
 _KLEIN_DD: Dict[Taxonomy, DDTuple] = {
@@ -140,10 +141,11 @@ _KLEIN_DD: Dict[Taxonomy, DDTuple] = {
 }
 
 
-def _family_dd(kind: BaseKind, tubes: int, k: int) -> DDTuple:
+def _family_dd(tubes: int, k: int, g: int = 0) -> DDTuple:
     """DD of base + k DCC + `tubes` S10AT in a crosscap family: the tube block
-    (zero without tubes) plus k crosscap pairs through the direct-sum rule."""
-    base = _TUBE_FAMILY_DD[kind] if tubes else _ZERO_DD
+    of Tanti(g) (zero without tubes) plus k crosscap pairs through the
+    direct-sum rule."""
+    base = _TUBE_FAMILY_DD[g] if tubes else _ZERO_DD
     return base if k == 0 else dd_direct_sum(base, k)
 
 
@@ -156,10 +158,9 @@ def identity_dd(surface: Surface) -> DDTuple:
 
 def _tube_bit(w: SurgeryWord) -> int:
     """b = <phi u phi, [Q^]>: phi the double cover's class, Q^ the quotient with
-    its reflector circles capped.  1 on S2a, g + 1 (mod 2) on Tanti(g), 0 on the
-    other bases; each S1aAT adds a crosscap to Q with phi = 1 on it."""
-    kind = w.base.kind
-    bit = 1 if kind is BaseKind.S2A else w.base.g + 1 if kind is BaseKind.T_ANTI else 0
+    its reflector circles capped.  g + 1 (mod 2) on Tanti(g), S2a included, 0
+    on the other bases; each S1aAT adds a crosscap to Q with phi = 1 on it."""
+    bit = w.base.g + 1 if w.base.kind is BaseKind.T_ANTI else 0
     return (bit + w.s1aat) % 2
 
 
@@ -225,18 +226,18 @@ def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c + 1
-    dd = _family_dd(BaseKind.S21, 0, k) if c == 1 else None
+    dd = _family_dd(0, k) if c == 1 else None
     return _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
 
 
 def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c
-    return _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.S2A, c, k)
+    return _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(c, k)
 
 
 def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     k = r // 2 - c - 1
-    return _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(BaseKind.T_ANTI, c, k)
+    return _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(c, k, 1)
 
 
 def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
@@ -276,7 +277,7 @@ def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict)
     """Tanti(g - C) + C S10AT on T_g (S2a when g = C).  DD is derived for the
     S2a and Tanti(1) bases only: the tube block, zero without tubes."""
     base = BaseSpace.tanti(r // 2 - c)
-    dd = _family_dd(base.kind, c, 0) if r // 2 - c <= 1 else None
+    dd = _family_dd(c, 0, base.g) if base.g <= 1 else None
     return base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
 
 

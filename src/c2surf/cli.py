@@ -330,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # InvalidWordError, dimension bounds, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (counting.CountMismatch, words.RewriteNonTermination) as exc:
+    except (counting.CountMismatch, words.RewriteNonTermination, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except BrokenPipeError:

@@ -135,6 +135,8 @@ def B_recursive(r: int) -> int:
 
 def ab_sum_closed(r: int) -> int:
     """Closed form for A(r) + B(r); a cross-check on both sequences."""
+    if r < 1:
+        raise ValueError("r >= 1")
     m = r % 4
     if m == 0:
         return _exact_div((r + 4) * (r + 6) * (r + 8), 64)

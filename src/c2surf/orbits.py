@@ -96,12 +96,12 @@ def verify_orthogonal_generators(n: int) -> bool:
     return closure == frozenset(isometries(F2Matrix.identity(n)))
 
 
-_FREE_BASES = (BaseKind.S2A, BaseKind.T_ANTI, BaseKind.T_ROT)
+_FREE_BASES = (BaseKind.T_ANTI, BaseKind.T_ROT)
 
 
 def _genus_and_crosscaps(w: SurgeryWord) -> Tuple[int, int]:
     """(g, s) of a free involution written base + s DCC on an antipodal or
-    rotation base; S2a has g = 0."""
+    rotation base; S2a is Tanti(0)."""
     if w.base.kind not in _FREE_BASES or any(w.op_counts[1:]):
         raise ValueError(
             f"{format_word(w)} is not an antipodal or rotation base plus crosscap pairs"

@@ -9,6 +9,11 @@ A word is a base C2-surface together with counts of six surgery operations:
 * ``S1aAT`` -- sew in an antitube around an antipodally-acted circle (beta +2)
 * ``FM``    -- trade an isolated fixed point for a one-sided oval (beta +1)
 
+A base is the trivial action or a member of one of four torus families:
+Tanti(g), Trot(g), Tspit(g,F) and Trefl(g,C).  The sphere's three involutions
+are their genus-zero members, written S2a = Tanti(0), S22 = Tspit(0,2) and
+S21 = Trefl(0,1), and have no case of their own.
+
 All invariants of the underlying action (beta-genus, fixed-point data, the
 quotient's orientability sign, separation behaviour) are computed directly
 from the word.  A partial rewriting system maps each word towards the fixed
@@ -87,36 +92,39 @@ class Surface:
 
 
 class BaseKind(enum.Enum):
-    """The base grammar, declared once: each kind's token and the parameters
-    written after it, in order (``Tspit(g,F)`` is written ``Tspit(2,6)``).
-    The factory that builds a kind is named after it (T_SPIT: ``tspit``).
+    """The base grammar, declared once: each kind's token, the token its
+    genus-zero member prints (None if it has none), and the parameters
+    written after the token, in order (``Tspit(g,F)`` is written ``Tspit(2,6)``).
+    The factory that builds a kind is named after it (T_SPIT: ``tspit``), and
+    that of a genus-zero member after its token (``s22``).
     A kind's `position` in this declaration is what a base's hash reads of it."""
 
-    TRIVIAL = ("Triv", "surface")
-    S2A = ("S2a",)
-    S21 = ("S21",)
-    S22 = ("S22",)
-    T_ANTI = ("Tanti", "g")
-    T_ROT = ("Trot", "g")
-    T_SPIT = ("Tspit", "g", "f")
-    T_REFL = ("Trefl", "g", "c")
+    TRIVIAL = ("Triv", None, "surface")
+    T_ANTI = ("Tanti", "S2a", "g")
+    T_ROT = ("Trot", None, "g")
+    T_SPIT = ("Tspit", "S22", "g", "f")
+    T_REFL = ("Trefl", "S21", "g", "c")
 
-    def __new__(cls, token: str, *params: str) -> "BaseKind":
+    def __new__(cls, token: str, sphere: Optional[str], *params: str) -> "BaseKind":
         kind = object.__new__(cls)
         kind._value_ = kind.token = token  # read as a plain attribute, not through Enum's `value`
+        kind.sphere = sphere
         kind.params = params
+        # the fields a base of this kind leaves at 0 (None for the surface)
+        kind.unused = tuple(p for p in ("g", "f", "c", "surface") if p not in params)
         kind.position = len(cls.__members__)
         return kind
 
 
 # Bases whose action preserves orientation; the rest reverse it.
-_PRESERVING_BASES = {BaseKind.S22, BaseKind.T_ROT, BaseKind.T_SPIT}
+_PRESERVING_BASES = {BaseKind.T_ROT, BaseKind.T_SPIT}
 
 
 @dataclass(frozen=True, slots=True)
 class BaseSpace:
-    """A base equivariant surface.  Use the factory methods; they normalize
-    the genus-zero coincidences Tanti(0)=S2a, Tspit(0,2)=S22, Trefl(0,1)=S21.
+    """A base equivariant surface: a kind and the parameters it declares.
+    A sphere base is the genus-zero member of its family, and every invariant
+    reads it through the family's formula.
 
     The hash is computed once, from ints only (the kind's position, then the
     parameters), so it is the same in every process: a base pickled under one
@@ -131,25 +139,19 @@ class BaseSpace:
 
     def __post_init__(self) -> None:
         k = self.kind
-        if k == BaseKind.TRIVIAL:
-            if self.surface is None:
-                raise InvalidWordError("trivial base needs a surface")
-        elif self.surface is not None:
-            raise InvalidWordError("only trivial bases carry a surface")
-        if k == BaseKind.T_ANTI and self.g < 1:
-            raise InvalidWordError("Tanti(0) must be written S2a")
-        if k == BaseKind.T_ROT and (self.g < 1 or self.g % 2 == 0):
+        for p in k.unused:
+            if getattr(self, p):
+                raise InvalidWordError(f"{k.token} takes no parameter {p}")
+        if k == BaseKind.TRIVIAL and self.surface is None:
+            raise InvalidWordError("trivial base needs a surface")
+        if self.g < 0:
+            raise InvalidWordError(f"negative genus g={self.g}")
+        if k == BaseKind.T_ROT and self.g % 2 == 0:
             raise InvalidWordError("rotation bases need odd genus")
-        if k == BaseKind.T_SPIT:
-            if self.g < 1:
-                raise InvalidWordError("Tspit(0,2) must be written S22")
-            if self.f not in spit_fixed_points(self.g):
-                raise InvalidWordError(f"bad spit fixed-point count F={self.f} at g={self.g}")
-        if k == BaseKind.T_REFL:
-            if self.g < 1:
-                raise InvalidWordError("Trefl(0,1) must be written S21")
-            if self.c not in reflection_ovals(self.g):
-                raise InvalidWordError(f"bad reflection oval count C={self.c} at g={self.g}")
+        if k == BaseKind.T_SPIT and self.f not in spit_fixed_points(self.g):
+            raise InvalidWordError(f"bad spit fixed-point count F={self.f} at g={self.g}")
+        if k == BaseKind.T_REFL and self.c not in reflection_ovals(self.g):
+            raise InvalidWordError(f"bad reflection oval count C={self.c} at g={self.g}")
         s = self.surface
         key = (k.position, self.g, self.f, self.c) if s is None else (k.position, s.orientable, s.genus)
         object.__setattr__(self, "_hash", hash(key))
@@ -163,19 +165,19 @@ class BaseSpace:
 
     @staticmethod
     def s2a() -> "BaseSpace":
-        return BaseSpace(BaseKind.S2A)
+        return BaseSpace(BaseKind.T_ANTI)
 
     @staticmethod
     def s21() -> "BaseSpace":
-        return BaseSpace(BaseKind.S21)
+        return BaseSpace(BaseKind.T_REFL, c=1)
 
     @staticmethod
     def s22() -> "BaseSpace":
-        return BaseSpace(BaseKind.S22)
+        return BaseSpace(BaseKind.T_SPIT, f=2)
 
     @staticmethod
     def tanti(g: int) -> "BaseSpace":
-        return BaseSpace.s2a() if g == 0 else BaseSpace(BaseKind.T_ANTI, g=g)
+        return BaseSpace(BaseKind.T_ANTI, g=g)
 
     @staticmethod
     def trot(g: int) -> "BaseSpace":
@@ -183,52 +185,25 @@ class BaseSpace:
 
     @staticmethod
     def tspit(g: int, f: int) -> "BaseSpace":
-        if g == 0:
-            if f != 2:
-                raise InvalidWordError(f"genus-zero spit needs F=2, got {f}")
-            return BaseSpace.s22()
         return BaseSpace(BaseKind.T_SPIT, g=g, f=f)
 
     @staticmethod
     def trefl(g: int, c: int) -> "BaseSpace":
-        if g == 0:
-            if c != 1:
-                raise InvalidWordError(f"genus-zero reflection needs C=1, got {c}")
-            return BaseSpace.s21()
         return BaseSpace(BaseKind.T_REFL, g=g, c=c)
 
     @property
     def beta(self) -> int:
-        if self.kind == BaseKind.TRIVIAL:
-            return self.surface.beta
-        if self.kind in (BaseKind.S2A, BaseKind.S21, BaseKind.S22):
-            return 0
-        return 2 * self.g
-
-    @property
-    def fixed_points(self) -> int:
-        if self.kind == BaseKind.S22:
-            return 2
-        if self.kind == BaseKind.T_SPIT:
-            return self.f
-        return 0
-
-    @property
-    def ovals(self) -> int:
-        if self.kind == BaseKind.S21:
-            return 1
-        if self.kind == BaseKind.T_REFL:
-            return self.c
-        return 0
+        return self.surface.beta if self.kind == BaseKind.TRIVIAL else 2 * self.g
 
     @property
     def preserves_orientation(self) -> bool:
         return self.kind in _PRESERVING_BASES
 
     def token(self) -> str:
-        if not self.kind.params:
-            return self.kind.token
-        return f"{self.kind.token}({','.join([str(getattr(self, p)) for p in self.kind.params])})"
+        k = self.kind
+        if self.g == 0 and k.sphere:
+            return k.sphere
+        return f"{k.token}({','.join([str(getattr(self, p)) for p in k.params])})"
 
 
 def spit_fixed_points(g: int) -> range:
@@ -268,10 +243,10 @@ class SurgeryWord:
             raise InvalidWordError("negative operation count")
         if self.base.kind == BaseKind.TRIVIAL and any(counts):
             raise InvalidWordError("trivial actions admit no surgery")
-        if self.fm > self.base.fixed_points + 2 * self.s11at:
+        if self.fm > self.base.f + 2 * self.s11at:
             raise InvalidWordError(
                 f"{self.fm} FM surgeries but only "
-                f"{self.base.fixed_points + 2 * self.s11at} fixed points available"
+                f"{self.base.f + 2 * self.s11at} fixed points available"
             )
         object.__setattr__(self, "_hash", hash((self.base._hash, counts)))
 
@@ -301,8 +276,8 @@ def beta(w: SurgeryWord) -> int:
 
 def fixed_data(w: SurgeryWord) -> Tuple[int, int, int]:
     """(F, C+, C-): isolated fixed points, two-sided ovals, one-sided ovals."""
-    f = w.base.fixed_points + 2 * w.s11at - w.fm
-    cplus = w.base.ovals + w.s10at
+    f = w.base.f + 2 * w.s11at - w.fm
+    cplus = w.base.c + w.s10at
     cminus = w.fm
     return (f, cplus, cminus)
 
@@ -314,7 +289,7 @@ def q_sign(w: SurgeryWord) -> Sign:
         raise InvalidWordError("quotient sign is defined for nontrivial actions")
     if w.dcc > 0 or w.s1aat > 0:
         return Sign.MINUS
-    if w.base.kind in (BaseKind.S2A, BaseKind.T_ANTI):
+    if w.base.kind == BaseKind.T_ANTI:
         return Sign.MINUS
     return Sign.PLUS
 
@@ -345,11 +320,11 @@ def epsilon(w: SurgeryWord) -> Epsilon:
     antitubes attached.  Words without ovals get their own marker."""
     if w.is_trivial():
         raise InvalidWordError("separation is defined for nontrivial actions")
-    if w.base.ovals + w.s10at + w.fm == 0:
+    if w.base.c + w.s10at + w.fm == 0:
         return Epsilon.NO_FIXED_CIRCLES
     # a reflection base has no isolated fixed points, so without S11AT and FM
     # the word has F = C- = 0
-    if w.base.kind in (BaseKind.S21, BaseKind.T_REFL) and not (w.s11at or w.s1aat or w.fm):
+    if w.base.kind == BaseKind.T_REFL and not (w.s11at or w.s1aat or w.fm):
         return Epsilon.SEPARATING
     return Epsilon.NON_SEPARATING
 
@@ -366,16 +341,18 @@ def _number(digits: str) -> int:
         raise WordSyntaxError(str(exc)) from exc
 
 
-def _base_syntax(kind: BaseKind):
-    """(pattern, parameter converters, factory) of a base token, read off its
-    declaration: a surface name for Triv's parameter, a number for the others."""
-    params = [(r"([TN][0-9]+)", Surface.parse) if p == "surface" else (r"([0-9]+)", _number) for p in kind.params]
-    args = ",".join(pattern for pattern, _ in params)
-    pattern = re.compile(rf"{kind.token}\({args}\)" if params else kind.token)
-    return pattern, [convert for _, convert in params], getattr(BaseSpace, kind.name.lower().replace("_", ""))
+def _base_syntax(token: str, params: Tuple[str, ...], factory: str):
+    """(pattern, parameter converters, factory) of a base token: a surface
+    name for Triv's parameter, a number for the others."""
+    syntax = [(r"([TN][0-9]+)", Surface.parse) if p == "surface" else (r"([0-9]+)", _number) for p in params]
+    args = ",".join(pattern for pattern, _ in syntax)
+    pattern = re.compile(rf"{token}\({args}\)" if syntax else token)
+    return pattern, [convert for _, convert in syntax], getattr(BaseSpace, factory)
 
 
-_BASE_SYNTAX = {k.token: _base_syntax(k) for k in BaseKind}
+# Each kind's token with its parameters, and each genus-zero token bare.
+_BASE_SYNTAX = {k.token: _base_syntax(k.token, k.params, k.name.lower().replace("_", "")) for k in BaseKind}
+_BASE_SYNTAX.update({k.sphere: _base_syntax(k.sphere, (), k.sphere.lower()) for k in BaseKind if k.sphere})
 _OP_RE = re.compile(rf"([0-9]*)({'|'.join(_OP_NAMES)})")
 # Distinct op tokens remembered by `_parse_op`, as written (surrounding
 # whitespace included); the words with beta <= 12 and each op count <= 2
@@ -589,32 +566,34 @@ def rewrite_equivalences() -> List[RewriteRule]:
 
 
 def _normalize_step(w: SurgeryWord) -> SurgeryWord:
-    """One directed rewrite towards the representative families, or w itself."""
-    k = w.base.kind
+    """One directed rewrite towards the representative families, or w itself.
+    A sphere base (g = 0) is its family's genus-zero member, so the unrolling
+    and shedding moves test g > 0: on S22, S21 or S2a they would give w back."""
+    k, g = w.base.kind, w.base.g
 
     # antipodal antitubes become crosscaps (S22) or a torus base (S2a)
-    if w.s1aat and k == BaseKind.S22:
+    if w.s1aat and k == BaseKind.T_SPIT and g == 0:
         return replace(w, s1aat=0, dcc=w.dcc + w.s1aat)
-    if w.s1aat and k == BaseKind.S2A:
+    if w.s1aat and k == BaseKind.T_ANTI and g == 0:
         if w.s11at:
             # each S1aAT would go S2a -> Tanti(1) and back via Tanti(1) + S11AT
             return replace(w, s1aat=0, dcc=w.dcc + w.s1aat)
         return replace(w, base=BaseSpace.tanti(1), s1aat=w.s1aat - 1)
 
     # spit/reflection bases unroll when mixed with foreign surgeries
-    if k == BaseKind.T_SPIT and (w.dcc or w.s1aat or w.dt or w.s11at):
+    if k == BaseKind.T_SPIT and g > 0 and (w.dcc or w.s1aat or w.dt or w.s11at):
         return replace(
             w,
             base=BaseSpace.s22(),
             s11at=w.s11at + w.base.f // 2 - 1,
-            dt=w.dt + (2 + 2 * w.base.g - w.base.f) // 4,
+            dt=w.dt + (2 + 2 * g - w.base.f) // 4,
         )
-    if k == BaseKind.T_REFL and any(w.op_counts):
+    if k == BaseKind.T_REFL and g > 0 and any(w.op_counts):
         return replace(
             w,
             base=BaseSpace.s21(),
             s10at=w.s10at + w.base.c - 1,
-            dt=w.dt + (w.base.g + 1 - w.base.c) // 2,
+            dt=w.dt + (g + 1 - w.base.c) // 2,
         )
 
     # a crosscapped sum absorbs dual tori, two crosscap pairs per torus pair
@@ -623,26 +602,26 @@ def _normalize_step(w: SurgeryWord) -> SurgeryWord:
 
     # free torus bases shed crosscaps down to S2a / Tanti(1)
     if k == BaseKind.T_ROT and w.dcc:
-        return replace(w, base=BaseSpace.tanti(1), dcc=w.dcc + w.base.g - 1)
-    if k == BaseKind.T_ANTI and w.s11at:
-        return replace(w, base=BaseSpace.s2a(), dcc=w.dcc + w.base.g)
-    if k == BaseKind.T_ANTI and w.base.g >= 2 and w.dcc:
-        if w.base.g % 2 == 0:
-            return replace(w, base=BaseSpace.s2a(), dcc=w.dcc + w.base.g)
-        return replace(w, base=BaseSpace.tanti(1), dcc=w.dcc + w.base.g - 1)
-    if k == BaseKind.S22 and w.dcc:
+        return replace(w, base=BaseSpace.tanti(1), dcc=w.dcc + g - 1)
+    if k == BaseKind.T_ANTI and g > 0 and w.s11at:
+        return replace(w, base=BaseSpace.s2a(), dcc=w.dcc + g)
+    if k == BaseKind.T_ANTI and g >= 2 and w.dcc:
+        if g % 2 == 0:
+            return replace(w, base=BaseSpace.s2a(), dcc=w.dcc + g)
+        return replace(w, base=BaseSpace.tanti(1), dcc=w.dcc + g - 1)
+    if k == BaseKind.T_SPIT and g == 0 and w.dcc:
         return replace(w, base=BaseSpace.s2a(), dcc=w.dcc - 1, s11at=w.s11at + 1)
 
     # rotation bases with reflected antitubes contract into spit bases
     if k == BaseKind.T_ROT and w.s11at and not w.dcc and not w.s1aat:
         return replace(
             w,
-            base=BaseSpace.tspit(w.base.g + w.s11at, 2 * w.s11at),
+            base=BaseSpace.tspit(g + w.s11at, 2 * w.s11at),
             s11at=0,
         )
 
     # pure positive-family words contract back to spit/reflection bases
-    if k == BaseKind.S22 and (w.s11at or w.dt) and not w.dcc and not w.s1aat:
+    if k == BaseKind.T_SPIT and g == 0 and (w.s11at or w.dt) and not w.dcc and not w.s1aat:
         return replace(
             w,
             base=BaseSpace.tspit(w.s11at + 2 * w.dt, 2 * w.s11at + 2),
@@ -650,7 +629,8 @@ def _normalize_step(w: SurgeryWord) -> SurgeryWord:
             dt=0,
         )
     if (
-        k == BaseKind.S21
+        k == BaseKind.T_REFL
+        and g == 0
         and (w.s10at or w.dt)
         and not (w.dcc or w.s1aat or w.s11at or w.fm)
     ):

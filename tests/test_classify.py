@@ -320,13 +320,12 @@ def _normalize_first_dd(w: SurgeryWord):
     or the Klein-bottle lookup by the normal form's signed taxonomy; None
     where neither covers the normal form."""
     n = normalize(w)
-    kind, plain = n.base.kind, not (n.dt or n.s11at or n.s1aat or n.fm)
+    plain = not (n.dt or n.s11at or n.s1aat or n.fm)
     if plain and (
-        kind == BaseKind.S2A
-        or (kind == BaseKind.T_ANTI and n.base.g == 1)
-        or (kind == BaseKind.S21 and n.s10at == 0)
+        (n.base.kind == BaseKind.T_ANTI and n.base.g <= 1)
+        or (n.base == BaseSpace.s21() and n.s10at == 0)
     ):
-        return _family_dd(kind, n.s10at, n.dcc)
+        return _family_dd(n.s10at, n.dcc, n.base.g)
     if underlying_surface(w) == Surface(False, 2):
         return _KLEIN_DD.get(Taxonomy(*fixed_data(n), q_sign(n)))
     return None
@@ -400,7 +399,7 @@ def _words_up_to(max_beta: int):
         for dcc, s10at, s11at, s1aat in itertools.product(range(room // 2 + 1), repeat=4):
             left = room - 2 * (dcc + s10at + s11at + s1aat)
             for dt in range(left // 4 + 1 if left >= 0 else 0):
-                for fm in range(min(left - 4 * dt, base.fixed_points + 2 * s11at) + 1):
+                for fm in range(min(left - 4 * dt, base.f + 2 * s11at) + 1):
                     yield SurgeryWord(base, dcc, dt, s10at, s11at, s1aat, fm)
 
 
@@ -577,8 +576,6 @@ def test_torus_taxonomy_chart():
 
 
 def test_separating_actions_are_exactly_the_doubled_family():
-    from c2surf.words import BaseKind
-
     for r in range(2, 31, 2):
         separating = [
             a
@@ -588,7 +585,7 @@ def test_separating_actions_are_exactly_the_doubled_family():
         # one doubled surface per oval count C = 1 .. r/2
         assert len(separating) == r // 2
         for a in separating:
-            assert a.word.base.kind == BaseKind.S21
+            assert a.word.base == BaseSpace.s21()
             assert a.taxonomy.q == Sign.MINUS
     for r in range(1, 30, 2):
         assert all(

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from c2surf import cli, counting, words
+from c2surf import classify, cli, counting, words
 from c2surf.bilinear import standard_space
 from c2surf.cli import main
 from c2surf.dd import dd_classifies
@@ -249,6 +249,22 @@ def test_inv_command():
     assert code == 0
     assert "taxonomy=trivial" in out.splitlines()
     assert "dd=0,0,0,0" in out.splitlines()
+
+
+def test_input_guards_exit_with_their_codes():
+    # a surface of no genus is a usage error, an impossible base a domain error
+    assert run(["enumerate", "N0"]) == (2, "", "error: bad surface parameters N0\n")
+    assert run(["inv", "Triv(N0)"]) == (2, "", "error: bad surface parameters N0\n")
+    assert run(["inv", "Trefl(0,3)"]) == (3, "", "error: bad reflection oval count C=3 at g=0\n")
+
+
+def test_a_word_on_no_class_exits_4(monkeypatch):
+    # the lookup never guesses: a word it lands on no class (a bit patched to
+    # point at a class the cell lacks) is a verification failure, one line
+    monkeypatch.setattr(classify, "_tube_bit", lambda w: 0)
+    code, out, err = run(["inv", "S2a+DCC+S10AT"])
+    assert (code, out) == (4, "")
+    assert err == "error: S2a+DCC+S10AT lands on no class of [0,1:(1,0),-] on N4\n"
 
 
 def test_gl2_command():

@@ -81,6 +81,17 @@ def test_total_count():
         assert total_count(Surface(True, g)) == 4 + 2 * g
 
 
+@pytest.mark.parametrize(
+    "sequence",
+    [A_direct, A_closed, A_recursive, B_direct, B_closed, B_recursive, ab_sum_closed],
+    ids=lambda f: f.__name__,
+)
+def test_sequences_reject_r_below_1(sequence):
+    for r in (0, -1, -4):
+        with pytest.raises(ValueError, match=r"^r >= 1$"):
+            sequence(r)
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         A_direct(0)

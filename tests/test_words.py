@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from c2surf import words
 from c2surf.classify import iter_actions
 from c2surf.words import (
+    BaseKind,
     BaseSpace,
     Epsilon,
     InvalidWordError,
@@ -349,6 +350,36 @@ def test_base_constraints():
         "S22",
         "S21",
     ]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (BaseKind.T_ANTI, {"f": 3}),
+        (BaseKind.T_ANTI, {"g": 1, "c": 2}),
+        (BaseKind.T_ROT, {"g": 1, "f": 2}),
+        (BaseKind.T_SPIT, {"g": 1, "f": 4, "c": 1}),
+        (BaseKind.T_REFL, {"g": 1, "c": 2, "f": 2}),
+        (BaseKind.T_REFL, {"c": 1, "surface": Surface(True, 0)}),
+        (BaseKind.TRIVIAL, {"surface": Surface(True, 1), "g": 1}),
+    ],
+    ids=lambda v: v.name if isinstance(v, BaseKind) else ",".join(v),
+)
+def test_bases_take_only_their_declared_parameters(kind, params):
+    extra = next(p for p in ("g", "f", "c", "surface") if p in params and p not in kind.params)
+    with pytest.raises(InvalidWordError, match=rf"^{kind.token} takes no parameter {extra}$"):
+        BaseSpace(kind, **params)
+
+
+def test_negative_genus_and_counts_are_rejected():
+    for make in (lambda: BaseSpace.tanti(-1), lambda: BaseSpace.trot(-1), lambda: BaseSpace.tspit(-1, 0)):
+        with pytest.raises(InvalidWordError, match=r"^negative genus g=-1$"):
+            make()
+    for slot in range(6):
+        counts = [0] * 6
+        counts[slot] = -1
+        with pytest.raises(InvalidWordError, match=r"^negative operation count$"):
+            SurgeryWord(BaseSpace.s22(), *counts)
 
 
 def test_op_deltas_are_additive():

@@ -44,6 +44,14 @@ GROUPS = {
         lambda _: [["enumerate", "N1..N30"], ["enumerate", "N1..N30", "--format", "record"]],
         "c06f8585cc5f020e4110759ddaeecac4f301aff902465514b8fae0e1b158fcae",
     ),
+    # the benchmark's windows N41..N44 and N57..N60 lie in here
+    "enumerate-N31..N60": (
+        lambda _: [
+            ["enumerate", "N31..N60"],
+            ["enumerate", "N31..N60", "--format", "record", "--include-trivial"],
+        ],
+        "4afabcdfe4ef01e444528e804e4aa13443326a94963b1f8b3267be9d74784e0b",
+    ),
     "enumerate-T": (
         lambda _: [["enumerate", "T0..T12", "--format", "record", "--include-trivial"]],
         "4ad1944d9598a1ab468aae809284a36422eaed00a010c2f37858bb20e0069864",

@@ -6,8 +6,8 @@ Moebius trades (FM).  The enumeration emits one representative per
 isomorphism class, organised by taxonomy [F, C:(C+,C-)] and quotient sign.
 """
 
-from c2surf.classify import iter_actions, taxonomy_cells
-from c2surf.words import Surface, format_word
+from c2surf.classify import cell_label, iter_actions, taxonomy_cells
+from c2surf.words import Sign, Surface, format_word
 
 
 def main() -> None:
@@ -24,16 +24,14 @@ def main() -> None:
         )
 
     print("\nN_6 grouped by taxonomy (sign columns -/+):")
-    for tax, neg, pos in taxonomy_cells(Surface(False, 6)):
-        if not neg and not pos:
+    for f, cplus, cminus, classes in taxonomy_cells(Surface(False, 6)):
+        if not classes:
             continue
-        left = ", ".join(word for word, _, _ in neg) or "-"
-        right = ", ".join(word for word, _, _ in pos) or "-"
-        print(f"  {tax.label():<12} {left:<55} | {right}")
+        left = ", ".join(word for q, word, _, _ in classes if q is Sign.MINUS) or "-"
+        right = ", ".join(word for q, word, _, _ in classes if q is Sign.PLUS) or "-"
+        print(f"  {cell_label(f, cplus, cminus):<12} {left:<55} | {right}")
 
-    phi = sum(
-        len(neg) + len(pos) for _, neg, pos in taxonomy_cells(Surface(False, 6))
-    )
+    phi = sum(len(classes) for _, _, _, classes in taxonomy_cells(Surface(False, 6)))
     print(f"\n  ...{phi} nontrivial actions on N_6 in total.")
 
 

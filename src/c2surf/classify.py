@@ -69,11 +69,16 @@ class Taxonomy:
         return self.f == 0 and self.cminus == 0 and self.q == Sign.MINUS
 
     def label(self) -> str:
-        return f"{self.f},{self.c}:({self.cplus},{self.cminus})"
+        return cell_label(self.f, self.cplus, self.cminus)
 
     def __repr__(self) -> str:
         sign = f",{self.q.value}" if self.q else ""
         return f"[{self.f},{self.c}:({self.cplus},{self.cminus}){sign}]"
+
+
+def cell_label(f: int, cp: int, cm: int) -> str:
+    """The text F,C:(C+,C-) of a taxonomy row, as the tables print it."""
+    return f"{f},{cp + cm}:({cp},{cm})"
 
 
 def scherrer_admissible(t: Taxonomy, beta: int) -> bool:
@@ -202,8 +207,11 @@ _Counts = Tuple[int, int, int, int, int, int]
 _Class = Tuple[BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
 # The class rules of a cell: those of negative sign, then those of positive sign.
 _Rules = Tuple[List[Callable[..., _Class]], List[Callable[..., _Class]]]
-# A class as the tables print it: word text, separation invariant, DD.
-_Text = Tuple[str, Epsilon, Optional[DDTuple]]
+# The class rules of a cell, each with its sign, negative first.
+_Signed = List[Tuple[Sign, Callable[..., _Class]]]
+# A row of the tables: F, C+, C-, and its classes as the tables print them:
+# sign, word text, separation invariant, DD.
+_Row = Tuple[int, int, int, List[Tuple[Sign, str, Epsilon, Optional[DDTuple]]]]
 
 
 def _ovals_epsilon(c: int) -> Epsilon:
@@ -300,32 +308,26 @@ def _orientable_rules(r: int, f: int, c: int, cm: int) -> _Rules:
 _RULES = {False: _cell_rules, True: _orientable_rules}
 
 
-def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, _Rules]]:
+def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, _Signed]]:
     """The rule table of a surface with beta = r, walked once in display
     order: the (F, C) pairs that pass F + 2C <= r + 2 with F = r (mod 2), F
     descending and C ascending; for each, the C- of its rows (ascending,
-    C- = r mod 2) in the groups that share one pair of rule lists, C- = 0
-    and then, on N_r only, every positive C-.  On T_g a fixed set is points
-    or circles, never both, so only the pairs with F = 0 or C = 0 are walked."""
+    C- = r mod 2) in the groups that share one list of rules, C- = 0 and
+    then, on N_r only, every positive C-; each rule with its sign, negative
+    first.  On T_g a fixed set is points or circles, never both, so only the
+    pairs with F = 0 or C = 0 are walked."""
     r, nonorientable, rules = surface.beta, not surface.orientable, _RULES[surface.orientable]
+
+    def signed(neg: List[Callable[..., _Class]], pos: List[Callable[..., _Class]]) -> _Signed:
+        return [(Sign.MINUS, rule) for rule in neg] + [(Sign.PLUS, rule) for rule in pos]
+
     for f in range(r + 2, -1, -2):
         for c in range((r + 2 - f) // 2 + 1 if nonorientable or f == 0 else 1):
             if r % 2 == 0:
-                yield f, c, range(1), rules(r, f, c, 0)
+                yield f, c, range(1), signed(*rules(r, f, c, 0))
             positive = range(2 - r % 2, c + 1, 2)
             if positive and nonorientable:
-                yield f, c, positive, rules(r, f, c, positive[0])
-
-
-def _classes(surface: Surface) -> Iterator[Tuple[int, int, int, int, int, List[_Class]]]:
-    """Each taxonomy row (F, C, C+, C-) of the surface in display order, with
-    the number n of its negative classes and the classes its rules give, the
-    first n negative (the list may be empty), bases built once a walk."""
-    r, bases = surface.beta, {}
-    for f, c, cms, (neg, pos) in _rule_rows(surface):
-        rules, n = neg + pos, len(neg)
-        for cm in cms:
-            yield f, c, c - cm, cm, n, [rule(r, f, c, c - cm, cm, bases) for rule in rules]
+                yield f, c, positive, signed(*rules(r, f, c, positive[0]))
 
 
 def trivial_action(surface: Surface) -> Action:
@@ -333,38 +335,48 @@ def trivial_action(surface: Surface) -> Action:
     return Action(SurgeryWord(BaseSpace.trivial(surface)), surface, None, None, identity_dd(surface))
 
 
-def taxonomy_cells(surface: Surface) -> Iterator[Tuple[Taxonomy, List[_Text], List[_Text]]]:
-    """Rows of the enumeration table: unsigned taxonomy, then the negative and
-    positive classes as (word text, separation, DD); either list may be empty.
-    A word is its base's token, spelled once per base of the walk, plus the
-    op texts of one `op_table` (no count exceeds beta / 2 + 1)."""
-    dcc, dt, s10at, s11at, s1aat, fm = op_table(surface.beta // 2 + 1)
+def taxonomy_cells(surface: Surface) -> Iterator[_Row]:
+    """Rows of the enumeration table in display order, as plain ints and one
+    list: (F, C+, C-, classes), each class as (sign, word text, separation,
+    DD), negative sign first; the list may be empty.  Each class is spelled
+    as its rule gives it, in the comprehension that calls the rule: its
+    base's token, spelled once per base of the walk, plus the op texts of
+    one `op_table` (no count exceeds beta / 2 + 1)."""
+    r, bases = surface.beta, {}
+    dcc, dt, s10at, s11at, s1aat, fm = op_table(r // 2 + 1)
     # (token, base) by id, as deepcopy's memo: hashing a frozen base costs a
     # Python call, and an entry keeps its base, so no id is reused in the walk
     tokens: Dict[int, Tuple[str, BaseSpace]] = {}
-    for f, c, cp, cm, n, classes in _classes(surface):
-        texts = [((tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base)))[0]
-                  + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
-                 for base, (n1, n2, n3, n4, n5, n6), eps, dd in classes]
-        yield Taxonomy(f, cp, cm), texts[:n], texts[n:]
+    for f, c, cms, rules in _rule_rows(surface):
+        for cm in cms:
+            cp = c - cm
+            yield f, cp, cm, [
+                (q, (tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base)))[0]
+                 + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
+                for q, rule in rules
+                for base, (n1, n2, n3, n4, n5, n6), eps, dd in [rule(r, f, c, cp, cm, bases)]
+            ]
 
 
 def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
     """All involutions on the surface, negative sign before positive within
-    each row, each built with its invariants straight from its cell rule."""
+    each row, each built with its invariants straight from its cell rule,
+    bases built once a walk."""
     if include_trivial:
         yield trivial_action(surface)
-    for f, c, cp, cm, n, classes in _classes(surface):
-        for i, (base, counts, eps, dd) in enumerate(classes):
-            tax = Taxonomy(f, cp, cm, Sign.MINUS if i < n else Sign.PLUS)
-            yield Action(SurgeryWord(base, *counts), surface, tax, eps, dd)
+    r, bases = surface.beta, {}
+    for f, c, cms, rules in _rule_rows(surface):
+        for cm in cms:
+            for q, rule in rules:
+                base, counts, eps, dd = rule(r, f, c, c - cm, cm, bases)
+                yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, c - cm, cm, q), eps, dd)
 
 
 def count_actions(surface: Surface, include_trivial: bool = True) -> int:
     """Size of the enumeration without building the actions: each pair of
     rule lists of the table walk once per row that shares it."""
     rows = _rule_rows(surface)
-    return sum(len(cms) * (len(neg) + len(pos)) for _, _, cms, (neg, pos) in rows) + (1 if include_trivial else 0)
+    return sum(len(cms) * len(rules) for _, _, cms, rules in rows) + (1 if include_trivial else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +417,7 @@ def decide_isomorphic(a: Action, b: Action) -> bool:
 __all__ = [
     "DDUnavailableError",
     "Taxonomy",
+    "cell_label",
     "scherrer_admissible",
     "Action",
     "identity_dd",

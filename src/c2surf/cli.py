@@ -55,43 +55,54 @@ def _fmt_dd(value) -> str:
     return "NA" if value is None else ",".join(map(str, value.as_tuple()))
 
 
-def _lines(surface: str, tax: Optional[Taxonomy], signed, record: bool) -> str:
-    """The lines of one unsigned taxonomy row (None: the trivial action), the row's text
-    built once, from (sign text, classes) pairs, each class as (word text, eps, DD).
-    A line reads its ε text as a plain attribute and formats a DD only when it has one."""
-    if record:
-        head = f"F={tax.f} C={tax.c} C+={tax.cplus} C-={tax.cminus} Q=" if tax else "F=NA C=NA C+=NA C-=NA Q="
-        return "".join([
-            f"surface={surface} word={word} {head}{q} eps={eps.text if eps else 'NA'} "
-            f"dd={'NA' if dd is None else _fmt_dd(dd)}\n"
-            for q, classes in signed for word, eps, dd in classes
-        ])
-    label = tax.label() if tax else None
-    heads = [(f"{surface} [{label},{q}]" if tax else f"{surface} trivial", classes) for q, classes in signed]
-    return "".join([
-        f"{head} eps={eps.text if eps else '-'} dd={'NA' if dd is None else _fmt_dd(dd)} {word}\n"
-        for head, classes in heads for word, eps, dd in classes
-    ])
+def _write_classes(surface: Surface, fmt: str, trivial: bool = False) -> None:
+    """Print the classes on the surface straight from the cell rules, one
+    write per F group (at most a few thousand lines, where a surface can hold
+    a few hundred thousand).  A line is one concatenation: in a record, a
+    prefix fixed for the surface, the word, the row's head and a tail; in a
+    plain line, the row's head, a tail and the word.  A tail carries the sign,
+    ε and DD, and is built once a call for each distinct (sign, ε, DD).
+    `fmt` "tables" prints the appendix table instead, one line a row, with
+    the multiplicities and the words of each sign.  `trivial` puts the
+    identity's line first (the table has none)."""
+    name, write, minus = surface.name, sys.stdout.write, Sign.MINUS
+    rows = classify.taxonomy_cells(surface)
+    if fmt == "tables":
+        write(f"{name} | - | + | - | +\n")
+        for f, cp, cm, classes in rows:
+            if classes:
+                signs = [[word for q, word, _, _ in classes if (q is minus) is neg] for neg in (True, False)]
+                counts = [str(len(ws)) if ws else "" for ws in signs]
+                write(" | ".join([classify.cell_label(f, cp, cm), *counts, *map(", ".join, signs)]) + "\n")
+        write("\n")
+        return
+    record, tails = fmt == "record", {}
 
+    def tail(q: Optional[Sign], eps, dd) -> str:
+        e, d = eps.text if eps else None, _fmt_dd(dd)
+        if record:
+            text = f"{q.value if q else 'NA'} eps={e or 'NA'} dd={d}\n"
+        else:
+            text = f"{f',{q.value}]' if q else ''} eps={e or '-'} dd={d} "
+        return tails.setdefault((q.text if q else None, e, dd), text)
 
-def _write_classes(surface: Surface, record: bool) -> None:
-    """The classes on the surface straight from the cell rules, one write per taxonomy row."""
-    name, minus, plus = surface.name, Sign.MINUS.value, Sign.PLUS.value
-    for tax, neg, pos in classify.taxonomy_cells(surface):
-        if neg or pos:
-            sys.stdout.write(_lines(name, tax, ((minus, neg), (plus, pos)), record))
-
-
-def _write_table(surface: Surface) -> None:
-    """Appendix-style table: one line per non-empty taxonomy row, with
-    negative/positive multiplicities and representative words."""
-    sys.stdout.write(f"{surface.name} | - | + | - | +\n")
-    for tax, neg, pos in classify.taxonomy_cells(surface):
-        if neg or pos:
-            counts = [str(len(ws)) if ws else "" for ws in (neg, pos)]
-            texts = [", ".join(word for word, _, _ in ws) for ws in (neg, pos)]
-            sys.stdout.write(" | ".join([tax.label(), *counts, *texts]) + "\n")
-    sys.stdout.write("\n")
+    prefix = f"surface={name} word="
+    if trivial:
+        a = classify.trivial_action(surface)
+        word, t = words.format_word(a.word), tail(None, None, a.dd)
+        write(f"{prefix}{word} F=NA C=NA C+=NA C-=NA Q={t}" if record else f"{name} trivial{t}{word}\n")
+    group, group_f = [], None
+    for f, cp, cm, classes in rows:
+        if f != group_f:
+            write("".join(group))
+            group, group_f = [], f
+        if record:
+            head = f" F={f} C={cp + cm} C+={cp} C-={cm} Q="
+            group += [prefix + word + head + (tails.get((q.text, eps.text, dd)) or tail(q, eps, dd)) for q, word, eps, dd in classes]
+        else:
+            head = f"{name} [{classify.cell_label(f, cp, cm)}"
+            group += [head + (tails.get((q.text, eps.text, dd)) or tail(q, eps, dd)) + word + "\n" for q, word, eps, dd in classes]
+    write("".join(group))
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -120,12 +131,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.tables:
             if s.orientable:
                 raise CliError("tables are defined for N_r only", EXIT_USAGE)
-            _write_table(s)
+            _write_classes(s, "tables")
             continue
-        if args.include_trivial:
-            a = classify.trivial_action(s)
-            sys.stdout.write(_lines(s.name, None, [("NA", [(words.format_word(a.word), None, a.dd)])], record))
-        _write_classes(s, record)
+        _write_classes(s, args.format, args.include_trivial)
     return EXIT_OK
 
 

@@ -42,20 +42,25 @@ class RewriteNonTermination(RuntimeError):
     """Directed rewriting hit its step fuse before reaching a fixpoint."""
 
 
-class Sign(enum.Enum):
+class _Texted(enum.Enum):
+    """An Enum whose value is its text, also kept as the plain attribute
+    `text`: reading it costs no call through Enum's `value`."""
+
+    def __new__(cls, text: str) -> "_Texted":
+        member = object.__new__(cls)
+        member._value_ = member.text = text
+        return member
+
+
+class Sign(_Texted):
     PLUS = "+"
     MINUS = "-"
 
 
-class Epsilon(enum.Enum):
+class Epsilon(_Texted):
     SEPARATING = "sep"
     NON_SEPARATING = "nonsep"
     NO_FIXED_CIRCLES = "nofix"
-
-    def __new__(cls, text: str) -> "Epsilon":
-        eps = object.__new__(cls)
-        eps._value_ = eps.text = text  # read as a plain attribute, not through Enum's `value`
-        return eps
 
 
 @dataclass(frozen=True, slots=True)

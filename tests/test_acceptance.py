@@ -115,10 +115,10 @@ def test_criterion_04_golden_tables():
             if _normalize_ws(buf.getvalue()) != _normalize_ws(golden):
                 return False
         # N6: 20 populated taxonomy rows carrying all 27 actions
-        rows = [cell for cell in taxonomy_cells(Surface(False, 6)) if cell[1] or cell[2]]
+        rows = [classes for _, _, _, classes in taxonomy_cells(Surface(False, 6)) if classes]
         if len(rows) != 20:
             return False
-        return sum(len(n) + len(p) for _, n, p in rows) == 27
+        return sum(map(len, rows)) == 27
 
     ok, elapsed = timed(check)
     report(4, "golden tables N2..N7 match row-for-row (N6: 20 rows, 27 actions)", ok, elapsed)

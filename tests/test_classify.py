@@ -595,12 +595,12 @@ def test_separating_actions_are_exactly_the_doubled_family():
 
 
 def test_taxonomy_cells_row_counts():
-    rows = [cell for cell in taxonomy_cells(Surface(False, 6)) if cell[1] or cell[2]]
+    rows = [classes for _, _, _, classes in taxonomy_cells(Surface(False, 6)) if classes]
     assert len(rows) == 20
-    assert sum(len(neg) + len(pos) for _, neg, pos in rows) == 27
-    rows4 = [cell for cell in taxonomy_cells(Surface(False, 4)) if cell[1] or cell[2]]
+    assert sum(map(len, rows)) == 27
+    rows4 = [classes for _, _, _, classes in taxonomy_cells(Surface(False, 4)) if classes]
     assert len(rows4) == 11
-    assert sum(len(neg) + len(pos) for _, neg, pos in rows4) == 14
+    assert sum(map(len, rows4)) == 14
 
 
 @pytest.mark.parametrize("walk", [taxonomy_cells, iter_actions], ids=lambda w: w.__name__)
@@ -637,11 +637,11 @@ def test_cell_words_cover_exactly_the_walked_rows():
     surfaces = [Surface(False, r) for r in range(1, 31)] + [Surface(True, g) for g in range(16)]
     for s in surfaces:
         b = s.beta
-        rows = {tax: [word for word, _, _ in neg + pos] for tax, neg, pos in taxonomy_cells(s)}
+        rows = {(f, cp, cm): [word for _, word, _, _ in classes] for f, cp, cm, classes in taxonomy_cells(s)}
         for f in range(b + 5):
             for c in range((b + 6 - f) // 2 + 1):
                 for cm in range(c + 1):
-                    tax = Taxonomy(f, c - cm, cm)
+                    row = (f, c - cm, cm)
                     walked = (f - b) % 2 == (cm - b) % 2 == 0 and f + 2 * c <= b + 2
-                    assert (tax in rows) == (walked and not (s.orientable and (cm or (f and c)))), (s, tax)
-        assert [format_word(w) for w in classify_free_structures(s)] == rows.get(Taxonomy(0, 0, 0), []), s
+                    assert (row in rows) == (walked and not (s.orientable and (cm or (f and c)))), (s, row)
+        assert [format_word(w) for w in classify_free_structures(s)] == rows.get((0, 0, 0), []), s

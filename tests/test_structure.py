@@ -122,10 +122,10 @@ def test_bench_worker_calls_bind():
 CLASSIFY = SRC / "classify.py"
 PRODUCTION_ROOTS = (
     "iter_actions", "taxonomy_cells", "count_actions", "_cell_rules", "_orientable_rules",
-    "_rule_rows", "_classes",
+    "_rule_rows",
 )
 CLI = SRC / "cli.py"
-CLI_PRODUCTION_ROOTS = ("cmd_enumerate", "_write_classes", "_lines", "_write_table")
+CLI_PRODUCTION_ROOTS = ("cmd_enumerate", "_write_classes")
 ORACLE_NAMES = {"from_word", "dd_of_word", "normalize", "fixed_data", "q_sign", "epsilon", "scherrer_admissible"}
 DD = SRC / "dd.py"
 DD_PRODUCTION_ROOTS = ("conjugacy_classes", "involutions_in", "dd_classifies")

@@ -73,7 +73,7 @@ class Taxonomy:
 
     def __repr__(self) -> str:
         sign = f",{self.q.value}" if self.q else ""
-        return f"[{self.f},{self.c}:({self.cplus},{self.cminus}){sign}]"
+        return f"[{self.label()}{sign}]"
 
 
 def cell_label(f: int, cp: int, cm: int) -> str:
@@ -116,7 +116,7 @@ class Action:
     @lru_cache(maxsize=_ACTION_CACHE_SIZE)
     def from_word(cls, w: SurgeryWord) -> "Action":
         surf = underlying_surface(w)
-        if w.base.kind is BaseKind.TRIVIAL:
+        if w.is_trivial():
             return cls(w, surf, None, None, dd_of_word(w, surf))
         tax = Taxonomy(*fixed_data(w), q_sign(w))
         return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))

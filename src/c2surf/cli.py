@@ -19,8 +19,8 @@ from . import classify, counting, gl2, orbits, words
 from .bilinear import standard_space
 from .dd import dd_classifies
 from .f2 import ISOMETRY_BOUND
-from .classify import Action, Taxonomy
-from .words import Sign, Surface, WordSyntaxError
+from .classify import Action
+from .words import Epsilon, Sign, Surface, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,35 +56,37 @@ def _fmt_dd(value) -> str:
 
 
 def _write_classes(surface: Surface, fmt: str, trivial: bool = False) -> None:
-    """Print the classes on the surface straight from the cell rules, one
-    write per F group (at most a few thousand lines, where a surface can hold
-    a few hundred thousand).  A line is one concatenation: in a record, a
-    prefix fixed for the surface, the word, the row's head and a tail; in a
-    plain line, the row's head, a tail and the word.  A tail carries the sign,
-    ε and DD, and is built once a call for each distinct (sign, ε, DD).
-    `fmt` "tables" prints the appendix table instead, one line a row, with
-    the multiplicities and the words of each sign.  `trivial` puts the
-    identity's line first (the table has none)."""
-    name, write, minus = surface.name, sys.stdout.write, Sign.MINUS
+    """Print the classes on the surface straight from the rows of
+    `taxonomy_cells`, one write per F group: a surface can hold a few hundred
+    thousand lines, an F group a few thousand.  A line is one concatenation:
+    in a record, a prefix fixed for the surface, the word, the row's head and
+    a tail; in a plain line, the row's head, a tail and the word.  A tail
+    holds the sign, ε and DD, and each distinct one is built once a call.
+    `trivial` puts the identity's line first, in a write of its own.  `fmt`
+    "tables" prints the appendix table instead: one line a row, with each
+    sign's multiplicity and words, one write a row."""
+    name, write = surface.name, sys.stdout.write
     rows = classify.taxonomy_cells(surface)
     if fmt == "tables":
         write(f"{name} | - | + | - | +\n")
         for f, cp, cm, classes in rows:
             if classes:
-                signs = [[word for q, word, _, _ in classes if (q is minus) is neg] for neg in (True, False)]
-                counts = [str(len(ws)) if ws else "" for ws in signs]
-                write(" | ".join([classify.cell_label(f, cp, cm), *counts, *map(", ".join, signs)]) + "\n")
+                neg = [word for q, word, _, _ in classes if q is Sign.MINUS]
+                pos = [word for q, word, _, _ in classes if q is Sign.PLUS]
+                counts = [str(len(ws)) if ws else "" for ws in (neg, pos)]
+                write(" | ".join([classify.cell_label(f, cp, cm), *counts, ", ".join(neg), ", ".join(pos)]) + "\n")
         write("\n")
         return
     record, tails = fmt == "record", {}
 
-    def tail(q: Optional[Sign], eps, dd) -> str:
+    def tail(q: Optional[str], eps: Optional[Epsilon], dd) -> str:
+        """The tail of sign text q, ε and DD (None on the trivial line)."""
         e, d = eps.text if eps else None, _fmt_dd(dd)
         if record:
-            text = f"{q.value if q else 'NA'} eps={e or 'NA'} dd={d}\n"
+            text = f"{q or 'NA'} eps={e or 'NA'} dd={d}\n"
         else:
-            text = f"{f',{q.value}]' if q else ''} eps={e or '-'} dd={d} "
-        return tails.setdefault((q.text if q else None, e, dd), text)
+            text = f"{f',{q}]' if q else ''} eps={e or '-'} dd={d} "
+        return tails.setdefault((q, e, dd), text)
 
     prefix = f"surface={name} word="
     if trivial:
@@ -94,14 +96,17 @@ def _write_classes(surface: Surface, fmt: str, trivial: bool = False) -> None:
     group, group_f = [], None
     for f, cp, cm, classes in rows:
         if f != group_f:
-            write("".join(group))
+            if group:
+                write("".join(group))
             group, group_f = [], f
         if record:
             head = f" F={f} C={cp + cm} C+={cp} C-={cm} Q="
-            group += [prefix + word + head + (tails.get((q.text, eps.text, dd)) or tail(q, eps, dd)) for q, word, eps, dd in classes]
+            group += [prefix + word + head + (tails.get((q.text, eps.text, dd)) or tail(q.text, eps, dd))
+                      for q, word, eps, dd in classes]
         else:
             head = f"{name} [{classify.cell_label(f, cp, cm)}"
-            group += [head + (tails.get((q.text, eps.text, dd)) or tail(q, eps, dd)) + word + "\n" for q, word, eps, dd in classes]
+            group += [head + (tails.get((q.text, eps.text, dd)) or tail(q.text, eps, dd)) + word + "\n"
+                      for q, word, eps, dd in classes]
     write("".join(group))
 
 
@@ -126,7 +131,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    record = args.format == "record"
     for s in _parse_surface_range(args.surfaces):
         if args.tables:
             if s.orientable:

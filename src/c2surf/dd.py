@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Set, Tuple
 
-from .bilinear import BilinearSpace, FormKind, Involution, omega_vector, standard_space
+from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
 from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, involutive_isometries, isometries, orbit, rank
 
 
@@ -183,12 +183,14 @@ def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
 
     Orthonormal grams use permutations plus the complement-of-identity block;
     standard symplectic grams use the chain transvections.  Every generator
-    is its own inverse.
+    is its own inverse.  Each standard gram is read off its rows, so no
+    second space is built: row i is 1 << i in the identity and 1 << (i ^ 1)
+    in the hyperbolic blocks (which an odd dimension cannot fill).
     """
-    n = space.dim
-    if space.gram == F2Matrix.identity(n):
+    n, rows = space.dim, space.gram.rows
+    if rows == tuple(1 << i for i in range(n)):
         return _orthonormal_generators(n)
-    if space.kind == FormKind.SYMP and space.gram == standard_space("symplectic", n).gram:
+    if rows == tuple(1 << (i ^ 1) for i in range(n)):
         return _chain_transvections(space)
     raise ValueError("generators are known for the standard orthogonal and symplectic grams only")
 

@@ -233,6 +233,36 @@ def test_enumerate_record_roundtrips():
         assert fields["Q"] in "+-"
 
 
+class WriteSizes(io.StringIO):
+    """A stdout that records how many lines each write holds, or None for a
+    write that ends inside a line."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(text.count("\n") if text.endswith("\n") else None)
+        return super().write(text)
+
+
+def test_enumerate_writes_one_f_group_at_a_time():
+    # a surface goes out one F group per write, each a run of whole lines, so
+    # no write holds more than the largest F group: 4,124 of N200's 136,724
+    surface = words.Surface(False, 200)
+    groups = {}
+    for f, _, _, classes in classify.taxonomy_cells(surface):
+        groups[f] = groups.get(f, 0) + len(classes)
+    sizes = [n for n in groups.values() if n]
+    assert max(sizes) == 4124 and sum(sizes) == counting.total_count(surface) - 1 == 136724
+    # the trivial line, when asked for, goes first in a write of its own
+    for fmt, trivial, want in (("record", "--include-trivial", [1, *sizes]), ("table", "--no-include-trivial", sizes)):
+        out = WriteSizes()
+        with redirect_stdout(out):
+            assert main(["enumerate", "N200", "--format", fmt, trivial]) == 0
+        assert out.sizes == want, fmt
+
+
 def test_inv_command():
     code, out, _ = run(["inv", "S2a+2DCC+3S10AT+S11AT+2FM"])
     assert code == 0
@@ -498,8 +528,8 @@ def start_cli(argv, buffered=False):
     )
 
 
-# (argv, start of the first line): N_r text goes out one taxonomy row per
-# write, in each output format
+# (argv, start of the first line): N_r text goes out one F group per write
+# (a table, one row per write), in each output format
 STREAMED_OUTPUTS = {
     "record": (["enumerate", "N200", "--format", "record"], "surface=N200 "),
     "plain": (["enumerate", "N200"], "N200 ["),

@@ -314,6 +314,21 @@ def test_generators_are_involutive_isometries(kind, n):
         assert len(gens) == 3 * (n // 2) - 1
 
 
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ((4, 8, 1, 2), FormKind.SYMP),  # the pairs (e0, e2), (e1, e3): symplectic, not the standard blocks
+        ((2, 1, 4), FormKind.ODDO),  # one hyperbolic block plus a unit vector
+        ((3, 1), FormKind.EVO),  # orthogonal, but not orthonormal
+    ],
+)
+def test_generators_reject_nonstandard_grams(rows, kind):
+    space = BilinearSpace(F2Matrix(rows, len(rows)))
+    assert space.kind == kind
+    with pytest.raises(ValueError, match="standard orthogonal and symplectic grams only"):
+        isometry_generators(space)
+
+
 def test_conjugacy_classes_partition():
     space = standard_space("symplectic", 4)
     classes = conjugacy_classes(space)

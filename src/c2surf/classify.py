@@ -5,11 +5,15 @@ Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  A rule table gives each taxonomy cell its classes by
 sign, each with its word (base and op counts), separation invariant and DD:
 `_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
-(`_rule_rows`) feeds the enumerator `iter_actions`, the count `count_actions`
-and the rows of `taxonomy_cells`, which give the appendix tables and the
-printed lines; a `SurgeryWord` is built only where a word is asked for.
-A walk builds each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
-`taxonomy_cells` spells each base once and reads op texts from one `op_table`.
+(`_rule_rows`, each rule with its sign) feeds the enumerator `iter_actions`,
+the count `count_actions` and the rows of `taxonomy_cells`, from which the CLI
+prints the appendix tables and the lines; a `SurgeryWord` is built only where
+a word is asked for.  A row of `taxonomy_cells` is plain ints (F, C+, C-) and
+one list of classes, each as (sign, word text, ε, DD), with no `Taxonomy`
+built; the text F,C:(C+,C-) is written once, by `cell_label`.  A walk builds
+each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
+`taxonomy_cells` spells each word in the comprehension that calls its rule,
+each base once and the op texts from one `op_table`.
 `Action.from_word` re-derives the taxonomy, sign and separation from any word;
 it is the oracle that checks the table, and the path of `inv` and the decision
 procedure, where a bounded memo derives each distinct word once.
@@ -367,14 +371,15 @@ def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Act
     r, bases = surface.beta, {}
     for f, c, cms, rules in _rule_rows(surface):
         for cm in cms:
+            cp = c - cm
             for q, rule in rules:
-                base, counts, eps, dd = rule(r, f, c, c - cm, cm, bases)
-                yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, c - cm, cm, q), eps, dd)
+                base, counts, eps, dd = rule(r, f, c, cp, cm, bases)
+                yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
 
 
 def count_actions(surface: Surface, include_trivial: bool = True) -> int:
-    """Size of the enumeration without building the actions: each pair of
-    rule lists of the table walk once per row that shares it."""
+    """Size of the enumeration without building the actions: each list of
+    rules of the table walk once per row that shares it."""
     rows = _rule_rows(surface)
     return sum(len(cms) * len(rules) for _, _, cms, rules in rows) + (1 if include_trivial else 0)
 

@@ -56,31 +56,27 @@ def _fmt_dd(value) -> str:
 
 
 def _write_classes(surface: Surface, fmt: str, trivial: bool = False) -> None:
-    """Print the classes on the surface straight from the rows of
-    `taxonomy_cells`, one write per F group: a surface can hold a few hundred
-    thousand lines, an F group a few thousand.  A line is one concatenation:
-    in a record, a prefix fixed for the surface, the word, the row's head and
-    a tail; in a plain line, the row's head, a tail and the word.  A tail
-    holds the sign, ε and DD, and each distinct one is built once a call.
-    `trivial` puts the identity's line first, in a write of its own.  `fmt`
-    "tables" prints the appendix table instead: one line a row, with each
-    sign's multiplicity and words, one write a row."""
+    """Print the surface's classes from the rows of `taxonomy_cells`, one
+    write per F group (a surface can hold a few hundred thousand lines, an F
+    group a few thousand).  A line is one concatenation: a prefix fixed per
+    surface, the word, the row's head and a tail in a record; the head, the
+    tail and the word in a plain line.  A tail holds the sign, ε and DD, and
+    each distinct one is built once a call.  `trivial` writes the identity's
+    line first; `fmt` "tables" writes the appendix table, one row a write."""
     name, write = surface.name, sys.stdout.write
     rows = classify.taxonomy_cells(surface)
     if fmt == "tables":
         write(f"{name} | - | + | - | +\n")
         for f, cp, cm, classes in rows:
             if classes:
-                neg = [word for q, word, _, _ in classes if q is Sign.MINUS]
-                pos = [word for q, word, _, _ in classes if q is Sign.PLUS]
-                counts = [str(len(ws)) if ws else "" for ws in (neg, pos)]
-                write(" | ".join([classify.cell_label(f, cp, cm), *counts, ", ".join(neg), ", ".join(pos)]) + "\n")
+                by_sign = [[word for q, word, _, _ in classes if q is sign] for sign in (Sign.MINUS, Sign.PLUS)]
+                counts = [str(len(ws)) if ws else "" for ws in by_sign]
+                write(" | ".join([classify.cell_label(f, cp, cm), *counts, *map(", ".join, by_sign)]) + "\n")
         write("\n")
         return
     record, tails = fmt == "record", {}
 
     def tail(q: Optional[str], eps: Optional[Epsilon], dd) -> str:
-        """The tail of sign text q, ε and DD (None on the trivial line)."""
         e, d = eps.text if eps else None, _fmt_dd(dd)
         if record:
             text = f"{q or 'NA'} eps={e or 'NA'} dd={d}\n"

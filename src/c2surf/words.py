@@ -205,10 +205,6 @@ class BaseSpace:
     def beta(self) -> int:
         return self.surface.beta if self.kind is _TRIVIAL else 2 * self.g
 
-    @property
-    def preserves_orientation(self) -> bool:
-        return self.kind.preserves_orientation
-
     def token(self) -> str:
         k = self.kind
         if self.g == 0 and k.sphere:

@@ -128,12 +128,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     for s in _parse_surface_range(args.surfaces):
-        if args.tables:
-            if s.orientable:
-                raise CliError("tables are defined for N_r only", EXIT_USAGE)
-            _write_classes(s, "tables")
-            continue
-        _write_classes(s, args.format, args.include_trivial)
+        if args.tables and s.orientable:
+            raise CliError("tables are defined for N_r only", EXIT_USAGE)
+        _write_classes(s, "tables" if args.tables else args.format, args.include_trivial)
     return EXIT_OK
 
 

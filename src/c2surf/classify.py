@@ -5,10 +5,10 @@ Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  A rule table gives each taxonomy cell its classes by
 sign, each with its word (base and op counts), separation invariant and DD:
 `_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
-(`_rule_rows`, each rule with its sign) feeds the enumerator `iter_actions`,
-the count `count_actions` and the rows of `taxonomy_cells`, from which the CLI
-prints the appendix tables and the lines; a `SurgeryWord` is built only where
-a word is asked for.  A row of `taxonomy_cells` is plain ints (F, C+, C-) and
+(`_rule_rows`) feeds the enumerator `iter_actions`, the count
+`count_actions` and the rows of `taxonomy_cells`, from which the CLI prints
+the appendix tables and the lines; a `SurgeryWord` is built only where a word
+is asked for.  A row of `taxonomy_cells` is plain ints (F, C+, C-) and
 one list of classes, each as (sign, word text, ε, DD), with no `Taxonomy`
 built; the text F,C:(C+,C-) is written once, by `cell_label`.  A walk builds
 each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
@@ -211,8 +211,6 @@ _Counts = Tuple[int, int, int, int, int, int]
 _Class = Tuple[BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
 # The class rules of a cell: those of negative sign, then those of positive sign.
 _Rules = Tuple[List[Callable[..., _Class]], List[Callable[..., _Class]]]
-# The class rules of a cell, each with its sign, negative first.
-_Signed = List[Tuple[Sign, Callable[..., _Class]]]
 # A row of the tables: F, C+, C-, and its classes as the tables print them:
 # sign, word text, separation invariant, DD.
 _Row = Tuple[int, int, int, List[Tuple[Sign, str, Epsilon, Optional[DDTuple]]]]
@@ -312,26 +310,21 @@ def _orientable_rules(r: int, f: int, c: int, cm: int) -> _Rules:
 _RULES = {False: _cell_rules, True: _orientable_rules}
 
 
-def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, _Signed]]:
+def _rule_rows(surface: Surface) -> Iterator[Tuple[int, int, range, _Rules]]:
     """The rule table of a surface with beta = r, walked once in display
     order: the (F, C) pairs that pass F + 2C <= r + 2 with F = r (mod 2), F
     descending and C ascending; for each, the C- of its rows (ascending,
-    C- = r mod 2) in the groups that share one list of rules, C- = 0 and
-    then, on N_r only, every positive C-; each rule with its sign, negative
-    first.  On T_g a fixed set is points or circles, never both, so only the
-    pairs with F = 0 or C = 0 are walked."""
+    C- = r mod 2) in the groups that share one pair of rule lists, C- = 0
+    and then, on N_r only, every positive C-.  On T_g a fixed set is points
+    or circles, never both, so only the pairs with F = 0 or C = 0 are walked."""
     r, nonorientable, rules = surface.beta, not surface.orientable, _RULES[surface.orientable]
-
-    def signed(neg: List[Callable[..., _Class]], pos: List[Callable[..., _Class]]) -> _Signed:
-        return [(Sign.MINUS, rule) for rule in neg] + [(Sign.PLUS, rule) for rule in pos]
-
     for f in range(r + 2, -1, -2):
         for c in range((r + 2 - f) // 2 + 1 if nonorientable or f == 0 else 1):
             if r % 2 == 0:
-                yield f, c, range(1), signed(*rules(r, f, c, 0))
+                yield f, c, range(1), rules(r, f, c, 0)
             positive = range(2 - r % 2, c + 1, 2)
             if positive and nonorientable:
-                yield f, c, positive, signed(*rules(r, f, c, positive[0]))
+                yield f, c, positive, rules(r, f, c, positive[0])
 
 
 def trivial_action(surface: Surface) -> Action:
@@ -351,13 +344,15 @@ def taxonomy_cells(surface: Surface) -> Iterator[_Row]:
     # (token, base) by id, as deepcopy's memo: hashing a frozen base costs a
     # Python call, and an entry keeps its base, so no id is reused in the walk
     tokens: Dict[int, Tuple[str, BaseSpace]] = {}
-    for f, c, cms, rules in _rule_rows(surface):
+    minus, plus = Sign.MINUS, Sign.PLUS
+    for f, c, cms, (neg, pos) in _rule_rows(surface):
+        signed = ((minus, neg), (plus, pos))
         for cm in cms:
             cp = c - cm
             yield f, cp, cm, [
                 (q, (tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base)))[0]
                  + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
-                for q, rule in rules
+                for q, rules in signed for rule in rules
                 for base, (n1, n2, n3, n4, n5, n6), eps, dd in [rule(r, f, c, cp, cm, bases)]
             ]
 
@@ -369,19 +364,20 @@ def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Act
     if include_trivial:
         yield trivial_action(surface)
     r, bases = surface.beta, {}
-    for f, c, cms, rules in _rule_rows(surface):
+    for f, c, cms, (neg, pos) in _rule_rows(surface):
         for cm in cms:
             cp = c - cm
-            for q, rule in rules:
-                base, counts, eps, dd = rule(r, f, c, cp, cm, bases)
-                yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
+            for q, rules in ((Sign.MINUS, neg), (Sign.PLUS, pos)):
+                for rule in rules:
+                    base, counts, eps, dd = rule(r, f, c, cp, cm, bases)
+                    yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
 
 
 def count_actions(surface: Surface, include_trivial: bool = True) -> int:
-    """Size of the enumeration without building the actions: each list of
-    rules of the table walk once per row that shares it."""
+    """Size of the enumeration without building the actions: each pair of
+    rule lists of the table walk once per row that shares it."""
     rows = _rule_rows(surface)
-    return sum(len(cms) * len(rules) for _, _, cms, rules in rows) + (1 if include_trivial else 0)
+    return sum(len(cms) * (len(neg) + len(pos)) for _, _, cms, (neg, pos) in rows) + (1 if include_trivial else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _fmt_dd(value) -> str:
     return "NA" if value is None else ",".join(map(str, value.as_tuple()))
 
 
-def _write_classes(surface: Surface, fmt: str, trivial: bool = False) -> None:
+def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
     """Print the surface's classes from the rows of `taxonomy_cells`, one
     write per F group (a surface can hold a few hundred thousand lines, an F
     group a few thousand).  A line is one concatenation: a prefix fixed per

@@ -22,7 +22,9 @@ non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
 where the separation invariant and one bit of the quotient (`_tube_bit`)
 finish the job.  So `dd_of_word` reads a word's DD off the one rule of its
 class, keyed by surface, signed taxonomy, separation and that bit; it never
-rewrites the word, and every DD fact lives in the rules.
+rewrites the word.  Every DD a rule derives comes from one of two stated
+rules: `identity_dd`, the identity's DD, or `_family_dd`, a tube block plus
+k swaps under the direct-sum rule.
 """
 
 from __future__ import annotations
@@ -72,12 +74,9 @@ class Taxonomy:
         one signed taxonomy that several classes on N_r share."""
         return self.f == 0 and self.cminus == 0 and self.q == Sign.MINUS
 
-    def label(self) -> str:
-        return cell_label(self.f, self.cplus, self.cminus)
-
     def __repr__(self) -> str:
         sign = f",{self.q.value}" if self.q else ""
-        return f"[{self.label()}{sign}]"
+        return f"[{cell_label(self.f, self.cplus, self.cminus)}{sign}]"
 
 
 def cell_label(f: int, cp: int, cm: int) -> str:
@@ -137,24 +136,14 @@ class Action:
 
 
 _ZERO_DD = DDTuple(0, 0, 0, 0)
-# Antipodal sphere or torus (Tanti(g), g = 0 or 1) with C trivial-circle
-# antitubes, by g: the induced map is a single symplectic transvection block,
-# independent of C.
-_TUBE_FAMILY_DD = (DDTuple(1, 1, 1, 1), DDTuple(2, 1, 2, 1))
-# The Klein-bottle involutions outside the crosscap families (S2a+S11AT,
-# S22+S10AT and S22+2FM), keyed by signed taxonomy, which is complete there.
-_KLEIN_DD: Dict[Taxonomy, DDTuple] = {
-    Taxonomy(2, 0, 0, Sign.MINUS): DDTuple(1, 0, 0, 1),
-    Taxonomy(2, 1, 0, Sign.PLUS): DDTuple(0, 1, 1, 0),
-    Taxonomy(0, 0, 2, Sign.PLUS): DDTuple(0, 1, 1, 0),
-}
 
 
 def _family_dd(tubes: int, k: int, g: int = 0) -> DDTuple:
-    """DD of base + k DCC + `tubes` S10AT in a crosscap family: the tube block
-    of Tanti(g) (zero without tubes) plus k crosscap pairs through the
+    """DD of Tanti(g) + k DCC + `tubes` S10AT, g = 0 or 1: the tube block
+    [g+1, 1, g+1, 1], a single symplectic transvection block whatever the
+    number of tubes (zero without tubes), plus k swaps through the
     direct-sum rule."""
-    base = _TUBE_FAMILY_DD[g] if tubes else _ZERO_DD
+    base = DDTuple(g + 1, 1, g + 1, 1) if tubes else _ZERO_DD
     return base if k == 0 else dd_direct_sum(base, k)
 
 
@@ -221,17 +210,19 @@ def _ovals_epsilon(c: int) -> Epsilon:
     return Epsilon.NON_SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
 
 
-def _low_genus_dd(r: int, f: int, cp: int, cm: int, q: Sign) -> Optional[DDTuple]:
-    """DD of the class of row (F, C+, C-) and sign q outside the crosscap
-    families: derived on N_1 and N_2 only."""
-    if r == 1:
-        return _ZERO_DD
-    return _KLEIN_DD.get(Taxonomy(f, cp, cm, q)) if r == 2 else None
+def _low_genus_dd(r: int, f: int, c: int) -> Optional[DDTuple]:
+    """DD of a class of row (F, C) outside the crosscap families, derived on
+    N_1 and N_2 only, where D alone decides.  By the Smith inequality
+    F + 2C <= r + 2 - 2D, only s* = id (D = 0) meets the bound; every other
+    class there has D = 1, one swap, the one other involution of N_2's form."""
+    if r > 2:
+        return None
+    return identity_dd(Surface(False, r)) if f + 2 * c == r + 2 else _family_dd(0, 1)
 
 
 def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
-    return _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, cp, cm, Sign.MINUS)
+    return _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, c)
 
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
@@ -253,13 +244,13 @@ def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict
 def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     key, counts = ((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
     base = bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key))  # built once per walk
-    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
+    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, c)
 
 
 def _rotation(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     g, counts = r // 2 - c, (0, 0, c, 0, 0, 0)
     base = bases.get(g) or bases.setdefault(g, BaseSpace.trot(g))  # an int key, a Tspit key is a pair
-    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, cp, cm, Sign.PLUS)
+    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, c)
 
 
 def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
@@ -337,20 +328,19 @@ def taxonomy_cells(surface: Surface) -> Iterator[_Row]:
     list: (F, C+, C-, classes), each class as (sign, word text, separation,
     DD), negative sign first; the list may be empty.  Each class is spelled
     as its rule gives it, in the comprehension that calls the rule: its
-    base's token, spelled once per base of the walk, plus the op texts of
-    one `op_table` (no count exceeds beta / 2 + 1)."""
+    base's token, spelled once per base of the walk in a dict keyed by the
+    base (whose hash is one cached int), plus the op texts of one `op_table`
+    (no count exceeds beta / 2 + 1)."""
     r, bases = surface.beta, {}
     dcc, dt, s10at, s11at, s1aat, fm = op_table(r // 2 + 1)
-    # (token, base) by id, as deepcopy's memo: hashing a frozen base costs a
-    # Python call, and an entry keeps its base, so no id is reused in the walk
-    tokens: Dict[int, Tuple[str, BaseSpace]] = {}
+    tokens: Dict[BaseSpace, str] = {}
     minus, plus = Sign.MINUS, Sign.PLUS
     for f, c, cms, (neg, pos) in _rule_rows(surface):
         signed = ((minus, neg), (plus, pos))
         for cm in cms:
             cp = c - cm
             yield f, cp, cm, [
-                (q, (tokens.get(id(base)) or tokens.setdefault(id(base), (base.token(), base)))[0]
+                (q, (tokens.get(base) or tokens.setdefault(base, base.token()))
                  + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
                 for q, rules in signed for rule in rules
                 for base, (n1, n2, n3, n4, n5, n6), eps, dd in [rule(r, f, c, cp, cm, bases)]

@@ -170,22 +170,22 @@ def _check_range(flag: str, value: int, lo: int, hi: Optional[int], why: str) ->
         raise CliError(f"{flag} must {bounds} ({why})", EXIT_USAGE)
 
 
-def _verify_orbits(n_max: int) -> Iterable[Tuple[str, bool]]:
-    _check_range("--n", n_max, 2, orbits.CENSUS_BOUND, "census bound")
-    for n in range(2, n_max + 1):
-        expected = 3 if n == 2 else 4
-        got = orbits.orbit_census("orthogonal", n)
-        yield f"census orthogonal n={n}: {got} orbits (expect {expected})", got == expected
-    for n in range(2, n_max + 1, 2):
-        got = orbits.orbit_census("symplectic", n)
-        yield f"census symplectic n={n}: {got} orbits (expect 2)", got == 2
+def _verify_orbits(n: int) -> Iterable[Tuple[str, bool]]:
+    _check_range("--n", n, 2, orbits.CENSUS_BOUND, "census bound")
+    for dim in range(2, n + 1):
+        expected = 3 if dim == 2 else 4
+        got = orbits.orbit_census("orthogonal", dim)
+        yield f"census orthogonal n={dim}: {got} orbits (expect {expected})", got == expected
+    for dim in range(2, n + 1, 2):
+        got = orbits.orbit_census("symplectic", dim)
+        yield f"census symplectic n={dim}: {got} orbits (expect 2)", got == 2
 
 
-def _verify_generators(n_max: int) -> Iterable[Tuple[str, bool]]:
-    _check_range("--n", n_max, 1, ISOMETRY_BOUND, "exhaustive-search bound")
-    for n in range(1, n_max + 1):
-        ok = orbits.verify_orthogonal_generators(n)
-        yield f"orthogonal group generated by permutations(+block) n={n}", ok
+def _verify_generators(n: int) -> Iterable[Tuple[str, bool]]:
+    _check_range("--n", n, 1, ISOMETRY_BOUND, "exhaustive-search bound")
+    for dim in range(1, n + 1):
+        ok = orbits.verify_orthogonal_generators(dim)
+        yield f"orthogonal group generated by permutations(+block) n={dim}", ok
 
 
 def _verify_dd(max_dim: int) -> Iterable[Tuple[str, bool]]:
@@ -253,22 +253,36 @@ def _rewrite_pair_ok(u: words.SurgeryWord, v: words.SurgeryWord) -> bool:
     return all(f(u) == f(v) for f in invariants) and words.normalize(u) == words.normalize(v)
 
 
+# The suites of `verify`: each one's check and the flags it reads, with their
+# defaults.  A flag the suite does not read is a usage error.
+_SUITES = {
+    "orbits": (_verify_orbits, {"n": 5}),
+    "generators": (_verify_generators, {"n": 5}),
+    "dd": (_verify_dd, {"max_dim": 5}),
+    "counts": (_verify_counts, {"max_r": 100}),
+    "gl2": (_verify_gl2, {"trials": 1000, "seed": 0}),
+    "rewrites": (_verify_rewrites, {"max_beta": 14}),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "orbits": lambda: _verify_orbits(args.n),
-        "generators": lambda: _verify_generators(args.n),
-        "dd": lambda: _verify_dd(args.max_dim),
-        "counts": lambda: _verify_counts(args.max_r),
-        "gl2": lambda: _verify_gl2(args.trials, args.seed),
-        "rewrites": lambda: _verify_rewrites(args.max_beta),
-    }
-    if args.suite not in suites:
-        raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}", EXIT_USAGE)
-    for label, ok in suites[args.suite]():
+    if args.suite not in _SUITES:
+        raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}", EXIT_USAGE)
+    check, reads = _SUITES[args.suite]
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "suite")}
+    foreign = [_flag(k) for k in given if k not in reads]
+    if foreign:
+        wanted = ", ".join(map(_flag, reads))
+        raise CliError(f"verify {args.suite} reads only {wanted}, not {', '.join(foreign)}", EXIT_USAGE)
+    for label, ok in check(**{**reads, **given}):
         print(f"{'PASS' if ok else 'FAIL'} {label}")
         if not ok:
             return EXIT_VERIFY
     return EXIT_OK
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 @functools.lru_cache(maxsize=1)
@@ -309,12 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an oracle suite")
     p_ver.add_argument("suite")
-    p_ver.add_argument("--max-dim", type=int, default=5)
-    p_ver.add_argument("--max-r", type=int, default=100)
-    p_ver.add_argument("--max-beta", type=int, default=14)
-    p_ver.add_argument("--n", type=int, default=5)
-    p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--seed", type=int, default=0)
+    # a flag not given stays out of the namespace, so `cmd_verify` sees what was given
+    for dest in dict.fromkeys(dest for _, reads in _SUITES.values() for dest in reads):
+        p_ver.add_argument(_flag(dest), type=int, default=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -262,26 +262,23 @@ def _lookup(tables: List[List[int]], x: int) -> int:
     return acc
 
 
-def _echelon(rows: Iterable[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """Forward elimination on the coefficient columns ``0..ncols-1``; higher
-    bits ride along.  Returns (echelon, dependent): each echelon row has its
-    pivot at its lowest set bit, clear in every later echelon row, and the
-    dependent rows are zero on the coefficients."""
-    coeffs = (1 << ncols) - 1
+def _echelon(rows: Iterable[int]) -> List[int]:
+    """Forward elimination on packed rows: the nonzero rows left, each with
+    its pivot at its lowest set bit, clear in every later one."""
     echelon: List[int] = []
-    dependent: List[int] = []
     for row in rows:
         for prow in echelon:
             if row & prow & -prow:
                 row ^= prow
-        (echelon if row & coeffs else dependent).append(row)
-    return echelon, dependent
+        if row:
+            echelon.append(row)
+    return echelon
 
 
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2): the echelon rows of a forward elimination on
     packed rows (no back substitution)."""
-    return len(_echelon(m.rows, m.ncols)[0])
+    return len(_echelon(m.rows))
 
 
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:

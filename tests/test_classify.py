@@ -8,11 +8,9 @@ import pytest
 
 from c2surf import classify, cli, words
 from c2surf.classify import (
-    _KLEIN_DD,
     Action,
     DDUnavailableError,
     Taxonomy,
-    _family_dd,
     count_actions,
     decide_isomorphic,
     dd_of_word,
@@ -22,7 +20,7 @@ from c2surf.classify import (
     taxonomy_cells,
 )
 from c2surf.counting import total_count
-from c2surf.dd import DDTuple
+from c2surf.dd import DDTuple, dd_direct_sum
 from c2surf.orbits import characteristic_class, classify_free_structures, content, covers_of, orbit_census
 from c2surf.words import (
     BaseKind,
@@ -315,19 +313,32 @@ def test_dd_of_word_crosscapped_families():
     assert dd_of_word(parse_word("S22+2S10AT")) is None  # no derived formula
 
 
+# The reference's own DD values, stated here and not read from `classify`:
+# the tube block of S2a and of Tanti(1), and the Klein-bottle classes outside
+# the crosscap families (S2a+S11AT, S22+S10AT and S22+2FM) by signed taxonomy.
+_TUBE_BLOCKS = (DDTuple(1, 1, 1, 1), DDTuple(2, 1, 2, 1))
+_KLEIN_BOTTLE_DD = {
+    Taxonomy(2, 0, 0, Sign.MINUS): DDTuple(1, 0, 0, 1),
+    Taxonomy(2, 1, 0, Sign.PLUS): DDTuple(0, 1, 1, 0),
+    Taxonomy(0, 0, 2, Sign.PLUS): DDTuple(0, 1, 1, 0),
+}
+
+
 def _normalize_first_dd(w: SurgeryWord):
-    """DD of a nontrivial word with the rewrite first: the crosscap-family rule,
-    or the Klein-bottle lookup by the normal form's signed taxonomy; None
-    where neither covers the normal form."""
+    """DD of a nontrivial word with the rewrite first: a crosscap family's tube
+    block plus its DCC swaps through `dd_direct_sum` (which `test_dd` checks
+    against brute force), or the Klein-bottle value of the normal form's
+    signed taxonomy; None where neither covers the normal form."""
     n = normalize(w)
     plain = not (n.dt or n.s11at or n.s1aat or n.fm)
     if plain and (
         (n.base.kind == BaseKind.T_ANTI and n.base.g <= 1)
         or (n.base == BaseSpace.s21() and n.s10at == 0)
     ):
-        return _family_dd(n.s10at, n.dcc, n.base.g)
+        block = _TUBE_BLOCKS[n.base.g] if n.s10at else DDTuple(0, 0, 0, 0)
+        return dd_direct_sum(block, n.dcc) if n.dcc else block
     if underlying_surface(w) == Surface(False, 2):
-        return _KLEIN_DD.get(Taxonomy(*fixed_data(n), q_sign(n)))
+        return _KLEIN_BOTTLE_DD.get(Taxonomy(*fixed_data(n), q_sign(n)))
     return None
 
 
@@ -346,6 +357,29 @@ def test_dd_gate_loses_no_derived_value():
             covered += want is not None
         counts.append((checked, covered))
     assert counts == [(23_296, 223), (72_353, 1_015)]
+
+
+def test_every_derived_dd_meets_the_smith_equality():
+    # dim H*(X^s; Z/2) = F + 2C meets the Smith bound beta + 2 - 2D on every
+    # class with a fixed point (Bredon, ch. VII); a free class has
+    # D = beta/2 - 1 + b; and D = 0 only for s* = id, whose DD is the identity's
+    names = [f"N{r}" for r in range(1, 61)] + [f"T{g}" for g in range(41)]
+    derived = identity = 0
+    for name in names:
+        surf = Surface.parse(name)
+        for a in actions_on(name, include_trivial=False):
+            if a.dd is None:
+                continue
+            t, b = a.taxonomy, surf.beta
+            if t.f or t.c:
+                assert 2 * a.dd.d == b + 2 - t.f - 2 * t.c, a
+            else:
+                assert 2 * a.dd.d == b - 2 + 2 * classify._tube_bit(a.word), a
+            if a.dd.d == 0:
+                assert a.dd == identity_dd(surf), a
+                identity += 1
+            derived += 1
+    assert (derived, identity) == (1_020, 10)
 
 
 def test_tube_bit_is_the_content_of_the_characteristic_class():

@@ -8,10 +8,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from c2surf import classify, cli, counting, words
+from c2surf import classify, cli, counting, gl2, orbits, words
+from c2surf import dd as dd_module
 from c2surf.bilinear import standard_space
 from c2surf.cli import main
-from c2surf.dd import dd_classifies
+from c2surf.dd import DDTuple, dd_classifies
 from c2surf.f2 import ISOMETRY_BOUND
 from c2surf.orbits import CENSUS_BOUND, orbit_census, verify_orthogonal_generators
 from c2surf.words import format_word, normalize, parse_word
@@ -433,6 +434,56 @@ def test_verify_counts_fails_when_a_path_is_off(monkeypatch):
     code, out, _ = run(["verify", "counts", "--max-r", "40"])
     assert code == 4
     assert out.splitlines() == ["FAIL three-way A/B agreement and totals r<=40"]
+
+
+def _plant_fault(monkeypatch, suite):
+    """One wrong answer behind the named `verify` suite."""
+    if suite == "orbits":
+        census = orbits.orbit_census
+        monkeypatch.setattr(orbits, "orbit_census", lambda kind, n: census(kind, n) + (n == 3))
+    elif suite == "generators":
+        generated = orbits.verify_orthogonal_generators
+        monkeypatch.setattr(orbits, "verify_orthogonal_generators", lambda n: n != 2 and generated(n))
+    elif suite == "dd":
+        monkeypatch.setattr(dd_module, "dd", lambda inv: DDTuple(0, 0, 0, 0))
+    elif suite == "counts":
+        phi = counting.phi_counts
+
+        def phi_counts(r):
+            if r == 17:
+                raise counting.CountMismatch(f"planted at r={r}")
+            return phi(r)
+
+        monkeypatch.setattr(counting, "phi_counts", phi_counts)
+    elif suite == "gl2":
+        reduce = gl2.gl2_reduce
+        monkeypatch.setattr(gl2, "gl2_reduce", lambda m: (gl2.Gl2Class.ID, reduce(m)[1]))
+    else:
+        monkeypatch.setattr(words, "normalize", lambda w: w)
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_every_verify_suite_fails_on_a_planted_fault(monkeypatch, suite):
+    # each suite stops at its first FAIL line and exits 4, with no traceback
+    _plant_fault(monkeypatch, suite)
+    code, out, err = run(["verify", suite])
+    lines = out.splitlines()
+    assert (code, err) == (4, ""), out
+    assert lines[-1].startswith("FAIL ") and all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def test_verify_rejects_flags_its_suite_does_not_read():
+    # every flag is read by some suite, and only a flag the named suite reads is taken
+    assert run(["verify", "dd", "--trials", "5", "--max-r", "3", "--seed", "9"]) == (
+        2, "", "error: verify dd reads only --max-dim, not --trials, --max-r, --seed\n"
+    )
+    assert run(["verify", "orbits", "--max-beta", "8"]) == (
+        2, "", "error: verify orbits reads only --n, not --max-beta\n"
+    )
+    for suite, (_, reads) in cli._SUITES.items():
+        for dest in {"n", "max_dim", "max_r", "trials", "seed", "max_beta"} - set(reads):
+            code, out, err = run(["verify", suite, "--" + dest.replace("_", "-"), "1"])
+            assert (code, out, err.count("\n")) == (2, "", 1), (suite, dest)
 
 
 @pytest.mark.parametrize(

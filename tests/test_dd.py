@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from c2surf import dd as dd_module
 from c2surf.bilinear import (
     BilinearSpace,
     FormKind,
@@ -359,3 +361,18 @@ def test_dd_classifies_small_dims():
     for kind, dims in (("orthogonal", (2, 3, 4, 5)), ("symplectic", (2, 4))):
         for n in dims:
             assert dd_classifies(standard_space(kind, n))
+
+
+def test_dd_classifies_fails_when_a_class_gets_two_values(monkeypatch):
+    # every involution its own value: a class of two or more is split
+    values = itertools.count()
+    monkeypatch.setattr(dd_module, "dd", lambda inv: DDTuple(next(values), 0, 0, 0))
+    assert not dd_classifies(standard_space("orthogonal", 4))
+
+
+def test_dd_classifies_fails_when_two_classes_share_a_value(monkeypatch):
+    # one value for every involution: no class splits, but the second class
+    # repeats the first one's value
+    monkeypatch.setattr(dd_module, "dd", lambda inv: DDTuple(0, 0, 0, 0))
+    assert not dd_classifies(standard_space("orthogonal", 4))
+    assert not dd_classifies(standard_space("symplectic", 2))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, block_diag, rank
+from .f2 import F2Matrix, F2Vector, rank
 
 
 class FormKind(enum.Enum):
@@ -61,18 +61,15 @@ def omega_vector(space: BilinearSpace) -> F2Vector:
 
 
 def standard_space(kind: str, dim: int) -> BilinearSpace:
-    """Identity gram ('orthogonal') or hyperbolic-block gram ('symplectic')."""
-    if kind == "orthogonal":
-        return BilinearSpace(F2Matrix.identity(dim))
-    if kind == "symplectic":
-        if dim % 2:
-            raise ValueError("symplectic spaces have even dimension")
-        block = F2Matrix.from_rows([[0, 1], [1, 0]])
-        gram = F2Matrix((), 0)
-        for _ in range(dim // 2):
-            gram = block_diag(gram, block)
-        return BilinearSpace(gram)
-    raise ValueError(f"unknown form kind {kind!r}")
+    """The identity gram ('orthogonal'), row i = 1 << i, or the sum of
+    hyperbolic planes ('symplectic'), row i = 1 << (i ^ 1).  These are the
+    rows that `dd.isometry_generators` recognises."""
+    if kind not in ("orthogonal", "symplectic"):
+        raise ValueError(f"unknown form kind {kind!r}")
+    flip = kind == "symplectic"
+    if flip and dim % 2:
+        raise ValueError("symplectic spaces have even dimension")
+    return BilinearSpace(F2Matrix(tuple(1 << (i ^ flip) for i in range(dim)), dim))
 
 
 @dataclass(frozen=True, slots=True)

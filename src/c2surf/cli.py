@@ -127,6 +127,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.tables and (args.format == "record" or args.include_trivial):
+        raise CliError("enumerate --tables takes neither --format record nor --include-trivial", EXIT_USAGE)
     for s in _parse_surface_range(args.surfaces):
         if args.tables and s.orientable:
             raise CliError("tables are defined for N_r only", EXIT_USAGE)
@@ -200,7 +202,7 @@ def _verify_dd(max_dim: int) -> Iterable[Tuple[str, bool]]:
 
 def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
     _check_range("--max-r", max_r, 1, None, "counts start at N1")
-    ok = True
+    ok, why = True, ""
     for r in range(1, max_r + 1):
         try:
             rep = counting.phi_counts(r)
@@ -209,11 +211,12 @@ def _verify_counts(max_r: int) -> Iterable[Tuple[str, bool]]:
                 and rep.A + rep.B == counting.ab_sum_closed(r)
                 and rep.total == counting.total_count(Surface(False, r))
             )
-        except counting.CountMismatch:
-            ok = False
+        except counting.CountMismatch as exc:
+            ok, why = False, f": {exc}"
         if not ok:
             break
-    yield f"three-way A/B agreement and totals r<={max_r}", ok
+    label = f"three-way A/B agreement and totals r<={max_r}"
+    yield (label if ok else f"{label}: off at r={r}{why}"), ok
     enum_max = min(max_r, 80)
     surfaces = [Surface(False, r) for r in range(1, enum_max + 1)]
     ok2 = all(classify.count_actions(s) == counting.total_count(s) for s in surfaces)
@@ -244,8 +247,8 @@ def _verify_gl2(trials: int, seed: int) -> Iterable[Tuple[str, bool]]:
 def _verify_rewrites(max_beta: int) -> Iterable[Tuple[str, bool]]:
     _check_range("--max-beta", max_beta, 6, None, "the least bound with an instance of every rule")
     for rule in words.rewrite_equivalences():
-        ok = all(_rewrite_pair_ok(u, v) for u, v in rule.instances(max_beta))
-        yield f"rewrite rule {rule.name} (beta<={max_beta})", ok
+        ok = all(_rewrite_pair_ok(u, v) for u, v in rule(max_beta))
+        yield f"rewrite rule {rule.__name__} (beta<={max_beta})", ok
 
 
 def _rewrite_pair_ok(u: words.SurgeryWord, v: words.SurgeryWord) -> bool:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, List, Set, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
-from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, involutive_isometries, isometries, orbit, rank
+from .f2 import ISOMETRY_BOUND, F2Matrix, involutive_isometries, isometries, orbit, rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +123,12 @@ def dd_direct_sum(sym_part: DDTuple, r: int) -> DDTuple:
 
 
 def block_swap_involution(space: BilinearSpace) -> Involution:
-    """Pairwise swap of orthonormal basis vectors on an even orthogonal space."""
+    """Pairwise swap of orthonormal basis vectors on an even orthogonal space:
+    row i is 1 << (i ^ 1)."""
     n = space.dim
     if n % 2 or space.kind != FormKind.EVO:
         raise ValueError("block swaps live on even-dimensional orthogonal spaces")
-    perm = []
-    for i in range(0, n, 2):
-        perm += [i + 1, i]
-    return Involution(space, F2Matrix.permutation(perm))
+    return Involution(space, F2Matrix(tuple(1 << (i ^ 1) for i in range(n)), n))
 
 
 def involutions_in(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> Tuple[Involution, ...]:
@@ -150,31 +148,27 @@ def _chain_transvections(space: BilinearSpace) -> List[F2Matrix]:
     """The 3g-1 transvections v |-> v + b(v,u) u, i.e. I + u (Gu)^T, along
     u = e_i, f_i (coordinates 2i, 2i+1) and f_i + f_{i+1}.  They include the
     mod-2 images of Humphries' 2g+1 Dehn twists, and Sp(2g, Z) -> Sp(2g, 2)
-    is onto, so they generate Sp(2g, 2)."""
+    is onto, so they generate Sp(2g, 2).  G is symmetric, so G u is the row
+    product u G, and row i of a generator is 1 << i, plus G u where u_i = 1."""
     n = space.dim
     chain = [1 << i for i in range(n)] + [0b1010 << i for i in range(0, n - 2, 2)]
     gens = []
     for u in chain:
-        gu = space.gram.mul_vec(F2Vector(u, n)).bits
+        gu = space.gram.mul_row(u)
         gens.append(F2Matrix(tuple((1 << i) ^ (gu if u >> i & 1 else 0) for i in range(n)), n))
     return gens
 
 
 def _orthonormal_generators(n: int) -> List[F2Matrix]:
-    """Adjacent transpositions, plus the 4x4 complement-of-identity block for n >= 4."""
-    gens = [F2Matrix.identity(n)] if n == 1 else []
+    """Adjacent transpositions, each the identity's rows with rows i and
+    i + 1 swapped, plus for n >= 4 the 4x4 complement-of-identity block,
+    which flips the low four bits of rows 0-3."""
+    ident = tuple(1 << i for i in range(n))
+    gens = [F2Matrix(ident, n)] if n == 1 else []
     for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(F2Matrix.permutation(perm))
+        gens.append(F2Matrix((*ident[:i], ident[i + 1], ident[i], *ident[i + 2:]), n))
     if n >= 4:
-        rows = []
-        for i in range(n):
-            if i < 4:
-                rows.append((0b1111 ^ (1 << i)))
-            else:
-                rows.append(1 << i)
-        gens.append(F2Matrix(tuple(rows), n))
+        gens.append(F2Matrix(tuple(r ^ 0b1111 if i < 4 else r for i, r in enumerate(ident)), n))
     return gens
 
 
@@ -183,9 +177,10 @@ def isometry_generators(space: BilinearSpace) -> List[F2Matrix]:
 
     Orthonormal grams use permutations plus the complement-of-identity block;
     standard symplectic grams use the chain transvections.  Every generator
-    is its own inverse.  Each standard gram is read off its rows, so no
-    second space is built: row i is 1 << i in the identity and 1 << (i ^ 1)
-    in the hyperbolic blocks (which an odd dimension cannot fill).
+    is its own inverse.  Each standard gram is read off the rows that
+    `bilinear.standard_space` writes, so no second space is built: row i is
+    1 << i in the identity and 1 << (i ^ 1) in the hyperbolic planes (which
+    an odd dimension cannot fill).
     """
     n, rows = space.dim, space.gram.rows
     if rows == tuple(1 << i for i in range(n)):

@@ -18,7 +18,7 @@ from typing import Dict, List, Set, Tuple
 from .bilinear import standard_space
 from .classify import Action, iter_actions
 from .dd import isometry_generators
-from .f2 import ISOMETRY_BOUND, F2Matrix, F2Vector, group_closure, isometries, orbit
+from .f2 import ISOMETRY_BOUND, F2Vector, group_closure, isometries, orbit
 from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
 
 
@@ -92,8 +92,8 @@ def verify_orthogonal_generators(n: int) -> bool:
     n >= 4) generate the whole orthogonal group."""
     if n < 1 or n > ISOMETRY_BOUND:
         raise ValueError(f"n must lie in 1..{ISOMETRY_BOUND}")
-    closure = group_closure(isometry_generators(standard_space("orthogonal", n)))
-    return closure == frozenset(isometries(F2Matrix.identity(n)))
+    space = standard_space("orthogonal", n)
+    return group_closure(isometry_generators(space)) == frozenset(isometries(space.gram))
 
 
 _FREE_BASES = (BaseKind.T_ANTI, BaseKind.T_ROT)

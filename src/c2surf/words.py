@@ -439,14 +439,6 @@ def format_word(w: SurgeryWord) -> str:
 # rewriting
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """A family of word pairs known to describe isomorphic actions."""
-
-    name: str
-    instances: Callable[[int], Iterator[Tuple[SurgeryWord, SurgeryWord]]]
-
-
 def _ctx_words(max_beta: int) -> Iterator[SurgeryWord]:
     """Small library of context words for the connected-sum rule."""
     bases = [
@@ -481,8 +473,9 @@ def _spit_params(max_beta: int) -> Iterator[Tuple[int, int]]:
             yield g, f
 
 
-def rewrite_equivalences() -> List[RewriteRule]:
-    """The rule set; each instance pairs two isomorphic words."""
+def rewrite_equivalences() -> List[Callable[[int], Iterator[Tuple[SurgeryWord, SurgeryWord]]]]:
+    """The rule set: each rule, named by its ``__name__``, maps a bound on
+    beta to its instances, each a pair of isomorphic words."""
 
     def fundiso_dcc(mb: int) -> Iterator[Tuple[SurgeryWord, SurgeryWord]]:
         # S22 + r DCC  ~  S2a + (r-1) DCC + S11AT
@@ -564,11 +557,10 @@ def rewrite_equivalences() -> List[RewriteRule]:
         for ctx in _ctx_words(mb - 6):
             yield replace(ctx, dcc=ctx.dcc + 1, dt=ctx.dt + 1), replace(ctx, dcc=ctx.dcc + 3)
 
-    rules = (
+    return [
         fundiso_dcc, fundiso_s1a, fundiso_s1a_t1, fundiso_t1, anti_s11, anti_dcc,
         rot_dcc, spit_unroll, spit_expand, refl_expand, dcc_absorbs_dt,
-    )
-    return [RewriteRule(rule.__name__, rule) for rule in rules]
+    ]
 
 
 def _normalize_step(w: SurgeryWord) -> SurgeryWord:
@@ -685,7 +677,6 @@ __all__ = [
     "parse_word",
     "op_table",
     "format_word",
-    "RewriteRule",
     "rewrite_equivalences",
     "normalize",
 ]

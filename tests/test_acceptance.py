@@ -219,7 +219,7 @@ def test_criterion_09_rewrite_soundness():
     def check():
         count = 0
         for rule in rewrite_equivalences():
-            for u, v in rule.instances(20):
+            for u, v in rule(20):
                 count += 1
                 if word_beta(u) != word_beta(v) or fixed_data(u) != fixed_data(v):
                     return False

@@ -14,7 +14,7 @@ from c2surf.bilinear import (
     omega_vector,
     standard_space,
 )
-from c2surf.f2 import F2Matrix, F2Vector, isometries
+from c2surf.f2 import F2Matrix, F2Vector, block_diag, isometries
 
 
 def random_invertible(rng: random.Random, n: int) -> F2Matrix:
@@ -37,6 +37,29 @@ def test_standard_space_validation():
         BilinearSpace(F2Matrix.from_rows([[1, 1], [0, 1]]))  # not symmetric
     with pytest.raises(ValueError):
         BilinearSpace(F2Matrix.zero(2, 2))  # degenerate
+
+
+def test_standard_space_errors_name_the_kind_first():
+    assert str(pytest.raises(ValueError, standard_space, "hermitian", 2).value) == "unknown form kind 'hermitian'"
+    assert str(pytest.raises(ValueError, standard_space, "hermitian", 3).value) == "unknown form kind 'hermitian'"
+    assert str(pytest.raises(ValueError, standard_space, "symplectic", 3).value) == (
+        "symplectic spaces have even dimension"
+    )
+
+
+def test_standard_space_rows():
+    # the identity, and hyperbolic planes summed block by block
+    plane = F2Matrix.from_rows([[0, 1], [1, 0]])
+    for n in range(9):
+        assert standard_space("orthogonal", n).gram == F2Matrix.identity(n)
+        assert standard_space("orthogonal", n).gram.rows == tuple(1 << i for i in range(n))
+        if n % 2 == 0:
+            blocks = F2Matrix((), 0)
+            for _ in range(n // 2):
+                blocks = block_diag(blocks, plane)
+            assert standard_space("symplectic", n).gram == blocks
+    assert standard_space("symplectic", 4).gram.rows == (0b10, 0b01, 0b1000, 0b0100)
+    assert standard_space("symplectic", 0).gram == F2Matrix((), 0)
 
 
 def test_omega_orthonormal_is_all_ones():

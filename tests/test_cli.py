@@ -222,6 +222,18 @@ def test_enumerate_plain():
     assert run(["enumerate", "T3", "--tables"]) == (2, "", "error: tables are defined for N_r only\n")
 
 
+@pytest.mark.parametrize(
+    "flags", [["--include-trivial"], ["--format", "record"], ["--format", "record", "--include-trivial"]]
+)
+def test_tables_reject_the_flags_they_ignore(flags):
+    error = "error: enumerate --tables takes neither --format record nor --include-trivial\n"
+    assert run(["enumerate", "N4", "--tables", *flags]) == (2, "", error)
+    # the defaults, spelled out, are what --tables prints
+    assert run(["enumerate", "N4", "--tables", "--format", "table", "--no-include-trivial"]) == run(
+        ["enumerate", "N4", "--tables"]
+    )
+
+
 def test_enumerate_record_roundtrips():
     code, out, _ = run(["enumerate", "N4", "--format", "record"])
     assert code == 0
@@ -372,6 +384,14 @@ def test_oversized_numbers_are_syntax_errors(text):
     assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1  # no traceback
 
 
+@pytest.mark.parametrize("text", ["S2a+{}DCC", "Tanti({})"], ids=["op-count", "genus"])
+def test_oversized_numbers_are_syntax_errors_in_process(text):
+    # the same limit through `main`, in this process: one error line, exit 2
+    code, out, err = run(["inv", text.format("1" * 5000)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1
+
+
 def test_rewrite_fuse_exits_4(monkeypatch):
     # normalizing the first instance of `verify rewrites` takes a rewrite and then
     # a fixpoint check, two passes against a fuse of one; `inv` never rewrites
@@ -433,7 +453,7 @@ def test_verify_counts_fails_when_a_path_is_off(monkeypatch):
     monkeypatch.setattr(counting, "A_recursive", lambda r: recursive(r) + (r == 17))
     code, out, _ = run(["verify", "counts", "--max-r", "40"])
     assert code == 4
-    assert out.splitlines() == ["FAIL three-way A/B agreement and totals r<=40"]
+    assert out.splitlines() == ["FAIL three-way A/B agreement and totals r<=40: off at r=17"]
 
 
 def _plant_fault(monkeypatch, suite):
@@ -470,6 +490,8 @@ def test_every_verify_suite_fails_on_a_planted_fault(monkeypatch, suite):
     lines = out.splitlines()
     assert (code, err) == (4, ""), out
     assert lines[-1].startswith("FAIL ") and all(line.startswith("PASS ") for line in lines[:-1])
+    if suite == "counts":  # the FAIL line names where the loop broke, and why
+        assert "r=17" in lines[-1] and "planted at r=17" in lines[-1]
 
 
 def test_verify_rejects_flags_its_suite_does_not_read():
@@ -509,7 +531,7 @@ def smallest_beta_with_every_rule():
     rules = words.rewrite_equivalences()
     for mb in range(0, 40):
         if all(
-            any(max(words.beta(u), words.beta(v)) <= mb for u, v in rule.instances(mb))
+            any(max(words.beta(u), words.beta(v)) <= mb for u, v in rule(mb))
             for rule in rules
         ):
             return mb

@@ -287,6 +287,12 @@ def test_searches_follow_a_congruence(kind, n):
         assert set(found) == {p_inv @ m @ p for m in search(s)}, search
 
 
+def test_zero_space_has_the_empty_matrix_as_its_one_isometry():
+    empty = F2Matrix((), 0)
+    assert isometries(empty) == (empty,)
+    assert involutive_isometries(empty) == (empty,)
+
+
 def test_isometries_bound():
     with pytest.raises(ValueError):
         isometries(F2Matrix.identity(7))

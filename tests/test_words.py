@@ -405,14 +405,14 @@ def scherrer_data(word):
 def test_rewrites_preserve_invariants_and_merge():
     checked = 0
     for rule in rewrite_equivalences():
-        for u, v in rule.instances(20):
-            assert beta(u) == beta(v), rule.name
-            assert fixed_data(u) == fixed_data(v), rule.name
-            assert q_sign(u) == q_sign(v), rule.name
-            assert orientability(u) == orientability(v), rule.name
-            assert epsilon(u) == epsilon(v), rule.name
-            assert scherrer_data(u) == scherrer_data(v), rule.name
-            assert normalize(u) == normalize(v), (rule.name, u, v)
+        for u, v in rule(20):
+            assert beta(u) == beta(v), rule.__name__
+            assert fixed_data(u) == fixed_data(v), rule.__name__
+            assert q_sign(u) == q_sign(v), rule.__name__
+            assert orientability(u) == orientability(v), rule.__name__
+            assert epsilon(u) == epsilon(v), rule.__name__
+            assert scherrer_data(u) == scherrer_data(v), rule.__name__
+            assert normalize(u) == normalize(v), (rule.__name__, u, v)
             checked += 1
     assert checked > 150
 

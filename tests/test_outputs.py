@@ -1,11 +1,14 @@
-"""The CLI's outputs, pinned.  Each case runs one command group through
-`cli.main` in process and hashes every run's exit code, stdout and stderr
-into one sha256, so a change that alters any byte of them fails here and
+"""The CLI's and the demos' outputs, pinned.  Each case runs one command
+group through `cli.main` in process and hashes every run's exit code, stdout
+and stderr into one sha256, or runs one demo as `__main__` in process and
+hashes its stdout, so a change that alters any byte of them fails here and
 prints the digest it got."""
 
 import hashlib
 import io
+import pathlib
 import random
+import runpy
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -90,3 +93,25 @@ def test_outputs_are_pinned(group, query_universe):
     runs, want = GROUPS[group]
     got = outputs_digest(runs(query_universe))
     assert got == want, f"{group}: outputs changed, digest now {got}"
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+# demo -> the sha256 of its stdout
+DEMO_DIGESTS = {
+    "counting_actions": "ddeb34a816a008c85a363f860e044f5f48866a4f960df94e518b2069385b8e6f",
+    "dd_invariant": "c38c73c649ff9cd904252ee2e965ef7548f560f1cb4e206e671b76bb439f937b",
+    "enumerate_actions": "a17b9f08921f1020032a281676c6176de50deb5e16e3393572fc4b36463937f3",
+    "free_actions": "3b51a94aa9ef97a541b25e1208d057a7ca009ce0acddcb953a3460662921d444",
+    "gl2_and_mapping_classes": "40e54819efb59bf9c5f0beb64b7eccd50d99971a6452b1b5b85d48ae76d24c0f",
+    "isomorphism_decision": "e8f884407b5f5ed746953bf0974af9deb3835a391edce32efc48386fa1b986e4",
+}
+
+
+@pytest.mark.parametrize("demo", DEMO_DIGESTS)
+def test_demo_outputs_are_pinned(demo):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == DEMO_DIGESTS[demo], f"{demo}: stdout changed, digest now {got}"

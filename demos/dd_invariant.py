@@ -8,7 +8,7 @@ to separate two free-action families that share every coarser invariant.
 """
 
 from c2surf.bilinear import Involution, standard_space
-from c2surf.classify import dd_of_word
+from c2surf.classify import Action
 from c2surf.dd import conjugacy_classes, dd, involutions_in, mirror
 from c2surf.f2 import F2Matrix
 from c2surf.words import format_word, parse_word
@@ -37,8 +37,8 @@ def main() -> None:
     print("\nSeparating the two free-action families on N_12 with C = 2 tubes:")
     a = parse_word("S2a+4DCC+2S10AT")
     b = parse_word("Tanti(1)+3DCC+2S10AT")
-    print(f"  {format_word(a):<22} DD = {dd_of_word(a)}")
-    print(f"  {format_word(b):<22} DD = {dd_of_word(b)}")
+    print(f"  {format_word(a):<22} DD = {Action.from_word(a).dd}")
+    print(f"  {format_word(b):<22} DD = {Action.from_word(b).dd}")
     print("  same taxonomy, same separation class; the third coordinate differs.")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, rank
+from .f2 import F2Matrix, rank
 
 
 class FormKind(enum.Enum):
@@ -47,17 +47,16 @@ class BilinearSpace:
     @property
     def kind(self) -> FormKind:
         """SYMP when all diagonal gram entries vanish, else ODDO/EVO by parity."""
-        if self.gram.diag().is_zero():
+        if not self.gram.diag():
             return FormKind.SYMP
         return FormKind.ODDO if self.dim % 2 else FormKind.EVO
 
-    def pairing(self, v: F2Vector, w: F2Vector) -> int:
-        return v.dot(self.gram.mul_vec(w))
 
-
-def omega_vector(space: BilinearSpace) -> F2Vector:
-    """The unique Omega with b(v, Omega) = b(v, v) for all v: G^-1 diag(G)."""
-    return space.gram.inverse().mul_vec(space.gram.diag())
+def omega_vector(space: BilinearSpace) -> int:
+    """The unique Omega with b(v, Omega) = b(v, v) for all v, packed:
+    G^-1 diag(G), which is the row product diag(G) G^-1 since G^-1 is
+    symmetric."""
+    return space.gram.inverse().mul_row(space.gram.diag())
 
 
 def standard_space(kind: str, dim: int) -> BilinearSpace:
@@ -100,14 +99,6 @@ class Involution:
         else:
             raise NotOrderTwo("matrix does not square to the identity")
 
-    def conjugate(self, p: F2Matrix) -> "Involution":
-        """The involution p^-1 M p for an isometry p of the same space."""
-        return Involution(self.space, p.inverse() @ self.matrix @ p)
-
-
-def identity_involution(space: BilinearSpace) -> Involution:
-    return Involution(space, F2Matrix.identity(space.dim))
-
 
 __all__ = [
     "FormKind",
@@ -117,5 +108,4 @@ __all__ = [
     "omega_vector",
     "standard_space",
     "Involution",
-    "identity_involution",
 ]

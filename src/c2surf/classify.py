@@ -120,7 +120,7 @@ class Action:
     def from_word(cls, w: SurgeryWord) -> "Action":
         surf = underlying_surface(w)
         if w.is_trivial():
-            return cls(w, surf, None, None, dd_of_word(w, surf))
+            return cls(w, surf, None, None, identity_dd(surf))
         tax = Taxonomy(*fixed_data(w), q_sign(w))
         return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))
 
@@ -162,21 +162,13 @@ def _tube_bit(w: SurgeryWord) -> int:
     return (bit + w.s1aat) % 2
 
 
-def dd_of_word(
-    w: SurgeryWord, surf: Optional[Surface] = None, tax: Optional[Taxonomy] = None
-) -> Optional[DDTuple]:
-    """DD of the word's class, as its cell rule gives it (None where the rule
-    derives none); `surf` and `tax` (its surface and signed taxonomy) are
-    computed if not given, and a caller that gives `tax` has answered that the
-    word is nontrivial.  The class is the one rule of the word's sign in its
-    cell, except in [0,C:(C,0),-] on N_r: there separation picks the doubled
-    surface and `_tube_bit` the other two.  Only that rule is called, and a
-    word that lands on no class raises LookupError."""
-    surf = surf or underlying_surface(w)
-    if tax is None:
-        if w.is_trivial():
-            return identity_dd(surf)
-        tax = Taxonomy(*fixed_data(w), q_sign(w))
+def dd_of_word(w: SurgeryWord, surf: Surface, tax: Taxonomy) -> Optional[DDTuple]:
+    """DD of a nontrivial word's class, as its cell rule gives it (None where
+    the rule derives none), given the word's surface and signed taxonomy.
+    The class is the one rule of the word's sign in its cell, except in
+    [0,C:(C,0),-] on N_r: there separation picks the doubled surface and
+    `_tube_bit` the other two.  Only that rule is called, and a word that
+    lands on no class raises LookupError."""
     r, f, c, cm = surf.beta, tax.f, tax.c, tax.cminus
     rules = _RULES[surf.orientable](r, f, c, cm)[tax.q is Sign.PLUS]
     if len(rules) > 1:

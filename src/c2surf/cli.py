@@ -107,22 +107,21 @@ def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    """Builds the whole answer before the first write, so a failure writes nothing."""
     surfaces = _parse_surface_range(args.surfaces)
     with_total = args.include_trivial
     if surfaces[0].orientable:
-        print("g total nontrivial" if with_total else "g nontrivial")
+        lines = ["g total nontrivial" if with_total else "g nontrivial"]
         for s in surfaces:
             total = counting.total_count(s)
-            row = f"T{s.genus} {total} {total - 1}" if with_total else f"T{s.genus} {total - 1}"
-            print(row)
+            lines.append(f"T{s.genus} {total} {total - 1}" if with_total else f"T{s.genus} {total - 1}")
     else:
-        print("r A B Phi- Phi+ Phi total" if with_total else "r A B Phi- Phi+ Phi")
+        lines = ["r A B Phi- Phi+ Phi total" if with_total else "r A B Phi- Phi+ Phi"]
         for s in surfaces:
             rep = counting.phi_counts(s.genus)
-            row = (
-                f"N{rep.r} {rep.A} {rep.B} {rep.phi_minus} {rep.phi_plus} {rep.phi}"
-            )
-            print(f"{row} {rep.total}" if with_total else row)
+            row = f"N{rep.r} {rep.A} {rep.B} {rep.phi_minus} {rep.phi_plus} {rep.phi}"
+            lines.append(f"{row} {rep.total}" if with_total else row)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -137,17 +136,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    """Builds the whole answer before the first write, so a failure writes nothing."""
     w = words.parse_word(args.word)
     action = Action.from_word(w)
-    print(f"word={words.format_word(w)}")
-    print(f"beta={words.beta(w)}")
-    print(f"surface={action.surface.name}")
-    if action.taxonomy:
-        print(f"taxonomy={action.taxonomy!r}")
-        print(f"eps={action.epsilon.value}")
-    else:
-        print("taxonomy=trivial")
-    print(f"dd={_fmt_dd(action.dd)}")
+    t = action.taxonomy
+    lines = [f"word={words.format_word(w)}", f"beta={words.beta(w)}", f"surface={action.surface.name}"]
+    lines += [f"taxonomy={t!r}", f"eps={action.epsilon.value}"] if t else ["taxonomy=trivial"]
+    print("\n".join(lines + [f"dd={_fmt_dd(action.dd)}"]))
     return EXIT_OK
 
 

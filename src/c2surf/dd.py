@@ -34,20 +34,6 @@ class DDTuple:
         return f"[{self.d},{self.alpha},{self.d_tilde},{self.alpha_tilde}]"
 
 
-def d_invariant(inv: Involution) -> int:
-    """Rank of M + Id over GF(2)."""
-    return _d(inv.matrix.rows)
-
-
-def alpha_invariant(inv: Involution) -> int:
-    """Rank of v |-> b(v, Mv); on odd-dimensional spaces restricted to Omega-perp.
-
-    The functional vanishes on the orthogonal complement of Omega exactly when
-    it is a multiple of the functional v |-> b(v, Omega), i.e. of diag(G).
-    """
-    return _alpha(inv.space, inv.matrix.rows)
-
-
 def mirror(inv: Involution) -> Involution:
     """The companion involution v |-> M v + b(v, v) Omega on EVO spaces.
 
@@ -76,8 +62,8 @@ def _form(space: BilinearSpace) -> Tuple[int, int]:
     """What alpha and the mirror read off a space: diag(G) packed, and the
     rows the mirror changes, packed (Omega on EVO spaces, none on the
     others, which are their own mirrors)."""
-    flips = omega_vector(space).bits if space.kind == FormKind.EVO else 0
-    return space.gram.diag().bits, flips
+    flips = omega_vector(space) if space.kind == FormKind.EVO else 0
+    return space.gram.diag(), flips
 
 
 def _d(rows: Tuple[int, ...]) -> int:
@@ -258,8 +244,6 @@ def dd_classifies(space: BilinearSpace) -> bool:
 
 __all__ = [
     "DDTuple",
-    "d_invariant",
-    "alpha_invariant",
     "mirror",
     "dd",
     "dd_direct_sum",

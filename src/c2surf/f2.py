@@ -58,22 +58,9 @@ class F2Vector:
             n += 1
         return cls(bits, n)
 
-    @classmethod
-    def zero(cls, n: int) -> "F2Vector":
-        return cls(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "F2Vector":
-        return cls((1 << n) - 1, n)
-
     @property
     def coords(self) -> Tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def dot(self, other: "F2Vector") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector lengths {self.n} != {other.n}")
-        return (self.bits & other.bits).bit_count() & 1
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -119,10 +106,6 @@ class F2Matrix:
         return cls(tuple(1 << i for i in range(n)), n)
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
-        return cls((0,) * nrows, ncols)
-
-    @classmethod
     def permutation(cls, perm: Sequence[int]) -> "F2Matrix":
         """Matrix sending basis vector ``i`` to basis vector ``perm[i]``."""
         n = len(perm)
@@ -152,14 +135,15 @@ class F2Matrix:
                 r ^= low
         return F2Matrix(tuple(cols), self.nrows)
 
-    def diag(self) -> F2Vector:
+    def diag(self) -> int:
+        """The diagonal, packed: bit i is entry (i, i)."""
         if not self.is_square():
             raise DimensionMismatch("diagonal of a non-square matrix")
         bits = 0
         for i, r in enumerate(self.rows):
             if (r >> i) & 1:
                 bits |= 1 << i
-        return F2Vector(bits, self.ncols)
+        return bits
 
     def is_symmetric(self) -> bool:
         return self.is_square() and self == self.transpose()
@@ -390,7 +374,7 @@ def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
 
     if not n:
         return (inverse,)  # the empty matrix, the one isometry of the zero space
-    diag = inverse.diag().bits
+    diag = inverse.diag()
     extend(0, [diag | diag << n] if diag else [])
     return tuple(found)
 

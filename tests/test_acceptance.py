@@ -10,8 +10,8 @@ from contextlib import redirect_stdout
 
 from c2surf.bilinear import standard_space
 from c2surf.classify import (
+    Action,
     count_actions,
-    dd_of_word,
     iter_actions,
     scherrer_admissible,
     taxonomy_cells,
@@ -196,13 +196,13 @@ def test_criterion_08_dd_spot_values():
 
     def check():
         for text, expected in {**klein, **torus}.items():
-            value = dd_of_word(parse_word(text))
+            value = Action.from_word(parse_word(text)).dd
             if value is None or value.as_tuple() != expected:
                 return False
         for r in (6, 8, 10, 12):
             for c in range(1, r // 2 - 1):
-                a = dd_of_word(parse_word(f"S2a+{r // 2 - c}DCC+{c}S10AT"))
-                b = dd_of_word(parse_word(f"Tanti(1)+{r // 2 - c - 1}DCC+{c}S10AT"))
+                a = Action.from_word(parse_word(f"S2a+{r // 2 - c}DCC+{c}S10AT")).dd
+                b = Action.from_word(parse_word(f"Tanti(1)+{r // 2 - c - 1}DCC+{c}S10AT")).dd
                 if a is None or b is None:
                     return False
                 if (a.d, a.alpha, a.alpha_tilde) != (b.d, b.alpha, b.alpha_tilde):

@@ -13,7 +13,6 @@ from c2surf.classify import (
     Taxonomy,
     count_actions,
     decide_isomorphic,
-    dd_of_word,
     identity_dd,
     iter_actions,
     scherrer_admissible,
@@ -231,31 +230,32 @@ def test_identity_dd():
     assert identity_dd(Surface(True, 3)) == DDTuple(0, 0, 0, 0)
     assert identity_dd(Surface(False, 4)) == DDTuple(0, 1, 1, 0)
     # cross-check against the actual dd of the identity isometry
-    from c2surf.bilinear import identity_involution, standard_space
+    from c2surf.bilinear import Involution, standard_space
     from c2surf.dd import dd
+    from c2surf.f2 import F2Matrix
 
     for kind, n, surf in (
         ("symplectic", 4, Surface(True, 2)),
         ("orthogonal", 4, Surface(False, 4)),
         ("orthogonal", 5, Surface(False, 5)),
     ):
-        assert identity_dd(surf) == dd(identity_involution(standard_space(kind, n)))
+        assert identity_dd(surf) == dd(Involution(standard_space(kind, n), F2Matrix.identity(n)))
 
 
 def test_dd_of_word_klein_and_torus():
-    assert dd_of_word(parse_word("S2a+DCC")) == DDTuple(1, 0, 0, 1)
-    assert dd_of_word(parse_word("S21+DCC")) == DDTuple(1, 0, 0, 1)
-    assert dd_of_word(parse_word("S2a+S11AT")) == DDTuple(1, 0, 0, 1)
-    assert dd_of_word(parse_word("S22+S10AT")) == DDTuple(0, 1, 1, 0)
-    assert dd_of_word(parse_word("S22+2FM")) == DDTuple(0, 1, 1, 0)
-    assert dd_of_word(parse_word("Triv(N2)")) == DDTuple(0, 1, 1, 0)
+    assert act("S2a+DCC").dd == DDTuple(1, 0, 0, 1)
+    assert act("S21+DCC").dd == DDTuple(1, 0, 0, 1)
+    assert act("S2a+S11AT").dd == DDTuple(1, 0, 0, 1)
+    assert act("S22+S10AT").dd == DDTuple(0, 1, 1, 0)
+    assert act("S22+2FM").dd == DDTuple(0, 1, 1, 0)
+    assert act("Triv(N2)").dd == DDTuple(0, 1, 1, 0)
     # S22+DCC is isomorphic to S2a+S11AT and must agree
-    assert dd_of_word(parse_word("S22+DCC")) == DDTuple(1, 0, 0, 1)
+    assert act("S22+DCC").dd == DDTuple(1, 0, 0, 1)
     for text in ("Tanti(1)", "Trot(1)", "Tspit(1,4)", "Trefl(1,2)", "Triv(T1)"):
-        assert dd_of_word(parse_word(text)) == DDTuple(0, 0, 0, 0)
-    assert dd_of_word(parse_word("S2a+S10AT")) == DDTuple(1, 1, 1, 1)
-    assert dd_of_word(parse_word("S2a+3S10AT")) == DDTuple(1, 1, 1, 1)
-    assert dd_of_word(parse_word("Tanti(1)+2S10AT")) == DDTuple(2, 1, 2, 1)
+        assert act(text).dd == DDTuple(0, 0, 0, 0)
+    assert act("S2a+S10AT").dd == DDTuple(1, 1, 1, 1)
+    assert act("S2a+3S10AT").dd == DDTuple(1, 1, 1, 1)
+    assert act("Tanti(1)+2S10AT").dd == DDTuple(2, 1, 2, 1)
 
 
 def _small_words():
@@ -307,10 +307,10 @@ def test_dd_of_word_on_the_klein_bottle_follows_the_signed_taxonomy():
 
 
 def test_dd_of_word_crosscapped_families():
-    assert dd_of_word(parse_word("S2a+2DCC+S10AT")) == DDTuple(3, 1, 3, 1)
-    assert dd_of_word(parse_word("Tanti(1)+DCC+S10AT")) == DDTuple(3, 1, 2, 1)
-    assert dd_of_word(parse_word("Trefl(1,2)")) == DDTuple(0, 0, 0, 0)
-    assert dd_of_word(parse_word("S22+2S10AT")) is None  # no derived formula
+    assert act("S2a+2DCC+S10AT").dd == DDTuple(3, 1, 3, 1)
+    assert act("Tanti(1)+DCC+S10AT").dd == DDTuple(3, 1, 2, 1)
+    assert act("Trefl(1,2)").dd == DDTuple(0, 0, 0, 0)
+    assert act("S22+2S10AT").dd is None  # no derived formula
 
 
 # The reference's own DD values, stated here and not read from `classify`:
@@ -352,7 +352,7 @@ def test_dd_gate_loses_no_derived_value():
         checked = covered = 0
         for w in ws:
             want = _normalize_first_dd(w)
-            assert want is None or dd_of_word(w) == want, format_word(w)
+            assert want is None or Action.from_word(w).dd == want, format_word(w)
             checked += 1
             covered += want is not None
         counts.append((checked, covered))
@@ -403,7 +403,7 @@ def test_a_word_on_no_class_raises(monkeypatch):
     # (no Tanti(1) class in [0,1:(1,0),-] on N_4) raises
     monkeypatch.setattr(classify, "_tube_bit", lambda w: 0)
     with pytest.raises(LookupError, match=r"S2a\+DCC\+S10AT lands on no class"):
-        dd_of_word(parse_word("S2a+DCC+S10AT"))
+        act("S2a+DCC+S10AT")
 
 
 def test_from_word_never_rewrites(monkeypatch, query_universe):
@@ -414,7 +414,7 @@ def test_from_word_never_rewrites(monkeypatch, query_universe):
 
     monkeypatch.setattr(words, "normalize", refuse)
     for w in itertools.chain(_small_words(), query_universe):
-        assert Action.from_word(w).dd == dd_of_word(w), format_word(w)
+        Action.from_word(w)
 
 
 def _words_up_to(max_beta: int):
@@ -484,8 +484,8 @@ def test_action_is_trivial_agrees_with_the_word(query_universe):
 def test_dd_separates_the_free_base_families():
     for r in (6, 8, 10, 12):
         for c in range(1, r // 2 - 1):
-            a = dd_of_word(parse_word(f"S2a+{r//2 - c}DCC+{c}S10AT"))
-            b = dd_of_word(parse_word(f"Tanti(1)+{r//2 - c - 1}DCC+{c}S10AT"))
+            a = act(f"S2a+{r//2 - c}DCC+{c}S10AT").dd
+            b = act(f"Tanti(1)+{r//2 - c - 1}DCC+{c}S10AT").dd
             assert a is not None and b is not None
             assert a.d == b.d and a.alpha == b.alpha and a.alpha_tilde == b.alpha_tilde
             assert abs(a.d_tilde - b.d_tilde) == 1

@@ -390,6 +390,19 @@ def test_oversized_numbers_are_syntax_errors_in_process(text):
     assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["inv", "S2a+{}DCC".format("9" * 4300)], ["count", "N" + "9" * 1500], ["count", "T" + "9" * 4300]],
+    ids=["inv", "count-N", "count-T"],
+)
+def test_an_answer_past_the_digit_limit_writes_nothing(argv):
+    # the input parses, but a number of the answer has more than 4,300 digits:
+    # the command builds its whole answer before the first write
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Exceeds the limit (4300") and err.count("\n") == 1
+
+
 def test_rewrite_fuse_exits_4(monkeypatch):
     # normalizing the first instance of `verify rewrites` takes a rewrite and then
     # a fixpoint check, two passes against a fuse of one; `inv` never rewrites

@@ -8,18 +8,15 @@ from c2surf.bilinear import (
     BilinearSpace,
     FormKind,
     Involution,
-    identity_involution,
     omega_vector,
     standard_space,
 )
 from c2surf.dd import (
     DDTuple,
     _conjugation,
-    alpha_invariant,
     block_swap_involution,
     conjugacy_classes,
     conjugacy_oracle,
-    d_invariant,
     dd,
     dd_classifies,
     dd_direct_sum,
@@ -36,20 +33,27 @@ def swap_on_evo2() -> Involution:
     )
 
 
+def identity_on(space: BilinearSpace) -> Involution:
+    return Involution(space, F2Matrix.identity(space.dim))
+
+
 def test_d_invariant_basics():
     for kind, n in (("orthogonal", 3), ("symplectic", 4)):
-        assert d_invariant(identity_involution(standard_space(kind, n))) == 0
-    assert d_invariant(swap_on_evo2()) == 1
+        assert dd(identity_on(standard_space(kind, n))).d == 0
+    assert dd(swap_on_evo2()).d == 1
     for r in (1, 2, 3):
         space = standard_space("orthogonal", 2 * r)
-        assert d_invariant(block_swap_involution(space)) == r
+        assert dd(block_swap_involution(space)).d == r
+    for kind, n in (("orthogonal", 3), ("symplectic", 4)):
+        with pytest.raises(ValueError, match=r"^block swaps live on even-dimensional orthogonal spaces$"):
+            block_swap_involution(standard_space(kind, n))
 
 
 def test_alpha_invariant_values():
     evo4 = standard_space("orthogonal", 4)
-    assert alpha_invariant(block_swap_involution(evo4)) == 0
-    assert alpha_invariant(identity_involution(evo4)) == 1
-    assert alpha_invariant(identity_involution(standard_space("symplectic", 4))) == 0
+    assert dd(block_swap_involution(evo4)).alpha == 0
+    assert dd(identity_on(evo4)).alpha == 1
+    assert dd(identity_on(standard_space("symplectic", 4))).alpha == 0
 
 
 def test_mirror_flips_entries_on_orthonormal_grams():
@@ -67,7 +71,7 @@ def test_mirror_is_an_involution_on_involutions():
         for inv in involutions_in(space):
             assert mirror(mirror(inv)).matrix == inv.matrix
     symp = standard_space("symplectic", 4)
-    inv = identity_involution(symp)
+    inv = identity_on(symp)
     assert mirror(inv) is inv  # non-EVO spaces are their own mirrors
 
 
@@ -83,8 +87,8 @@ def test_mirror_formula_on_non_orthonormal_gram():
 
 def test_dd_spot_values():
     evo4 = standard_space("orthogonal", 4)
-    assert dd(identity_involution(evo4)) == DDTuple(0, 1, 1, 0)
-    assert dd(identity_involution(standard_space("symplectic", 4))) == DDTuple(0, 0, 0, 0)
+    assert dd(identity_on(evo4)) == DDTuple(0, 1, 1, 0)
+    assert dd(identity_on(standard_space("symplectic", 4))) == DDTuple(0, 0, 0, 0)
     assert dd(swap_on_evo2()) == DDTuple(1, 0, 0, 1)
     # a |-> a, b |-> a+b on the symplectic plane
     symp2 = standard_space("symplectic", 2)
@@ -126,15 +130,17 @@ def test_dd_is_conjugation_invariant():
         for _ in range(60):
             inv = rng.choice(invs)
             p = rng.choice(group)
-            assert dd(inv.conjugate(p)) == dd(inv)
+            assert dd(Involution(space, p.inverse() @ inv.matrix @ p)) == dd(inv)
 
 
 def test_conjugacy_oracle_small():
     evo2 = standard_space("orthogonal", 2)
-    ident = identity_involution(evo2)
+    ident = identity_on(evo2)
     swap = swap_on_evo2()
     assert conjugacy_oracle(ident, ident)
     assert not conjugacy_oracle(ident, swap)
+    with pytest.raises(ValueError, match=r"^involutions live on different spaces$"):
+        conjugacy_oracle(ident, identity_on(standard_space("symplectic", 2)))
 
 
 def test_conjugacy_oracle_detects_conjugates():
@@ -144,7 +150,7 @@ def test_conjugacy_oracle_detects_conjugates():
     theta = block_swap_involution(space)
     for _ in range(10):
         p = rng.choice(group)
-        conj = theta.conjugate(p)
+        conj = Involution(space, p.inverse() @ theta.matrix @ p)
         assert conjugacy_oracle(theta, conj)
         assert dd(conj) == dd(theta)
 
@@ -226,11 +232,11 @@ def reference_mirror(inv: Involution) -> Involution:
     if space.kind != FormKind.EVO:
         return inv
     n = space.dim
-    omega = omega_vector(space).bits
+    omega = omega_vector(space)
     cols = []
     for j in range(n):
-        e = F2Vector(1 << j, n)
-        cols.append(inv.matrix.mul_vec(e).bits ^ (omega if space.pairing(e, e) else 0))
+        e_dot_e = space.gram.rows[j] >> j & 1  # b(e_j, e_j) = G[j, j]
+        cols.append(inv.matrix.mul_vec(F2Vector(1 << j, n)).bits ^ (omega if e_dot_e else 0))
     return Involution(space, F2Matrix(tuple(cols), n).transpose())
 
 
@@ -239,8 +245,8 @@ def reference_dd(inv: Involution) -> DDTuple:
 
     def d_alpha(x: Involution):
         n = x.space.dim
-        f = (x.space.gram @ x.matrix).diag().bits
-        alpha = 0 if f == 0 or (n % 2 and f == x.space.gram.diag().bits) else 1
+        f = (x.space.gram @ x.matrix).diag()
+        alpha = 0 if f == 0 or (n % 2 and f == x.space.gram.diag()) else 1
         return rank(x.matrix + F2Matrix.identity(n)), alpha
 
     return DDTuple(*d_alpha(inv), *d_alpha(reference_mirror(inv)))
@@ -289,7 +295,6 @@ def test_dd_equals_matrix_reference(space):
     for inv in involutions_in(space, bound=7):
         want = reference_dd(inv)
         assert dd(inv) == want, inv.matrix
-        assert (d_invariant(inv), alpha_invariant(inv)) == (want.d, want.alpha)
         assert mirror(inv).matrix == reference_mirror(inv).matrix
 
 
@@ -345,7 +350,7 @@ def test_d_bound():
     for kind, n in (("orthogonal", 4), ("orthogonal", 5), ("symplectic", 4)):
         space = standard_space(kind, n)
         for inv in involutions_in(space):
-            assert 0 <= d_invariant(inv) <= space.dim // 2
+            assert 0 <= dd(inv).d <= space.dim // 2
 
 
 def test_symp_oddo_bookkeeping():

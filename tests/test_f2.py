@@ -30,7 +30,7 @@ def brute_kernel(m: F2Matrix):
 
 def test_rank_identity_and_zero():
     assert rank(F2Matrix.identity(4)) == 4
-    assert rank(F2Matrix.zero(3, 3)) == 0
+    assert rank(F2Matrix((0, 0, 0), 3)) == 0
 
 
 def test_rank_complement_block_via_kernel():
@@ -78,7 +78,7 @@ def test_group_closure_trivial_and_small():
 
 def test_group_closure_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        group_closure([F2Matrix.zero(2, 2)])
+        group_closure([F2Matrix((0, 0), 2)])
 
 
 def test_group_closure_is_a_group():
@@ -137,7 +137,7 @@ def test_inverse():
     m = F2Matrix.from_rows([[1, 1], [0, 1]])
     assert m @ m.inverse() == F2Matrix.identity(2)
     with pytest.raises(SingularMatrixError):
-        F2Matrix.zero(2, 2).inverse()
+        F2Matrix((0, 0), 2).inverse()
 
 
 def test_isometries_small_counts():
@@ -371,10 +371,18 @@ def test_kernel_errors_unchanged():
     with pytest.raises(DimensionMismatch, match=r"^inner dimensions 3 != 4$"):
         F2Matrix.identity(3) @ F2Matrix.identity(4)
     with pytest.raises(DimensionMismatch, match=r"^inner dimensions 0 != 2$"):
-        F2Matrix((), 0) @ F2Matrix.zero(2, 2)
+        F2Matrix((), 0) @ F2Matrix((0, 0), 2)
     with pytest.raises(DimensionMismatch, match=r"^matrix cols 3 != vector length 2$"):
         F2Matrix.identity(3).mul_vec(F2Vector(0, 2))
     with pytest.raises(DimensionMismatch, match=r"^inverse of a non-square matrix$"):
-        F2Matrix.zero(2, 3).inverse()
+        F2Matrix((0, 0), 3).inverse()
     with pytest.raises(DimensionMismatch):
         F2Matrix.identity(3).conjugates(F2Matrix.identity(3), F2Matrix.identity(2))
+    with pytest.raises(DimensionMismatch, match=r"^diagonal of a non-square matrix$"):
+        F2Matrix((0, 0), 3).diag()
+    with pytest.raises(DimensionMismatch, match=r"^ragged rows$"):
+        F2Matrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match=r"^need at least one generator$"):
+        group_closure([])
+    with pytest.raises(DimensionMismatch, match=r"^generators must be square of equal dimension$"):
+        group_closure([F2Matrix.identity(2), F2Matrix.identity(3)])

@@ -23,7 +23,7 @@ def v(*coords):
 
 
 def test_content():
-    assert content(F2Vector.zero(4)) == 0
+    assert content(F2Vector(0, 4)) == 0
     assert content(v(1, 1, 1)) == 1
     assert content(v(1, 1, 0, 0)) == 0
 
@@ -40,7 +40,7 @@ def test_orthogonal_orbit_representatives():
     assert orthogonal_orbit(v(1, 0, 0)) == OrthOrbit.A1
     assert orthogonal_orbit(v(1, 1, 0, 0)) == OrthOrbit.A2
     assert orthogonal_orbit(v(1, 1, 1)) == OrthOrbit.OMEGA
-    assert orthogonal_orbit(F2Vector.zero(5)) == OrthOrbit.ZERO
+    assert orthogonal_orbit(F2Vector(0, 5)) == OrthOrbit.ZERO
     # n = 2 merge: [1,1] is the all-ones vector
     assert orthogonal_orbit(v(1, 1)) == OrthOrbit.OMEGA
     with pytest.raises(ValueError):
@@ -48,7 +48,7 @@ def test_orthogonal_orbit_representatives():
 
 
 def test_symplectic_orbit():
-    assert symplectic_orbit(F2Vector.zero(4)) == SymplecticOrbit.ZERO
+    assert symplectic_orbit(F2Vector(0, 4)) == SymplecticOrbit.ZERO
     assert symplectic_orbit(v(1, 0, 0, 0)) == SymplecticOrbit.NONZERO
     assert symplectic_orbit(v(1, 1, 1, 1)) == SymplecticOrbit.NONZERO
     with pytest.raises(ValueError):

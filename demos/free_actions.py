@@ -7,7 +7,6 @@ therefore counts free actions.  Each free involution is a surgery word: an
 antipodal or rotation base plus crosscap pairs.
 """
 
-from c2surf.f2 import F2Vector
 from c2surf.orbits import (
     characteristic_class,
     classify_free_structures,
@@ -32,14 +31,14 @@ def main() -> None:
 
     print("\nSample orbit labels:")
     for coords in ([1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]):
-        v = F2Vector.from_bits(coords)
-        print(f"  {coords} -> {orthogonal_orbit(v).value}")
+        v = sum(c << i for i, c in enumerate(coords))
+        print(f"  {coords} -> {orthogonal_orbit(v, len(coords)).value}")
 
     print("\nFree actions covering N_5 (one per isometry orbit):")
     for w in covers_of(Surface(False, 5)):
-        cls = characteristic_class(w)
+        bits, n = characteristic_class(w)
         print(
-            f"  {format_word(w)}: class {list(cls.coords)} in orbit {orthogonal_orbit(cls).value}, "
+            f"  {format_word(w)}: class {[bits >> i & 1 for i in range(n)]} in orbit {orthogonal_orbit(bits, n).value}, "
             f"total space {underlying_surface(w).name}"
         )
 

@@ -13,7 +13,7 @@ import functools
 import os
 import random
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from . import classify, counting, gl2, orbits, words
 from .bilinear import standard_space
@@ -36,19 +36,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_surface_range(spec: str) -> List[Surface]:
-    """``T3``, ``N7``, or an inclusive range like ``N2..N7``."""
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo = Surface.parse(lo_text.strip())
+def _parse_surface_range(spec: str) -> Tuple[bool, range]:
+    """``T3``, ``N7``, or an inclusive range like ``N2..N7``, as the family
+    (orientable or not) and its range of genera.  Only the two ends are
+    parsed and checked, so a caller builds each surface when it reaches it."""
+    lo_text, dots, hi_text = spec.partition("..")
+    lo = hi = Surface.parse(lo_text.strip())
+    if dots:
         hi_text = hi_text.strip()
         if hi_text and hi_text[0] not in "TN":
             hi_text = ("T" if lo.orientable else "N") + hi_text
         hi = Surface.parse(hi_text)
         if lo.orientable != hi.orientable or hi.genus < lo.genus:
             raise WordSyntaxError(f"bad surface range {spec!r}")
-        return [Surface(lo.orientable, g) for g in range(lo.genus, hi.genus + 1)]
-    return [Surface.parse(spec.strip())]
+    return lo.orientable, range(lo.genus, hi.genus + 1)
 
 
 def _fmt_dd(value) -> str:
@@ -76,19 +77,17 @@ def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
         return
     record, tails = fmt == "record", {}
 
-    def tail(q: Optional[str], eps: Optional[Epsilon], dd) -> str:
-        e, d = eps.text if eps else None, _fmt_dd(dd)
-        if record:
-            text = f"{q or 'NA'} eps={e or 'NA'} dd={d}\n"
-        else:
-            text = f"{f',{q}]' if q else ''} eps={e or '-'} dd={d} "
+    def tail(q: str, eps: Epsilon, dd) -> str:
+        e, d = eps.text, _fmt_dd(dd)
+        text = f"{q} eps={e} dd={d}\n" if record else f",{q}] eps={e} dd={d} "
         return tails.setdefault((q, e, dd), text)
 
     prefix = f"surface={name} word="
     if trivial:
         a = classify.trivial_action(surface)
-        word, t = words.format_word(a.word), tail(None, None, a.dd)
-        write(f"{prefix}{word} F=NA C=NA C+=NA C-=NA Q={t}" if record else f"{name} trivial{t}{word}\n")
+        word, d = words.format_word(a.word), _fmt_dd(a.dd)
+        write(f"{prefix}{word} F=NA C=NA C+=NA C-=NA Q=NA eps=NA dd={d}\n" if record
+              else f"{name} trivial eps=- dd={d} {word}\n")
     group, group_f = [], None
     for f, cp, cm, classes in rows:
         if f != group_f:
@@ -108,17 +107,17 @@ def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     """Builds the whole answer before the first write, so a failure writes nothing."""
-    surfaces = _parse_surface_range(args.surfaces)
+    orientable, genera = _parse_surface_range(args.surfaces)
     with_total = args.include_trivial
-    if surfaces[0].orientable:
+    if orientable:
         lines = ["g total nontrivial" if with_total else "g nontrivial"]
-        for s in surfaces:
-            total = counting.total_count(s)
-            lines.append(f"T{s.genus} {total} {total - 1}" if with_total else f"T{s.genus} {total - 1}")
+        for g in genera:
+            total = counting.total_count(Surface(True, g))
+            lines.append(f"T{g} {total} {total - 1}" if with_total else f"T{g} {total - 1}")
     else:
         lines = ["r A B Phi- Phi+ Phi total" if with_total else "r A B Phi- Phi+ Phi"]
-        for s in surfaces:
-            rep = counting.phi_counts(s.genus)
+        for r in genera:
+            rep = counting.phi_counts(r)
             row = f"N{rep.r} {rep.A} {rep.B} {rep.phi_minus} {rep.phi_plus} {rep.phi}"
             lines.append(f"{row} {rep.total}" if with_total else row)
     print("\n".join(lines))
@@ -128,10 +127,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.tables and (args.format == "record" or args.include_trivial):
         raise CliError("enumerate --tables takes neither --format record nor --include-trivial", EXIT_USAGE)
-    for s in _parse_surface_range(args.surfaces):
-        if args.tables and s.orientable:
-            raise CliError("tables are defined for N_r only", EXIT_USAGE)
-        _write_classes(s, "tables" if args.tables else args.format, args.include_trivial)
+    orientable, genera = _parse_surface_range(args.surfaces)
+    if args.tables and orientable:
+        raise CliError("tables are defined for N_r only", EXIT_USAGE)
+    for g in genera:
+        _write_classes(Surface(orientable, g), "tables" if args.tables else args.format, args.include_trivial)
     return EXIT_OK
 
 

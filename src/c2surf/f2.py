@@ -1,8 +1,9 @@
 """Exact linear algebra over GF(2) with bit-packed rows.
 
-Vectors and matrices are immutable; coordinates are packed into Python ints
-(bit ``i`` is coordinate ``i``), which makes row operations single XORs and
-lets matrices serve as dict keys and set members.
+A vector is a Python int, bit ``i`` its coordinate ``i``, and its length
+travels beside it.  A matrix is immutable and packs each row the same way,
+which makes row operations single XORs and lets matrices serve as dict keys
+and set members.
 
 Row i of a product ``a @ b`` is the XOR of the rows of b that the set bits
 of row i of a pick.  A caller that maps many rows through one matrix asks
@@ -35,41 +36,6 @@ class DimensionMismatch(ValueError):
 
 class SingularMatrixError(ValueError):
     """A matrix that must be invertible is not."""
-
-
-@dataclass(frozen=True, slots=True)
-class F2Vector:
-    """Vector over GF(2); ``bits`` packs the coordinates, ``n`` is the length."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits {self.bits:#x} do not fit in length {self.n}")
-
-    @classmethod
-    def from_bits(cls, coords: Iterable[int]) -> "F2Vector":
-        bits = 0
-        n = 0
-        for c in coords:
-            if c & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(bits, n)
-
-    @property
-    def coords(self) -> Tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __repr__(self) -> str:
-        return f"F2Vector([{','.join(str(c) for c in self.coords)}])"
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,14 +157,15 @@ class F2Matrix:
                 return False
         return True
 
-    def mul_vec(self, v: F2Vector) -> F2Vector:
-        if self.ncols != v.n:
-            raise DimensionMismatch(f"matrix cols {self.ncols} != vector length {v.n}")
+    def mul_vec(self, v: int) -> int:
+        """self @ v for one packed column vector, one row dot v per entry."""
+        if v < 0 or v >> self.ncols:
+            raise DimensionMismatch(f"vector {v:#x} does not fit in {self.ncols} columns")
         bits = 0
         for i, r in enumerate(self.rows):
-            if (r & v.bits).bit_count() & 1:
+            if (r & v).bit_count() & 1:
                 bits |= 1 << i
-        return F2Vector(bits, self.nrows)
+        return bits
 
     def is_invertible(self) -> bool:
         return self.is_square() and rank(self) == self.ncols
@@ -443,7 +410,6 @@ def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
 __all__ = [
     "DimensionMismatch",
     "SingularMatrixError",
-    "F2Vector",
     "F2Matrix",
     "rank",
     "block_diag",

@@ -8,6 +8,9 @@ intersection form.  The orthogonal orbits are pinned down by two invariants
 vectors.  Free involutions are the classes of the enumeration without fixed
 points: an antipodal base (S2a or Tanti(g)) or a rotation base (Trot(g)) plus
 s crosscap pairs.
+
+A vector of GF(2)^n is a packed int v (bit i is coordinate i) with its length
+n beside it, as in ``c2surf.f2``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Dict, List, Set, Tuple
 from .bilinear import standard_space
 from .classify import Action, iter_actions
 from .dd import isometry_generators
-from .f2 import ISOMETRY_BOUND, F2Vector, group_closure, isometries, orbit
+from .f2 import ISOMETRY_BOUND, group_closure, isometries, orbit
 from .words import BaseKind, Sign, Surface, SurgeryWord, beta, format_word, q_sign
 
 
@@ -34,33 +37,36 @@ class SymplecticOrbit(enum.Enum):
     NONZERO = "Nonzero"
 
 
-def content(v: F2Vector) -> int:
+def content(v: int) -> int:
     """Sum of the coordinates; an orthogonal-group invariant."""
-    return v.weight() & 1
+    return v.bit_count() & 1
 
 
-def orthogonal_orbit(v: F2Vector) -> OrthOrbit:
+def orthogonal_orbit(v: int, n: int) -> OrthOrbit:
     """Orbit of v under the orthogonal group: zero and all-ones are fixed,
     other vectors fall into two classes by the parity of their weight.
 
     For n = 2 the even-weight mixed class is empty, so A2 coincides with the
     all-ones orbit and OMEGA is returned.
     """
-    n = v.n
     if n < 2:
         raise ValueError("orbit classification needs dimension >= 2")
-    if v.is_zero():
+    if v < 0 or v >> n:
+        raise ValueError(f"bits {v:#x} do not fit in length {n}")
+    if not v:
         return OrthOrbit.ZERO
-    if v.weight() == n:
+    if v.bit_count() == n:
         return OrthOrbit.OMEGA
-    return OrthOrbit.A1 if v.weight() % 2 else OrthOrbit.A2
+    return OrthOrbit.A1 if v.bit_count() % 2 else OrthOrbit.A2
 
 
-def symplectic_orbit(v: F2Vector) -> SymplecticOrbit:
+def symplectic_orbit(v: int, n: int) -> SymplecticOrbit:
     """Zero or not; the symplectic group is transitive on nonzero vectors."""
-    if v.n % 2:
+    if n % 2:
         raise ValueError("symplectic vectors have even length")
-    return SymplecticOrbit.ZERO if v.is_zero() else SymplecticOrbit.NONZERO
+    if v < 0 or v >> n:
+        raise ValueError(f"bits {v:#x} do not fit in length {n}")
+    return SymplecticOrbit.NONZERO if v else SymplecticOrbit.ZERO
 
 
 # Largest dimension the orbit census partitions (2^n vectors).
@@ -109,8 +115,9 @@ def _genus_and_crosscaps(w: SurgeryWord) -> Tuple[int, int]:
     return w.base.g, w.dcc
 
 
-def characteristic_class(w: SurgeryWord) -> F2Vector:
-    """The double-cover class in an orthonormal basis of the quotient's H^1.
+def characteristic_class(w: SurgeryWord) -> Tuple[int, int]:
+    """The double-cover class in an orthonormal basis of the quotient's H^1,
+    as (bits, n): the packed vector and the dimension n of H^1.
 
     Antipodal bases contribute a block of g + 1 ones, extra crosscaps
     contribute zeros; rotation actions with crosscaps match the T1-antipodal
@@ -119,8 +126,8 @@ def characteristic_class(w: SurgeryWord) -> F2Vector:
     """
     g, s = _genus_and_crosscaps(w)
     if w.base.kind == BaseKind.T_ROT:
-        return F2Vector(0b11 if s else 1, g + s + 1)
-    return F2Vector((1 << (g + 1)) - 1, g + 1 + s)
+        return (0b11 if s else 1), g + s + 1
+    return (1 << (g + 1)) - 1, g + 1 + s
 
 
 def quotient_space(w: SurgeryWord) -> Surface:
@@ -167,7 +174,7 @@ def brute_orbit_partition(kind: str, n: int) -> Dict[int, int]:
     for bits in range(1 << n):
         if bits in label:
             continue
-        orbit = {g.mul_vec(F2Vector(bits, n)).bits for g in group}
+        orbit = {g.mul_vec(bits) for g in group}
         for b in orbit:
             label[b] = next_id
         next_id += 1

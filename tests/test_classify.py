@@ -393,7 +393,7 @@ def test_tube_bit_is_the_content_of_the_characteristic_class():
             surf = underlying_surface(w)
             assert not surf.orientable and surf.beta <= 40
             assert Taxonomy(*fixed_data(w), q_sign(w)) == Taxonomy(0, 0, 0, Sign.MINUS)
-            assert classify._tube_bit(w) == content(characteristic_class(w)), format_word(w)
+            assert classify._tube_bit(w) == content(characteristic_class(w)[0]), format_word(w)
             checked += 1
     assert checked == 20 + 190 + 100
 
@@ -474,6 +474,8 @@ def test_action_is_trivial_agrees_with_the_word(query_universe):
     for name in [f"T{g}" for g in range(9)] + [f"N{r}" for r in range(1, 21)]:
         for a in actions_on(name):
             assert a.is_trivial() == a.word.is_trivial(), a
+    # the messages above print an action as its word and surface
+    assert repr(act("S2a+DCC")) == "Action(S2a+DCC on N2)"
     trivial = 0
     for w in query_universe:
         assert Action.from_word(w).is_trivial() == w.is_trivial(), w

@@ -4,6 +4,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -219,7 +220,9 @@ def test_enumerate_plain():
     assert len(out.strip().splitlines()) == 6
     code, out, _ = run(["enumerate", "N3"])
     assert len(out.strip().splitlines()) == 3
-    assert run(["enumerate", "T3", "--tables"]) == (2, "", "error: tables are defined for N_r only\n")
+    # a range of tori is refused before any of its surfaces is built
+    for spec in ("T3", "T0..T1000000000000"):
+        assert run(["enumerate", spec, "--tables"]) == (2, "", "error: tables are defined for N_r only\n")
 
 
 def test_tables_reject_the_flags_they_ignore():
@@ -272,6 +275,31 @@ def test_enumerate_writes_one_f_group_at_a_time():
         with redirect_stdout(out):
             assert main(["enumerate", "N200", "--format", fmt, trivial]) == 0
         assert out.sizes == want, fmt
+
+
+class FirstWrite(Exception):
+    """What `StopAtFirstWrite` raises: no handler of `main` catches it."""
+
+
+class StopAtFirstWrite(io.StringIO):
+    def write(self, text):
+        raise FirstWrite(text)
+
+
+def test_enumerate_streams_a_range():
+    # a range is parsed from its two ends and each surface built when the loop
+    # reaches it, so N1's line goes out before N2 exists; a list of the
+    # range's 500,000 surfaces would take about 44 MB before that line
+    run(["enumerate", "N1"])  # the parser is built once a process
+    tracemalloc.start()
+    try:
+        with redirect_stdout(StopAtFirstWrite()), pytest.raises(FirstWrite) as first:
+            main(["enumerate", "N1..N500000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.value.args == ("N1 [1,1:(0,1),+] eps=nonsep dd=0,0,0,0 S22+FM\n",)
+    assert peak < 1 << 20, peak
 
 
 def test_inv_command():

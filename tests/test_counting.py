@@ -7,6 +7,8 @@ from c2surf.counting import (
     B_closed,
     B_direct,
     B_recursive,
+    CountMismatch,
+    _exact_div,
     ab_sum_closed,
     phi_counts,
     total_count,
@@ -97,3 +99,5 @@ def test_rejects_bad_input():
         A_direct(0)
     with pytest.raises(ValueError):
         phi_counts(0)
+    with pytest.raises(CountMismatch, match=r"^7 is not divisible by 2$"):
+        _exact_div(7, 2)

@@ -24,7 +24,7 @@ from c2surf.dd import (
     isometry_generators,
     mirror,
 )
-from c2surf.f2 import F2Matrix, F2Vector, block_diag, group_closure, isometries, rank
+from c2surf.f2 import F2Matrix, block_diag, group_closure, isometries, rank
 
 
 def swap_on_evo2() -> Involution:
@@ -223,6 +223,12 @@ def test_conjugacy_closure_stops_at_a_step_out(monkeypatch):
     with pytest.raises(AssertionError, match="left the involution set"):
         conjugacy_classes(space)
     assert len(calls) == len(isometry_generators(space))  # one step from the first seed
+    # one that stays inside the set but is no group action (it sends every
+    # involution to one) is caught when a later orbit reaches a taken class
+    target = involutions_in(space)[0].matrix.rows
+    monkeypatch.setattr("c2surf.dd._conjugation", lambda g: lambda rows: target)
+    with pytest.raises(AssertionError, match=r"^conjugation left the involution set$"):
+        conjugacy_classes(space)
 
 
 def reference_mirror(inv: Involution) -> Involution:
@@ -236,7 +242,7 @@ def reference_mirror(inv: Involution) -> Involution:
     cols = []
     for j in range(n):
         e_dot_e = space.gram.rows[j] >> j & 1  # b(e_j, e_j) = G[j, j]
-        cols.append(inv.matrix.mul_vec(F2Vector(1 << j, n)).bits ^ (omega if e_dot_e else 0))
+        cols.append(inv.matrix.mul_vec(1 << j) ^ (omega if e_dot_e else 0))
     return Involution(space, F2Matrix(tuple(cols), n).transpose())
 
 

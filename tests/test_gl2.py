@@ -47,6 +47,8 @@ def test_class_rule():
     assert gl2_class(IntMatrix2(3, 4, -2, -3)) == Gl2Class.S_CLASS
     with pytest.raises(ValueError):
         gl2_class(IntMatrix2(2, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"^matrix with determinant 2 is not invertible over Z$"):
+        IntMatrix2(2, 0, 0, 1).inverse()
 
 
 def test_reduce_spot_values():

@@ -101,6 +101,8 @@ def test_epsilon():
     assert epsilon(w("S2a+3DCC")) == Epsilon.NO_FIXED_CIRCLES
     assert epsilon(w("Tspit(1,4)")) == Epsilon.NO_FIXED_CIRCLES
     assert epsilon(w("S22+2FM")) == Epsilon.NON_SEPARATING  # one-sided ovals
+    with pytest.raises(InvalidWordError, match=r"^separation is defined for nontrivial actions$"):
+        epsilon(w("Triv(N3)"))
 
 
 def test_parse_format_roundtrip():
@@ -380,6 +382,9 @@ def test_negative_genus_and_counts_are_rejected():
         counts[slot] = -1
         with pytest.raises(InvalidWordError, match=r"^negative operation count$"):
             SurgeryWord(BaseSpace.s22(), *counts)
+    # nor is a trivial base without the surface it acts on
+    with pytest.raises(InvalidWordError, match=r"^trivial base needs a surface$"):
+        BaseSpace(BaseKind.TRIVIAL)
 
 
 def test_op_deltas_are_additive():

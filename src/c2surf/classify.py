@@ -3,7 +3,7 @@ isomorphism-decision procedure.
 
 Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  A rule table gives each taxonomy cell its classes by
-sign, each with its word (base and op counts), separation invariant and DD:
+sign, each with its word (base and op counts) and separation invariant:
 `_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
 (`_rule_rows`) feeds the enumerator `iter_actions`, the count
 `count_actions` and the rows of `taxonomy_cells`, from which the CLI prints
@@ -17,14 +17,15 @@ each base once and the op texts from one `op_table`.
 `Action.from_word` re-derives the taxonomy, sign and separation from any word;
 it is the oracle that checks the table, and the path of `inv` and the decision
 procedure, where a bounded memo derives each distinct word once.
-On orientable surfaces the signed taxonomy is already a complete invariant; on
-non-orientable surfaces the only repeated signed taxonomies are [0,C:(C,0),-],
-where the separation invariant and one bit of the quotient (`_tube_bit`)
-finish the job.  So `dd_of_word` reads a word's DD off the one rule of its
-class, keyed by surface, signed taxonomy, separation and that bit; it never
-rewrites the word.  Every DD a rule derives comes from one of two stated
-rules: `identity_dd`, the identity's DD, or `_family_dd`, a tube block plus
-k swaps under the direct-sum rule.
+
+A nontrivial class is its key: surface, F, C:(C+,C-), quotient sign,
+separation ε and, on rows with F = C- = 0, the tube bit b of the quotient.
+On orientable surfaces the signed taxonomy alone is complete; on N_r the only
+repeated signed taxonomies are [0,C:(C,0),-], where ε and b finish the job.
+The DD is one closed form of the key, `class_dd`: the walk calls it once per
+group of rows and rule, `dd_of_word` on a word's key, and the trivial action
+has `identity_dd`.  So the decision procedure is equality of surface, signed
+taxonomy, ε and DD, and no word is rewritten on either path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .dd import DDTuple, dd_direct_sum
+from .dd import DDTuple
 from .words import (
     BaseKind,
     BaseSpace,
@@ -51,9 +52,15 @@ from .words import (
 
 
 class DDUnavailableError(ValueError):
-    """Isomorphism undecidable: an action of a [0,C:(C,0),-] cell on N_r that
-    the separation does not settle carries no DD (a word's action always has
-    its class's DD; an action built by hand may not)."""
+    """Isomorphism undecidable for want of a DD.  Nothing raises it: every
+    class has its DD from `class_dd`.  It stays for callers that catch it."""
+
+
+# The members as module names: a read through the Enum class runs a
+# Python-level hook under 3.11.
+_PLUS, _MINUS = Sign
+_SEPARATING, _NON_SEPARATING, _NO_FIXED_CIRCLES = Epsilon
+_T_ANTI = BaseKind.T_ANTI
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,11 +75,6 @@ class Taxonomy:
     @property
     def c(self) -> int:
         return self.cplus + self.cminus
-
-    def ambiguous(self) -> bool:
-        """[0,C:(C,0),-]: the doubled surfaces and the crosscap families, the
-        one signed taxonomy that several classes on N_r share."""
-        return self.f == 0 and self.cminus == 0 and self.q == Sign.MINUS
 
     def __repr__(self) -> str:
         sign = f",{self.q.value}" if self.q else ""
@@ -91,7 +93,7 @@ def scherrer_admissible(t: Taxonomy, beta: int) -> bool:
         return False
     if (t.f - beta) % 2 or (t.cminus - beta) % 2:
         return False
-    if t.q == Sign.MINUS and t.f + 2 * t.c > beta:
+    if t.q is _MINUS and t.f + 2 * t.c > beta:
         return False
     return True
 
@@ -113,7 +115,7 @@ class Action:
     surface: Surface
     taxonomy: Optional[Taxonomy]
     epsilon: Optional[Epsilon]
-    dd: Optional[DDTuple]
+    dd: DDTuple
 
     @classmethod
     @lru_cache(maxsize=_ACTION_CACHE_SIZE)
@@ -121,8 +123,8 @@ class Action:
         surf = underlying_surface(w)
         if w.is_trivial():
             return cls(w, surf, None, None, identity_dd(surf))
-        tax = Taxonomy(*fixed_data(w), q_sign(w))
-        return cls(w, surf, tax, epsilon(w), dd_of_word(w, surf, tax))
+        tax, eps = Taxonomy(*fixed_data(w), q_sign(w)), epsilon(w)
+        return cls(w, surf, tax, eps, dd_of_word(w, surf, tax, eps))
 
     def is_trivial(self) -> bool:
         return self.taxonomy is None
@@ -132,52 +134,53 @@ class Action:
 
 
 # ---------------------------------------------------------------------------
-# derived DD values
-
-
-_ZERO_DD = DDTuple(0, 0, 0, 0)
-
-
-def _family_dd(tubes: int, k: int, g: int = 0) -> DDTuple:
-    """DD of Tanti(g) + k DCC + `tubes` S10AT, g = 0 or 1: the tube block
-    [g+1, 1, g+1, 1], a single symplectic transvection block whatever the
-    number of tubes (zero without tubes), plus k swaps through the
-    direct-sum rule."""
-    base = DDTuple(g + 1, 1, g + 1, 1) if tubes else _ZERO_DD
-    return base if k == 0 else dd_direct_sum(base, k)
+# the DD of a class
 
 
 def identity_dd(surface: Surface) -> DDTuple:
     """DD of the trivial action: the identity isometry of H^1(X; Z/2)."""
     if surface.orientable or surface.genus % 2 == 1:
-        return _ZERO_DD
+        return DDTuple(0, 0, 0, 0)
     return DDTuple(0, 1, 1, 0)
+
+
+def class_dd(surface: Surface, f: int, c: int, cm: int, q: Sign, eps: Epsilon, b: int) -> DDTuple:
+    """DD of the nontrivial class with this key: surface, F, C, C-, sign,
+    separation and tube bit b (read only where F = C- = 0).
+    D meets the Smith bound F + 2C <= beta + 2 - 2D (Bredon, ch. VII), and is
+    beta/2 - 1 + b on a free class.  alpha = 1 exactly on the nonseparating
+    classes (the fixed circles are 0 in H_1 iff they separate), save the
+    positive ones on N_r with r odd.  The mirror is the identity on T_g and on
+    N_r with r odd.  On N_r with r even, alpha~ = 1 iff q = -, and D~ is D + 1
+    when some fixed circle and some point or one-sided circle are both there,
+    else whichever of D and D - 1 has the parity of b [C > 0]."""
+    r = surface.beta
+    d = (r + 2 - f - 2 * c) // 2 if f or c else r // 2 - 1 + b
+    alpha = 1 if eps is _NON_SEPARATING and (q is _MINUS or r % 2 == 0) else 0
+    if surface.orientable or r % 2:
+        return DDTuple(d, alpha, d, alpha)
+    d_tilde = d + 1 if c and (f or cm) else d - (d - (b if c else 0)) % 2
+    return DDTuple(d, alpha, d_tilde, 1 if q is _MINUS else 0)
+
+
+def _base_bit(base: BaseSpace) -> int:
+    """The tube bit of a base: g + 1 (mod 2) on Tanti(g), S2a included, 0 on
+    the other bases."""
+    return (base.g + 1) % 2 if base.kind is _T_ANTI else 0
 
 
 def _tube_bit(w: SurgeryWord) -> int:
     """b = <phi u phi, [Q^]>: phi the double cover's class, Q^ the quotient with
-    its reflector circles capped.  g + 1 (mod 2) on Tanti(g), S2a included, 0
-    on the other bases; each S1aAT adds a crosscap to Q with phi = 1 on it."""
-    bit = w.base.g + 1 if w.base.kind is BaseKind.T_ANTI else 0
-    return (bit + w.s1aat) % 2
+    its reflector circles capped.  The base's bit, and each S1aAT adds a
+    crosscap to Q with phi = 1 on it."""
+    return (_base_bit(w.base) + w.s1aat) % 2
 
 
-def dd_of_word(w: SurgeryWord, surf: Surface, tax: Taxonomy) -> Optional[DDTuple]:
-    """DD of a nontrivial word's class, as its cell rule gives it (None where
-    the rule derives none), given the word's surface and signed taxonomy.
-    The class is the one rule of the word's sign in its cell, except in
-    [0,C:(C,0),-] on N_r: there separation picks the doubled surface and
-    `_tube_bit` the other two.  Only that rule is called, and a word that
-    lands on no class raises LookupError."""
-    r, f, c, cm = surf.beta, tax.f, tax.c, tax.cminus
-    rules = _RULES[surf.orientable](r, f, c, cm)[tax.q is Sign.PLUS]
-    if len(rules) > 1:
-        sep = epsilon(w) is Epsilon.SEPARATING
-        pick = _doubled if sep else _antipodal_tubes if _tube_bit(w) else _torus_antipodal_tubes
-        rules = [rule for rule in rules if rule is pick]
-    if not rules:
-        raise LookupError(f"{format_word(w)} lands on no class of {tax!r} on {surf.name}")
-    return rules[0](r, f, c, tax.cplus, cm, {})[3]
+def dd_of_word(w: SurgeryWord, surf: Surface, tax: Taxonomy, eps: Epsilon) -> DDTuple:
+    """DD of a nontrivial word's class: `class_dd` of the word's key, given
+    its surface, signed taxonomy and separation.  No rule is read and the
+    word is never rewritten."""
+    return class_dd(surf, tax.f, tax.c, tax.cminus, tax.q, eps, _tube_bit(w))
 
 
 # ---------------------------------------------------------------------------
@@ -188,61 +191,47 @@ _S2A, _S21, _TANTI1 = BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.tanti(1)
 # Op counts in word order: DCC, DT, S10AT, S11AT, S1aAT, FM.
 _Counts = Tuple[int, int, int, int, int, int]
 # What a class rule gives for one row (r, F, C, C+, C-) of its cell: the word
-# as its base and op counts, the separation invariant and the DD.
-_Class = Tuple[BaseSpace, _Counts, Epsilon, Optional[DDTuple]]
+# as its base and op counts, and the separation invariant.
+_Class = Tuple[BaseSpace, _Counts, Epsilon]
 # The class rules of a cell: those of negative sign, then those of positive sign.
 _Rules = Tuple[List[Callable[..., _Class]], List[Callable[..., _Class]]]
 # A row of the tables: F, C+, C-, and its classes as the tables print them:
 # sign, word text, separation invariant, DD.
-_Row = Tuple[int, int, int, List[Tuple[Sign, str, Epsilon, Optional[DDTuple]]]]
+_Row = Tuple[int, int, int, List[Tuple[Sign, str, Epsilon, DDTuple]]]
 
 
 def _ovals_epsilon(c: int) -> Epsilon:
     """Separation invariant of a class that is not a doubled surface."""
-    return Epsilon.NON_SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
-
-
-def _low_genus_dd(r: int, f: int, c: int) -> Optional[DDTuple]:
-    """DD of a class of row (F, C) outside the crosscap families, derived on
-    N_1 and N_2 only, where D alone decides.  By the Smith inequality
-    F + 2C <= r + 2 - 2D, only s* = id (D = 0) meets the bound; every other
-    class there has D = 1, one swap, the one other involution of N_2's form."""
-    if r > 2:
-        return None
-    return identity_dd(Surface(False, r)) if f + 2 * c == r + 2 else _family_dd(0, 1)
+    return _NON_SEPARATING if c else _NO_FIXED_CIRCLES
 
 
 def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
-    return _S2A, counts, _ovals_epsilon(c), _low_genus_dd(r, f, c)
+    return _S2A, counts, _ovals_epsilon(c)
 
 
 def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    k = r // 2 - c + 1
-    dd = _family_dd(0, k) if c == 1 else None
-    return _S21, (k, 0, c - 1, 0, 0, 0), Epsilon.SEPARATING, dd
+    return _S21, (r // 2 - c + 1, 0, c - 1, 0, 0, 0), _SEPARATING
 
 
 def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    k = r // 2 - c
-    return _S2A, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(c, k)
+    return _S2A, (r // 2 - c, 0, c, 0, 0, 0), _ovals_epsilon(c)
 
 
 def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    k = r // 2 - c - 1
-    return _TANTI1, (k, 0, c, 0, 0, 0), _ovals_epsilon(c), _family_dd(c, k, 1)
+    return _TANTI1, (r // 2 - c - 1, 0, c, 0, 0, 0), _ovals_epsilon(c)
 
 
 def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     key, counts = ((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
     base = bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key))  # built once per walk
-    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, c)
+    return base, counts, _NON_SEPARATING
 
 
 def _rotation(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
     g, counts = r // 2 - c, (0, 0, c, 0, 0, 0)
     base = bases.get(g) or bases.setdefault(g, BaseSpace.trot(g))  # an int key, a Tspit key is a pair
-    return base, counts, Epsilon.NON_SEPARATING, _low_genus_dd(r, f, c)
+    return base, counts, _NON_SEPARATING
 
 
 def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
@@ -267,20 +256,15 @@ def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
 
 
 def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    """Tanti(g - C) + C S10AT on T_g (S2a when g = C).  DD is derived for the
-    S2a and Tanti(1) bases only: the tube block, zero without tubes."""
-    base = BaseSpace.tanti(r // 2 - c)
-    dd = _family_dd(c, 0, base.g) if base.g <= 1 else None
-    return base, (0, 0, c, 0, 0, 0), _ovals_epsilon(c), dd
+    """Tanti(g - C) + C S10AT on T_g (S2a when g = C)."""
+    return BaseSpace.tanti(r // 2 - c), (0, 0, c, 0, 0, 0), _ovals_epsilon(c)
 
 
 def _orientable_base(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    """A bare base with positive sign on T_g: Tspit(g,F), Trefl(g,C) or Trot(g).
-    DD is derived on T_0 and T_1 only, where these act trivially on H^1."""
+    """A bare base with positive sign on T_g: Tspit(g,F), Trefl(g,C) or Trot(g)."""
     g = r // 2
     base = BaseSpace.tspit(g, f) if f else BaseSpace.trefl(g, c) if c else BaseSpace.trot(g)
-    eps = Epsilon.SEPARATING if c else Epsilon.NO_FIXED_CIRCLES
-    return base, (0,) * 6, eps, _ZERO_DD if g <= 1 else None
+    return base, (0,) * 6, _SEPARATING if c else _NO_FIXED_CIRCLES
 
 
 def _orientable_rules(r: int, f: int, c: int, cm: int) -> _Rules:
@@ -322,36 +306,41 @@ def taxonomy_cells(surface: Surface) -> Iterator[_Row]:
     as its rule gives it, in the comprehension that calls the rule: its
     base's token, spelled once per base of the walk in a dict keyed by the
     base (whose hash is one cached int), plus the op texts of one `op_table`
-    (no count exceeds beta / 2 + 1)."""
+    (no count exceeds beta / 2 + 1).  A rule's DD is the same on every row of
+    a `_rule_rows` group (it reads C- only through C- > 0, and a rule's base
+    only through its bit), so `class_dd` runs once per group and rule."""
     r, bases = surface.beta, {}
     dcc, dt, s10at, s11at, s1aat, fm = op_table(r // 2 + 1)
     tokens: Dict[BaseSpace, str] = {}
-    minus, plus = Sign.MINUS, Sign.PLUS
     for f, c, cms, (neg, pos) in _rule_rows(surface):
-        signed = ((minus, neg), (plus, pos))
+        signed, dds = ((_MINUS, neg), (_PLUS, pos)), {}
         for cm in cms:
             cp = c - cm
             yield f, cp, cm, [
                 (q, (tokens.get(base) or tokens.setdefault(base, base.token()))
-                 + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps, dd)
+                 + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps,
+                 dds.get(rule) or dds.setdefault(rule, class_dd(surface, f, c, cm, q, eps, _base_bit(base))))
                 for q, rules in signed for rule in rules
-                for base, (n1, n2, n3, n4, n5, n6), eps, dd in [rule(r, f, c, cp, cm, bases)]
+                for base, (n1, n2, n3, n4, n5, n6), eps in [rule(r, f, c, cp, cm, bases)]
             ]
 
 
 def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
     """All involutions on the surface, negative sign before positive within
-    each row, each built with its invariants straight from its cell rule,
-    bases built once a walk."""
+    each row, each built with its invariants straight from its cell rule and
+    its DD from `class_dd`, once per group of rows and rule as in
+    `taxonomy_cells`; bases built once a walk."""
     if include_trivial:
         yield trivial_action(surface)
     r, bases = surface.beta, {}
     for f, c, cms, (neg, pos) in _rule_rows(surface):
+        signed, dds = ((_MINUS, neg), (_PLUS, pos)), {}
         for cm in cms:
             cp = c - cm
-            for q, rules in ((Sign.MINUS, neg), (Sign.PLUS, pos)):
+            for q, rules in signed:
                 for rule in rules:
-                    base, counts, eps, dd = rule(r, f, c, cp, cm, bases)
+                    base, counts, eps = rule(r, f, c, cp, cm, bases)
+                    dd = dds.get(rule) or dds.setdefault(rule, class_dd(surface, f, c, cm, q, eps, _base_bit(base)))
                     yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
 
 
@@ -367,13 +356,11 @@ def count_actions(surface: Surface, include_trivial: bool = True) -> int:
 
 
 def decide_isomorphic(a: Action, b: Action) -> bool:
-    """Equivariant isomorphism from invariants alone.
-
-    Matching signed taxonomies settle everything except the non-orientable
-    [0,C:(C,0),-] family, where the separation invariant singles out the
-    doubled surface and DD separates the two free-base families.
-    Surfaces and taxonomies are compared field by field, with no dataclass
-    `__eq__` call.
+    """Equivariant isomorphism from invariants alone: equal surfaces, signed
+    taxonomies, separation invariants and DDs.  The signed taxonomy settles
+    all but the [0,C:(C,0),-] classes on N_r, where ε singles out the doubled
+    surface and the DD separates the two free-base families.  Surfaces and
+    taxonomies are compared field by field, with no dataclass `__eq__` call.
     """
     s, t = a.surface, b.surface
     if s.genus != t.genus or s.orientable != t.orientable:
@@ -381,20 +368,10 @@ def decide_isomorphic(a: Action, b: Action) -> bool:
     ta, tb = a.taxonomy, b.taxonomy
     if ta is None or tb is None:  # a trivial action
         return ta is tb
-    if ta.f != tb.f or ta.cplus != tb.cplus or ta.cminus != tb.cminus or ta.q is not tb.q:
-        return False
-    if s.orientable or not ta.ambiguous():
-        return True
-    if a.epsilon is not b.epsilon:
-        return False
-    if a.epsilon is Epsilon.SEPARATING:
-        return True
-    if a.dd is None or b.dd is None:
-        missing = a if a.dd is None else b
-        raise DDUnavailableError(
-            f"no derived DD value for {format_word(missing.word)}"
-        )
-    return a.dd == b.dd
+    return (
+        ta.f == tb.f and ta.cplus == tb.cplus and ta.cminus == tb.cminus and ta.q is tb.q
+        and a.epsilon is b.epsilon and a.dd == b.dd
+    )
 
 
 __all__ = [
@@ -404,6 +381,7 @@ __all__ = [
     "scherrer_admissible",
     "Action",
     "identity_dd",
+    "class_dd",
     "dd_of_word",
     "trivial_action",
     "taxonomy_cells",

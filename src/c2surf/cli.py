@@ -53,7 +53,7 @@ def _parse_surface_range(spec: str) -> Tuple[bool, range]:
 
 
 def _fmt_dd(value) -> str:
-    return "NA" if value is None else ",".join(map(str, value.as_tuple()))
+    return ",".join(map(str, value))
 
 
 def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
@@ -344,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # InvalidWordError, dimension bounds, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (counting.CountMismatch, words.RewriteNonTermination, LookupError) as exc:
+    except (counting.CountMismatch, words.RewriteNonTermination) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except BrokenPipeError:

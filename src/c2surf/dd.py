@@ -10,17 +10,16 @@ to conjugacy within the isometry group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Set, Tuple
+from typing import Callable, List, NamedTuple, Set, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
 from .f2 import ISOMETRY_BOUND, F2Matrix, involutive_isometries, isometries, orbit, rank
 
 
-@dataclass(frozen=True, slots=True)
-class DDTuple:
-    """The conjugacy invariant [d, alpha, d_tilde, alpha_tilde]."""
+class DDTuple(NamedTuple):
+    """The conjugacy invariant [d, alpha, d_tilde, alpha_tilde].  A tuple
+    underneath, so it compares and hashes as one, in C."""
 
     d: int
     alpha: int
@@ -28,7 +27,7 @@ class DDTuple:
     alpha_tilde: int
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.d, self.alpha, self.d_tilde, self.alpha_tilde)
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"[{self.d},{self.alpha},{self.d_tilde},{self.alpha_tilde}]"

@@ -63,6 +63,11 @@ class Epsilon(_Texted):
     NO_FIXED_CIRCLES = "nofix"
 
 
+# The members as module names, like the kinds below.
+_PLUS, _MINUS = Sign
+_SEPARATING, _NON_SEPARATING, _NO_FIXED_CIRCLES = Epsilon
+
+
 @dataclass(frozen=True, slots=True)
 class Surface:
     """A closed surface: T_g when orientable, N_r otherwise."""
@@ -294,10 +299,10 @@ def q_sign(w: SurgeryWord) -> Sign:
     if w.is_trivial():
         raise InvalidWordError("quotient sign is defined for nontrivial actions")
     if w.dcc > 0 or w.s1aat > 0:
-        return Sign.MINUS
+        return _MINUS
     if w.base.kind is _T_ANTI:
-        return Sign.MINUS
-    return Sign.PLUS
+        return _MINUS
+    return _PLUS
 
 
 def orientability(w: SurgeryWord) -> bool:
@@ -327,12 +332,12 @@ def epsilon(w: SurgeryWord) -> Epsilon:
     if w.is_trivial():
         raise InvalidWordError("separation is defined for nontrivial actions")
     if w.base.c + w.s10at + w.fm == 0:
-        return Epsilon.NO_FIXED_CIRCLES
+        return _NO_FIXED_CIRCLES
     # a reflection base has no isolated fixed points, so without S11AT and FM
     # the word has F = C- = 0
     if w.base.kind is _T_REFL and not (w.s11at or w.s1aat or w.fm):
-        return Epsilon.SEPARATING
-    return Epsilon.NON_SEPARATING
+        return _SEPARATING
+    return _NON_SEPARATING
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 import io
 import itertools
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import fields
 
+import h1_model
 import pytest
 
 from c2surf import classify, cli, words
 from c2surf.classify import (
     Action,
-    DDUnavailableError,
     Taxonomy,
     count_actions,
     decide_isomorphic,
@@ -107,7 +108,7 @@ def test_enumerate_nonorientable_counts():
 
 
 def _fmt_dd(a: Action) -> str:
-    return "NA" if a.dd is None else ",".join(map(str, a.dd.as_tuple()))
+    return ",".join(map(str, a.dd.as_tuple()))
 
 
 def _expected_lines(a: Action):
@@ -310,7 +311,7 @@ def test_dd_of_word_crosscapped_families():
     assert act("S2a+2DCC+S10AT").dd == DDTuple(3, 1, 3, 1)
     assert act("Tanti(1)+DCC+S10AT").dd == DDTuple(3, 1, 2, 1)
     assert act("Trefl(1,2)").dd == DDTuple(0, 0, 0, 0)
-    assert act("S22+2S10AT").dd is None  # no derived formula
+    assert act("S22+2S10AT").dd == DDTuple(0, 1, 1, 0)
 
 
 # The reference's own DD values, stated here and not read from `classify`:
@@ -368,8 +369,6 @@ def test_every_derived_dd_meets_the_smith_equality():
     for name in names:
         surf = Surface.parse(name)
         for a in actions_on(name, include_trivial=False):
-            if a.dd is None:
-                continue
             t, b = a.taxonomy, surf.beta
             if t.f or t.c:
                 assert 2 * a.dd.d == b + 2 - t.f - 2 * t.c, a
@@ -379,7 +378,7 @@ def test_every_derived_dd_meets_the_smith_equality():
                 assert a.dd == identity_dd(surf), a
                 identity += 1
             derived += 1
-    assert (derived, identity) == (1_020, 10)
+    assert (derived, identity) == (72_353, 5_750)
 
 
 def test_tube_bit_is_the_content_of_the_characteristic_class():
@@ -398,12 +397,62 @@ def test_tube_bit_is_the_content_of_the_characteristic_class():
     assert checked == 20 + 190 + 100
 
 
-def test_a_word_on_no_class_raises(monkeypatch):
-    # the lookup never guesses: a bit that points at a class the cell lacks
-    # (no Tanti(1) class in [0,1:(1,0),-] on N_4) raises
+def _key(a: Action):
+    return a.taxonomy, a.epsilon, a.dd
+
+
+def _words_on_no_single_class(max_beta: int):
+    """The nontrivial words with beta <= max_beta whose key (signed taxonomy,
+    ε and DD, on its surface) is that of no class, or of several, that
+    `iter_actions` yields on the surface; and how many words were checked."""
+    keys, off, checked = {}, [], 0
+    for w in _words_up_to(max_beta):
+        if w.is_trivial():
+            continue
+        a = Action.from_word(w)
+        if a.surface not in keys:
+            keys[a.surface] = Counter(map(_key, iter_actions(a.surface, include_trivial=False)))
+        if keys[a.surface][_key(a)] != 1:
+            off.append(format_word(w))
+        checked += 1
+    return off, checked
+
+
+def test_every_word_lands_on_exactly_one_class():
+    # a word's DD is the closed form of its key, with no rule looked up; so
+    # every word's key must be the key of exactly one enumerated class
+    assert _words_on_no_single_class(12) == ([], 4_237)
+
+
+def test_a_wrong_tube_bit_lands_a_word_on_no_class(monkeypatch):
+    # the check above sees a wrong bit: with b = 0 on every word,
+    # S2a+DCC+S10AT gets [2,1,2,1], and its cell [0,1:(1,0),-] on N_4 has
+    # no class with that DD
     monkeypatch.setattr(classify, "_tube_bit", lambda w: 0)
-    with pytest.raises(LookupError, match=r"S2a\+DCC\+S10AT lands on no class"):
-        act("S2a+DCC+S10AT")
+    off, _ = _words_on_no_single_class(12)
+    assert "S2a+DCC+S10AT" in off
+
+
+def test_closed_form_equals_the_h1_model():
+    # the DD of every nontrivial word, from the closed form of its key, is
+    # the DD of s* on H_1 that the model builds surgery by surgery
+    nontrivial = [w for w in _words_up_to(12) if not w.is_trivial()]
+    assert [format_word(w) for w in nontrivial if h1_model.model_dd(w) != Action.from_word(w).dd] == []
+    assert len(nontrivial) == 4_237
+
+
+def test_h1_model_does_not_depend_on_the_order():
+    # the surgeries commute: three seeded shuffles of each word's surgeries,
+    # its base's expansion included, give the DD of the word order
+    rng, checks = random.Random(31), 0
+    for w in _words_up_to(10):
+        if w.is_trivial():
+            continue
+        want = h1_model.model_dd(w)
+        for _ in range(3):
+            assert h1_model.model_dd(w, rng) == want, format_word(w)
+            checks += 1
+    assert checks == 5_787
 
 
 def test_from_word_never_rewrites(monkeypatch, query_universe):
@@ -519,47 +568,30 @@ def test_decide_isomorphic_rewrite_aliases():
     assert decide_isomorphic(act("Trot(1)+2DCC"), act("Tanti(1)+2DCC"))
 
 
-def test_decide_isomorphic_dd_unavailable():
-    # every covered word in the ambiguous family has a derived DD; a record
-    # arriving without one must raise rather than guess
-    a = act("S2a+2DCC+S10AT")
-    stripped = Action(a.word, a.surface, a.taxonomy, a.epsilon, None)
-    with pytest.raises(DDUnavailableError):
-        decide_isomorphic(a, stripped)
-
-
 def _reference_decide(a: Action, b: Action) -> bool:
-    """The decision procedure on dataclass equality of surfaces, taxonomies,
-    separation invariants and DD values."""
+    """The three-stage decision procedure on dataclass equality: surfaces,
+    then signed taxonomies, then, in the one signed taxonomy that several
+    classes share ([0,C:(C,0),-] on N_r), separation and then DD."""
     if a.surface != b.surface:
         return False
     if a.is_trivial() or b.is_trivial():
         return a.is_trivial() and b.is_trivial()
     if a.taxonomy != b.taxonomy:
         return False
-    if a.surface.orientable or not a.taxonomy.ambiguous():
+    t = a.taxonomy
+    if a.surface.orientable or not (t.f == 0 and t.cminus == 0 and t.q == Sign.MINUS):
         return True
     if a.epsilon != b.epsilon:
         return False
     if a.epsilon == Epsilon.SEPARATING:
         return True
-    if a.dd is None or b.dd is None:
-        missing = a if a.dd is None else b
-        raise DDUnavailableError(f"no derived DD value for {format_word(missing.word)}")
     return a.dd == b.dd
-
-
-def _decision(decide, a: Action, b: Action):
-    try:
-        return decide(a, b)
-    except DDUnavailableError as exc:  # compared by type and message
-        return type(exc), str(exc)
 
 
 def test_decide_matches_the_dataclass_equality_reference(query_universe):
     # every same-surface pair of query actions (each pair once, and each
     # action with itself), 2,000 seeded cross-surface pairs, and each trivial
-    # action against every action: the same answer, or the same error
+    # action against every action: key equality answers as the three stages do
     actions = [Action.from_word(w) for w in query_universe]
     by_surface = {}
     for a in actions:
@@ -570,14 +602,10 @@ def test_decide_matches_the_dataclass_equality_reference(query_universe):
     cross = [(a, b) for a, b in cross if a.surface != b.surface][:2000]
     trivial = [a for a in actions if a.is_trivial()]
     pairs += cross + [(t, a) for t in trivial for a in actions] + [(a, t) for t in trivial for a in actions]
-    unavailable = 0
     for a, b in pairs:
-        got = _decision(decide_isomorphic, a, b)
-        assert got == _decision(_reference_decide, a, b), (a, b)
-        unavailable += isinstance(got, tuple)
+        assert decide_isomorphic(a, b) == _reference_decide(a, b), (a, b)
     assert len(cross) == 2000 and len(trivial) == 19
     assert len(pairs) == 609_386 + 2000 + 2 * 19 * 2687
-    assert unavailable == 0  # every word has its class's DD; the error path has its own test
 
 
 def test_free_actions_match_the_cover_classification():

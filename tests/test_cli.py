@@ -327,15 +327,6 @@ def test_input_guards_exit_with_their_codes():
     assert run(["inv", "Trefl(0,3)"]) == (3, "", "error: bad reflection oval count C=3 at g=0\n")
 
 
-def test_a_word_on_no_class_exits_4(monkeypatch):
-    # the lookup never guesses: a word it lands on no class (a bit patched to
-    # point at a class the cell lacks) is a verification failure, one line
-    monkeypatch.setattr(classify, "_tube_bit", lambda w: 0)
-    code, out, err = run(["inv", "S2a+DCC+S10AT"])
-    assert (code, out) == (4, "")
-    assert err == "error: S2a+DCC+S10AT lands on no class of [0,1:(1,0),-] on N4\n"
-
-
 def test_gl2_command():
     code, out, _ = run(["gl2", "1", "1", "0", "-1"])
     assert code == 0

@@ -45,7 +45,7 @@ GROUPS = {
     ),
     "enumerate-N": (
         lambda _: [["enumerate", "N1..N30"], ["enumerate", "N1..N30", "--format", "record"]],
-        "c06f8585cc5f020e4110759ddaeecac4f301aff902465514b8fae0e1b158fcae",
+        "67734f023b8a5f983d4f9f1508b42f17b3aa74fbc5900649b3c323b508fda896",
     ),
     # the benchmark's windows N41..N44 and N57..N60 lie in here
     "enumerate-N31..N60": (
@@ -53,11 +53,11 @@ GROUPS = {
             ["enumerate", "N31..N60"],
             ["enumerate", "N31..N60", "--format", "record", "--include-trivial"],
         ],
-        "4afabcdfe4ef01e444528e804e4aa13443326a94963b1f8b3267be9d74784e0b",
+        "e9e0161fafabd039192759b4aff51be46938bb69baac41589fd494cf268c09c0",
     ),
     "enumerate-T": (
         lambda _: [["enumerate", "T0..T12", "--format", "record", "--include-trivial"]],
-        "4ad1944d9598a1ab468aae809284a36422eaed00a010c2f37858bb20e0069864",
+        "17100896a1c21345a911afcd0a8da67aaa16d56938978b781718eca94bb75ecf",
     ),
     "tables": (
         lambda _: [["enumerate", "N2..N12", "--tables"]],
@@ -65,7 +65,7 @@ GROUPS = {
     ),
     "inv": (
         lambda universe: [["inv", format_word(w)] for w in universe],
-        "3159a0e4cb60c9b2472600a6292715b3a395be2ba8948a6be591571065605f3c",
+        "5522497b61e0d50ab254ef0c35595ccd3a1c3aeba5ac4867a9efffdf2bd6fac7",
     ),
     "gl2": (
         lambda _: [["gl2", *map(str, m)] for m in GL2_EDGE_CASES + list(_gl2_conjugates(200, 5))],
@@ -104,7 +104,7 @@ DEMO_DIGESTS = {
     "enumerate_actions": "a17b9f08921f1020032a281676c6176de50deb5e16e3393572fc4b36463937f3",
     "free_actions": "3b51a94aa9ef97a541b25e1208d057a7ca009ce0acddcb953a3460662921d444",
     "gl2_and_mapping_classes": "40e54819efb59bf9c5f0beb64b7eccd50d99971a6452b1b5b85d48ae76d24c0f",
-    "isomorphism_decision": "e8f884407b5f5ed746953bf0974af9deb3835a391edce32efc48386fa1b986e4",
+    "isomorphism_decision": "6fd65439b904196310bc2a0ecb11cca768672c08bb9ea59ab01b6638c864942a",
 }
 
 

@@ -175,9 +175,28 @@ def test_enumeration_path_stays_off_the_oracle():
 
 
 def test_word_path_stays_off_the_rewriting_system():
-    # a word's DD is read off its class's rule, and the decision compares
-    # invariants; rewriting words is the oracle of `verify rewrites`
-    assert _oracle_references(CLASSIFY, ("dd_of_word", "decide_isomorphic"), {"normalize"}) == []
+    # a word's DD is the closed form of its key, and the decision compares
+    # keys; rewriting words is the oracle of `verify rewrites`
+    assert _oracle_references(CLASSIFY, ("dd_of_word", "class_dd", "decide_isomorphic"), {"normalize"}) == []
+
+
+H1_MODEL = pathlib.Path(__file__).resolve().parent / "h1_model.py"
+
+
+def test_h1_model_reads_nothing_of_classify():
+    # the model is the reference that the closed form is checked against, so
+    # of c2surf it imports only the word type, the GF(2) forms and `dd.dd`
+    tree = ast.parse(H1_MODEL.read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("c2surf")
+        for alias in node.names
+    }
+    assert not any(name.startswith("c2surf") for name in imported)
+    assert {module for module, _ in names} == {"c2surf.bilinear", "c2surf.dd", "c2surf.f2", "c2surf.words"}
+    assert {name for module, name in names if module == "c2surf.dd"} == {"DDTuple", "dd"}
 
 
 def test_oracle_reference_check_follows_calls(tmp_path):

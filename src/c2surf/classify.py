@@ -3,17 +3,19 @@ isomorphism-decision procedure.
 
 Every action is emitted as a surgery word with its invariants (taxonomy,
 sign, separation, DD).  A rule table gives each taxonomy cell its classes by
-sign, each with its word (base and op counts) and separation invariant:
-`_cell_rules` on N_r, `_orientable_rules` on T_g.  One walk of the table
-(`_rule_rows`) feeds the enumerator `iter_actions`, the count
-`count_actions` and the rows of `taxonomy_cells`, from which the CLI prints
-the appendix tables and the lines; a `SurgeryWord` is built only where a word
-is asked for.  A row of `taxonomy_cells` is plain ints (F, C+, C-) and
-one list of classes, each as (sign, word text, ε, DD), with no `Taxonomy`
-built; the text F,C:(C+,C-) is written once, by `cell_label`.  A walk builds
-each Tspit(g,F) or Trot(g) base once, in a dict of its own, and
-`taxonomy_cells` spells each word in the comprehension that calls its rule,
-each base once and the op texts from one `op_table`.
+sign: `_cell_rules` on N_r, `_orientable_rules` on T_g.  `_rule_rows` walks
+the table in groups of rows that share one pair of rule lists, and
+`class_groups` makes the group the unit of the enumeration: each rule runs
+once per group, giving its separation invariant once and its word (base and
+op counts) on each row, and `class_dd` runs once per group and rule.  That
+walk feeds the enumerator `iter_actions`, the rows of `taxonomy_cells` and
+the CLI's lines; `count_actions` reads `_rule_rows` alone.  A row of
+`taxonomy_cells` is plain ints (F, C+, C-) and one list of classes, each as
+(sign, word text, ε, DD), with no `Taxonomy` built; the text F,C:(C+,C-) is
+written once, by `cell_label`.  A walk builds each Tspit(g,F) or Trot(g) base
+once, in a dict of its own, and a word is spelled from its base's `text` and
+the op texts of one `op_table`; a `SurgeryWord` is built only where a word is
+asked for.
 `Action.from_word` re-derives the taxonomy, sign and separation from any word;
 it is the oracle that checks the table, and the path of `inv` and the decision
 procedure, where a bounded memo derives each distinct word once.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .dd import DDTuple
 from .words import (
@@ -61,6 +63,8 @@ class DDUnavailableError(ValueError):
 _PLUS, _MINUS = Sign
 _SEPARATING, _NON_SEPARATING, _NO_FIXED_CIRCLES = Epsilon
 _T_ANTI = BaseKind.T_ANTI
+# Builds a `DDTuple` in C: its NamedTuple `__new__` is Python code.
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,9 +162,9 @@ def class_dd(surface: Surface, f: int, c: int, cm: int, q: Sign, eps: Epsilon, b
     d = (r + 2 - f - 2 * c) // 2 if f or c else r // 2 - 1 + b
     alpha = 1 if eps is _NON_SEPARATING and (q is _MINUS or r % 2 == 0) else 0
     if surface.orientable or r % 2:
-        return DDTuple(d, alpha, d, alpha)
+        return _tuple_new(DDTuple, (d, alpha, d, alpha))
     d_tilde = d + 1 if c and (f or cm) else d - (d - (b if c else 0)) % 2
-    return DDTuple(d, alpha, d_tilde, 1 if q is _MINUS else 0)
+    return _tuple_new(DDTuple, (d, alpha, d_tilde, 1 if q is _MINUS else 0))
 
 
 def _base_bit(base: BaseSpace) -> int:
@@ -190,11 +194,16 @@ def dd_of_word(w: SurgeryWord, surf: Surface, tax: Taxonomy, eps: Epsilon) -> DD
 _S2A, _S21, _TANTI1 = BaseSpace.s2a(), BaseSpace.s21(), BaseSpace.tanti(1)
 # Op counts in word order: DCC, DT, S10AT, S11AT, S1aAT, FM.
 _Counts = Tuple[int, int, int, int, int, int]
-# What a class rule gives for one row (r, F, C, C+, C-) of its cell: the word
-# as its base and op counts, and the separation invariant.
-_Class = Tuple[BaseSpace, _Counts, Epsilon]
+# The word of a class on one row: its base and op counts.
+_Word = Tuple[BaseSpace, _Counts]
+# What a class rule gives for one group (r, F, C, C- range) of its cell: the
+# separation invariant, once, and the word on each row, one per C- in order.
+_Class = Tuple[Epsilon, List[_Word]]
 # The class rules of a cell: those of negative sign, then those of positive sign.
 _Rules = Tuple[List[Callable[..., _Class]], List[Callable[..., _Class]]]
+# A group of rows of the walk: F, C, the C- of its rows, and its classes, each
+# as sign, separation invariant, DD and the word on each row.
+_Group = Tuple[int, int, range, List[Tuple[Sign, Epsilon, DDTuple, List[_Word]]]]
 # A row of the tables: F, C+, C-, and its classes as the tables print them:
 # sign, word text, separation invariant, DD.
 _Row = Tuple[int, int, int, List[Tuple[Sign, str, Epsilon, DDTuple]]]
@@ -205,33 +214,38 @@ def _ovals_epsilon(c: int) -> Epsilon:
     return _NON_SEPARATING if c else _NO_FIXED_CIRCLES
 
 
-def _antipodal_ovals(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    counts = ((r - f - 2 * c) // 2, 0, cp, (f + cm) // 2, 0, cm)
-    return _S2A, counts, _ovals_epsilon(c)
+# Each rule takes a group's F, C and C- range.  A rule whose counts do not
+# read C- holds only in groups of one row, C- = 0.
 
 
-def _doubled(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    return _S21, (r // 2 - c + 1, 0, c - 1, 0, 0, 0), _SEPARATING
+def _antipodal_ovals(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    dcc = (r - f - 2 * c) // 2
+    return _ovals_epsilon(c), [(_S2A, (dcc, 0, c - cm, (f + cm) // 2, 0, cm)) for cm in cms]
 
 
-def _antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    return _S2A, (r // 2 - c, 0, c, 0, 0, 0), _ovals_epsilon(c)
+def _doubled(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    return _SEPARATING, [(_S21, (r // 2 - c + 1, 0, c - 1, 0, 0, 0))] * len(cms)
 
 
-def _torus_antipodal_tubes(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    return _TANTI1, (r // 2 - c - 1, 0, c, 0, 0, 0), _ovals_epsilon(c)
+def _antipodal_tubes(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    return _ovals_epsilon(c), [(_S2A, (r // 2 - c, 0, c, 0, 0, 0))] * len(cms)
 
 
-def _spit(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    key, counts = ((r - cm - 2 * cp) // 2, f + cm), (0, 0, cp, 0, 0, cm)
-    base = bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key))  # built once per walk
-    return base, counts, _NON_SEPARATING
+def _torus_antipodal_tubes(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    return _ovals_epsilon(c), [(_TANTI1, (r // 2 - c - 1, 0, c, 0, 0, 0))] * len(cms)
 
 
-def _rotation(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
-    g, counts = r // 2 - c, (0, 0, c, 0, 0, 0)
+def _spit(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    return _NON_SEPARATING, [  # each base built once per walk
+        (bases.get(key) or bases.setdefault(key, BaseSpace.tspit(*key)), (0, 0, c - cm, 0, 0, cm))
+        for cm in cms for key in [((r - 2 * c + cm) // 2, f + cm)]
+    ]
+
+
+def _rotation(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
+    g = r // 2 - c
     base = bases.get(g) or bases.setdefault(g, BaseSpace.trot(g))  # an int key, a Tspit key is a pair
-    return base, counts, _NON_SEPARATING
+    return _NON_SEPARATING, [(base, (0, 0, c, 0, 0, 0))] * len(cms)
 
 
 def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
@@ -255,16 +269,16 @@ def _cell_rules(r: int, f: int, c: int, cm: int) -> _Rules:
     return neg, []
 
 
-def _orientable_antipodal(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
+def _orientable_antipodal(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
     """Tanti(g - C) + C S10AT on T_g (S2a when g = C)."""
-    return BaseSpace.tanti(r // 2 - c), (0, 0, c, 0, 0, 0), _ovals_epsilon(c)
+    return _ovals_epsilon(c), [(BaseSpace.tanti(r // 2 - c), (0, 0, c, 0, 0, 0))] * len(cms)
 
 
-def _orientable_base(r: int, f: int, c: int, cp: int, cm: int, bases: dict) -> _Class:
+def _orientable_base(r: int, f: int, c: int, cms: range, bases: dict) -> _Class:
     """A bare base with positive sign on T_g: Tspit(g,F), Trefl(g,C) or Trot(g)."""
     g = r // 2
     base = BaseSpace.tspit(g, f) if f else BaseSpace.trefl(g, c) if c else BaseSpace.trot(g)
-    return base, (0,) * 6, _SEPARATING if c else _NO_FIXED_CIRCLES
+    return _SEPARATING if c else _NO_FIXED_CIRCLES, [(base, (0,) * 6)] * len(cms)
 
 
 def _orientable_rules(r: int, f: int, c: int, cm: int) -> _Rules:
@@ -299,49 +313,51 @@ def trivial_action(surface: Surface) -> Action:
     return Action(SurgeryWord(BaseSpace.trivial(surface)), surface, None, None, identity_dd(surface))
 
 
+def class_groups(surface: Surface) -> Iterator[_Group]:
+    """The classes of the surface, one `_rule_rows` group of rows at a time,
+    in display order: (F, C, C- range, classes), each class as (sign,
+    separation, DD, the word on each row as (base, op counts)), negative sign
+    first; the list may be empty.  Each rule runs once per group and gives
+    its separation invariant once; its DD is the same on every row of the
+    group (it reads C- only through C- > 0, and the base only through its
+    bit), so `class_dd` runs once per group and rule too.  Tspit(g,F) and
+    Trot(g) bases are built once a walk, in a dict of its own."""
+    r, bases = surface.beta, {}
+    for f, c, cms, (neg, pos) in _rule_rows(surface):
+        yield f, c, cms, [
+            (q, eps, class_dd(surface, f, c, cms[0], q, eps, _base_bit(rows[0][0])), rows)
+            for q, rules in ((_MINUS, neg), (_PLUS, pos)) for rule in rules
+            for eps, rows in [rule(r, f, c, cms, bases)]
+        ]
+
+
 def taxonomy_cells(surface: Surface) -> Iterator[_Row]:
     """Rows of the enumeration table in display order, as plain ints and one
     list: (F, C+, C-, classes), each class as (sign, word text, separation,
-    DD), negative sign first; the list may be empty.  Each class is spelled
-    as its rule gives it, in the comprehension that calls the rule: its
-    base's token, spelled once per base of the walk in a dict keyed by the
-    base (whose hash is one cached int), plus the op texts of one `op_table`
-    (no count exceeds beta / 2 + 1).  A rule's DD is the same on every row of
-    a `_rule_rows` group (it reads C- only through C- > 0, and a rule's base
-    only through its bit), so `class_dd` runs once per group and rule."""
-    r, bases = surface.beta, {}
-    dcc, dt, s10at, s11at, s1aat, fm = op_table(r // 2 + 1)
-    tokens: Dict[BaseSpace, str] = {}
-    for f, c, cms, (neg, pos) in _rule_rows(surface):
-        signed, dds = ((_MINUS, neg), (_PLUS, pos)), {}
-        for cm in cms:
-            cp = c - cm
-            yield f, cp, cm, [
-                (q, (tokens.get(base) or tokens.setdefault(base, base.token()))
-                 + dcc[n1] + dt[n2] + s10at[n3] + s11at[n4] + s1aat[n5] + fm[n6], eps,
-                 dds.get(rule) or dds.setdefault(rule, class_dd(surface, f, c, cm, q, eps, _base_bit(base))))
-                for q, rules in signed for rule in rules
-                for base, (n1, n2, n3, n4, n5, n6), eps in [rule(r, f, c, cp, cm, bases)]
+    DD), negative sign first; the list may be empty.  The rows of each group
+    of `class_groups`, each word spelled from its base's `text` and the op
+    texts of one `op_table` (no count exceeds beta / 2 + 1)."""
+    dcc, dt, s10at, s11at, s1aat, fm = op_table(surface.beta // 2 + 1)
+    for f, c, cms, classes in class_groups(surface):
+        for i, cm in enumerate(cms):
+            yield f, c - cm, cm, [
+                (q, f"{base.text}{dcc[n1]}{dt[n2]}{s10at[n3]}{s11at[n4]}{s1aat[n5]}{fm[n6]}", eps, dd)
+                for q, eps, dd, rows in classes for base, (n1, n2, n3, n4, n5, n6) in [rows[i]]
             ]
 
 
 def iter_actions(surface: Surface, include_trivial: bool = True) -> Iterator[Action]:
     """All involutions on the surface, negative sign before positive within
-    each row, each built with its invariants straight from its cell rule and
-    its DD from `class_dd`, once per group of rows and rule as in
-    `taxonomy_cells`; bases built once a walk."""
+    each row: the rows of each group of `class_groups`, each action built
+    with the invariants and DD its group gives its class."""
     if include_trivial:
         yield trivial_action(surface)
-    r, bases = surface.beta, {}
-    for f, c, cms, (neg, pos) in _rule_rows(surface):
-        signed, dds = ((_MINUS, neg), (_PLUS, pos)), {}
-        for cm in cms:
+    for f, c, cms, classes in class_groups(surface):
+        for i, cm in enumerate(cms):
             cp = c - cm
-            for q, rules in signed:
-                for rule in rules:
-                    base, counts, eps = rule(r, f, c, cp, cm, bases)
-                    dd = dds.get(rule) or dds.setdefault(rule, class_dd(surface, f, c, cm, q, eps, _base_bit(base)))
-                    yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
+            for q, eps, dd, rows in classes:
+                base, counts = rows[i]
+                yield Action(SurgeryWord(base, *counts), surface, Taxonomy(f, cp, cm, q), eps, dd)
 
 
 def count_actions(surface: Surface, include_trivial: bool = True) -> int:
@@ -384,6 +400,7 @@ __all__ = [
     "class_dd",
     "dd_of_word",
     "trivial_action",
+    "class_groups",
     "taxonomy_cells",
     "iter_actions",
     "count_actions",

@@ -20,7 +20,7 @@ from .bilinear import standard_space
 from .dd import dd_classifies
 from .f2 import ISOMETRY_BOUND
 from .classify import Action
-from .words import Epsilon, Sign, Surface, WordSyntaxError
+from .words import Sign, Surface, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,52 +57,51 @@ def _fmt_dd(value) -> str:
 
 
 def _write_classes(surface: Surface, fmt: str, trivial: bool) -> None:
-    """Print the surface's classes from the rows of `taxonomy_cells`, one
-    write per F group (a surface can hold a few hundred thousand lines, an F
-    group a few thousand).  A line is one concatenation: a prefix fixed per
-    surface, the word, the row's head and a tail in a record; the head, the
-    tail and the word in a plain line.  A tail holds the sign, ε and DD, and
-    each distinct one is built once a call.  `trivial` writes the identity's
-    line first; `fmt` "tables" writes the appendix table, one row a write."""
+    """Print the surface's classes from the groups of `classify.class_groups`,
+    one write per F group (a surface can hold a few hundred thousand lines, an
+    F group a few thousand).  A tail holds the sign, ε and DD; it is built
+    once per group and class, a head once per row, and each line is one
+    f-string: in a record a prefix fixed per surface, the word, the head and
+    the tail; in a plain line the head, the tail and the word.  A word is its
+    base's `text` and the op texts of one `op_table`.  `trivial` writes the
+    identity's line first; `fmt` "tables" writes the appendix table from the
+    rows of `taxonomy_cells`, one row a write."""
     name, write = surface.name, sys.stdout.write
-    rows = classify.taxonomy_cells(surface)
     if fmt == "tables":
         write(f"{name} | - | + | - | +\n")
-        for f, cp, cm, classes in rows:
+        for f, cp, cm, classes in classify.taxonomy_cells(surface):
             if classes:
                 by_sign = [[word for q, word, _, _ in classes if q is sign] for sign in (Sign.MINUS, Sign.PLUS)]
                 counts = [str(len(ws)) if ws else "" for ws in by_sign]
                 write(" | ".join([classify.cell_label(f, cp, cm), *counts, *map(", ".join, by_sign)]) + "\n")
         write("\n")
         return
-    record, tails = fmt == "record", {}
-
-    def tail(q: str, eps: Epsilon, dd) -> str:
-        e, d = eps.text, _fmt_dd(dd)
-        text = f"{q} eps={e} dd={d}\n" if record else f",{q}] eps={e} dd={d} "
-        return tails.setdefault((q, e, dd), text)
-
-    prefix = f"surface={name} word="
+    record, prefix = fmt == "record", f"surface={name} word="
     if trivial:
         a = classify.trivial_action(surface)
         word, d = words.format_word(a.word), _fmt_dd(a.dd)
         write(f"{prefix}{word} F=NA C=NA C+=NA C-=NA Q=NA eps=NA dd={d}\n" if record
               else f"{name} trivial eps=- dd={d} {word}\n")
-    group, group_f = [], None
-    for f, cp, cm, classes in rows:
-        if f != group_f:
-            if group:
-                write("".join(group))
-            group, group_f = [], f
+    dcc, dt, s10at, s11at, s1aat, fm = words.op_table(surface.beta // 2 + 1)
+    lines, lines_f = [], None
+    for f, c, cms, classes in classify.class_groups(surface):
+        if f != lines_f:
+            if lines:
+                write("".join(lines))
+            lines, lines_f = [], f
         if record:
-            head = f" F={f} C={cp + cm} C+={cp} C-={cm} Q="
-            group += [prefix + word + head + (tails.get((q.text, eps.text, dd)) or tail(q.text, eps, dd))
-                      for q, word, eps, dd in classes]
+            tails = [(f"{q.text} eps={eps.text} dd={_fmt_dd(dd)}\n", rows) for q, eps, dd, rows in classes]
+            for i, cm in enumerate(cms):
+                head = f" F={f} C={c} C+={c - cm} C-={cm} Q="
+                lines += [f"{prefix}{base.text}{dcc[n1]}{dt[n2]}{s10at[n3]}{s11at[n4]}{s1aat[n5]}{fm[n6]}{head}{tail}"
+                          for tail, rows in tails for base, (n1, n2, n3, n4, n5, n6) in [rows[i]]]
         else:
-            head = f"{name} [{classify.cell_label(f, cp, cm)}"
-            group += [head + (tails.get((q.text, eps.text, dd)) or tail(q.text, eps, dd)) + word + "\n"
-                      for q, word, eps, dd in classes]
-    write("".join(group))
+            tails = [(f",{q.text}] eps={eps.text} dd={_fmt_dd(dd)} ", rows) for q, eps, dd, rows in classes]
+            for i, cm in enumerate(cms):
+                head = f"{name} [{classify.cell_label(f, c - cm, cm)}"
+                lines += [f"{head}{tail}{base.text}{dcc[n1]}{dt[n2]}{s10at[n3]}{s11at[n4]}{s1aat[n5]}{fm[n6]}\n"
+                          for tail, rows in tails for base, (n1, n2, n3, n4, n5, n6) in [rows[i]]]
+    write("".join(lines))
 
 
 def cmd_count(args: argparse.Namespace) -> int:

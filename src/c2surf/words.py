@@ -143,13 +143,15 @@ class BaseSpace:
 
     The hash is computed once, from ints only (the kind's position, then the
     parameters), so it is the same in every process: a base pickled under one
-    hash seed hashes like a fresh one under another."""
+    hash seed hashes like a fresh one under another.  The token text, such as
+    ``Tspit(2,6)`` or ``S22``, is also built once, as `text`."""
 
     kind: BaseKind
     g: int = 0
     f: int = 0  # fixed points of a spit base
     c: int = 0  # ovals of a reflection base
     surface: Optional[Surface] = None  # trivial actions only
+    text: str = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -170,6 +172,8 @@ class BaseSpace:
         s = self.surface
         key = (k.position, self.g, self.f, self.c) if s is None else (k.position, s.orientable, s.genus)
         object.__setattr__(self, "_hash", hash(key))
+        params = ",".join([str(getattr(self, p)) for p in k.params])
+        object.__setattr__(self, "text", k.sphere if self.g == 0 and k.sphere else f"{k.token}({params})")
 
     def __hash__(self) -> int:
         return self._hash
@@ -209,12 +213,6 @@ class BaseSpace:
     @property
     def beta(self) -> int:
         return self.surface.beta if self.kind is _TRIVIAL else 2 * self.g
-
-    def token(self) -> str:
-        k = self.kind
-        if self.g == 0 and k.sphere:
-            return k.sphere
-        return f"{k.token}({','.join([str(getattr(self, p)) for p in k.params])})"
 
 
 def spit_fixed_points(g: int) -> range:
@@ -437,7 +435,7 @@ def format_word(w: SurgeryWord) -> str:
     """Canonical text of a word: the base token, then the ops in fixed order
     with count prefixes (``S2a+2DCC+S10AT``)."""
     ops = [_count_text(count) + name for name, count in zip(_OP_NAMES, w.op_counts) if count]
-    return "".join([w.base.token(), *ops])
+    return "".join([w.base.text, *ops])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from c2surf import classify, cli, words
 from c2surf.classify import (
     Action,
     Taxonomy,
+    class_groups,
     count_actions,
     decide_isomorphic,
     identity_dd,
@@ -75,6 +76,15 @@ def test_enumerate_torus_counts():
         assert n == 4 + 2 * g
         assert count_actions(torus) == total_count(torus) == n
         assert count_actions(torus, include_trivial=False) == n - 1
+
+
+def test_torus_classes_meet_weichold_and_riemann_hurwitz():
+    # a check from outside the table: T_g has floor((3g + 4) / 2) classes
+    # that reverse orientation (Weichold, 1883) and, by Riemann-Hurwitz,
+    # floor((g + 1) / 2) + 1 nontrivial ones that preserve it
+    for g in range(200):
+        preserving = Counter(a.word.base.kind.preserves_orientation for a in iter_actions(Surface(True, g), False))
+        assert preserving == {False: (3 * g + 4) // 2, True: (g + 1) // 2 + 1}, g
 
 
 def test_enumerate_torus_g0_matches_sphere():
@@ -490,7 +500,7 @@ def _split_spelling(w: SurgeryWord) -> str:
     """The word's text with each operation written once per count, last op first."""
     names = ("DCC", "DT", "S10AT", "S11AT", "S1aAT", "FM")
     ops = [name for name, count in zip(names, w.op_counts) for _ in range(count)]
-    return "+".join([w.base.token(), *reversed(ops)])
+    return "+".join([w.base.text, *reversed(ops)])
 
 
 def test_from_word_memo_equals_the_derivation():
@@ -667,7 +677,7 @@ def test_taxonomy_cells_row_counts():
     assert sum(map(len, rows4)) == 14
 
 
-@pytest.mark.parametrize("walk", [taxonomy_cells, iter_actions], ids=lambda w: w.__name__)
+@pytest.mark.parametrize("walk", [class_groups, taxonomy_cells, iter_actions], ids=lambda w: w.__name__)
 @pytest.mark.parametrize("names", [("N12", "N13"), ("N12", "N12")], ids="-".join)
 def test_interleaved_walks_share_no_state(walk, names):
     # each walk keeps its own bases and tokens, so two walks stepped in turn
@@ -681,6 +691,51 @@ def test_interleaved_walks_share_no_state(walk, names):
             if step is not done:
                 out.append(step)
     assert stepped == alone
+
+
+def _printed(*argv):
+    with redirect_stdout(io.StringIO()) as out:
+        cli.main(list(argv))
+    return out.getvalue().splitlines()
+
+
+def _write_records(surface):
+    return _printed("enumerate", surface.name, "--format", "record")
+
+
+def _write_lines(surface):
+    return _printed("enumerate", surface.name)
+
+
+@pytest.mark.parametrize(
+    "walk", [class_groups, taxonomy_cells, iter_actions, _write_records, _write_lines], ids=lambda w: w.__name__
+)
+def test_each_rule_and_dd_run_once_per_group(monkeypatch, walk):
+    # one walk calls each cell rule once per `_rule_rows` group that lists
+    # it, and `class_dd` once per group and rule, however many rows the group
+    # has; every reader of the enumeration goes through that walk
+    surfaces = [Surface.parse(name) for name in ("N12", "N13", "T6")]
+    groups = {s: list(classify._rule_rows(s)) for s in surfaces}
+    assert any(len(cms) > 1 and neg + pos for _, _, cms, (neg, pos) in groups[Surface.parse("N13")])
+    calls = Counter()
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return call
+
+    rules = {rule for rows in groups.values() for *_, (neg, pos) in rows for rule in neg + pos}
+    assert len(rules) == 8
+    for fn in (*rules, classify.class_dd):
+        monkeypatch.setattr(classify, fn.__name__, counted(fn))
+    for s in surfaces:
+        expected = Counter(rule.__name__ for *_, (neg, pos) in groups[s] for rule in neg + pos)
+        expected["class_dd"] = sum(expected.values())
+        calls.clear()
+        for _ in walk(s):
+            pass
+        assert calls == expected, s
 
 
 def test_walk_builds_each_base_once():

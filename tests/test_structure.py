@@ -122,7 +122,7 @@ def test_bench_worker_calls_bind():
 CLASSIFY = SRC / "classify.py"
 PRODUCTION_ROOTS = (
     "iter_actions", "taxonomy_cells", "count_actions", "_cell_rules", "_orientable_rules",
-    "_rule_rows",
+    "_rule_rows", "class_groups",
 )
 CLI = SRC / "cli.py"
 CLI_PRODUCTION_ROOTS = ("cmd_enumerate", "_write_classes")

@@ -207,8 +207,8 @@ def _spellings(rng: random.Random, word: SurgeryWord):
         split += [f"{first}{name}", name if count - first == 1 else f"{count - first}{name}"]
     rng.shuffle(split)
     blanks = ("", " ", "\t", "  ", "\n ")
-    spaced = [f"{rng.choice(blanks)}{token}{rng.choice(blanks)}" for token in (word.base.token(), *shuffled)]
-    return ["+".join([word.base.token(), *shuffled]), "+".join([word.base.token(), *split]), "+".join(spaced)]
+    spaced = [f"{rng.choice(blanks)}{token}{rng.choice(blanks)}" for token in (word.base.text, *shuffled)]
+    return ["+".join([word.base.text, *shuffled]), "+".join([word.base.text, *split]), "+".join(spaced)]
 
 
 def test_parse_matches_the_reference_parser(query_universe):
@@ -259,6 +259,23 @@ def test_cached_hash_is_in_no_repr_or_match_args():
     assert "_hash" not in repr(word.base) and "_hash" not in repr(word)
     assert BaseSpace.__match_args__ == ("kind", "g", "f", "c", "surface")
     assert SurgeryWord.__match_args__ == ("base", "dcc", "dt", "s10at", "s11at", "s1aat", "fm")
+
+
+def test_base_text_is_the_token(query_universe):
+    # a base keeps its token text from construction: every kind, each sphere
+    # token and both trivial families spell as the grammar writes them, and
+    # every base with beta <= 12 parses back from its text
+    spelled = {
+        "S2a": BaseSpace.tanti(0), "S22": BaseSpace.tspit(0, 2), "S21": BaseSpace.trefl(0, 1),
+        "Tanti(3)": BaseSpace.tanti(3), "Trot(3)": BaseSpace.trot(3), "Tspit(2,6)": BaseSpace.tspit(2, 6),
+        "Trefl(2,1)": BaseSpace.trefl(2, 1), "Triv(N3)": BaseSpace.trivial(Surface(False, 3)),
+        "Triv(T2)": BaseSpace.trivial(Surface(True, 2)),
+    }
+    assert {text: base.text for text, base in spelled.items()} == {text: text for text in spelled}
+    assert {base.kind for base in spelled.values()} == set(BaseKind)
+    bases = {word.base for word in query_universe}
+    assert len(bases) == 61
+    assert [base for base in bases if parse_word(base.text) != SurgeryWord(base)] == []
 
 
 # Pickle the words parsed from stdin, with the hash of a str under this seed.

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, List, NamedTuple, Set, Tuple
 
 from .bilinear import BilinearSpace, FormKind, Involution, omega_vector
-from .f2 import ISOMETRY_BOUND, F2Matrix, involutive_isometries, isometries, orbit, rank
+from .f2 import ISOMETRY_BOUND, F2Matrix, conjugators, echelon, involutive_isometries, isometries, orbit
 
 
 class DDTuple(NamedTuple):
@@ -34,22 +34,44 @@ class DDTuple(NamedTuple):
 
 
 def mirror(inv: Involution) -> Involution:
-    """The companion involution v |-> M v + b(v, v) Omega on EVO spaces.
+    """The companion involution v |-> M v + b(v, v) Omega on EVO spaces:
+    row i of M gains diag(G) where Omega_i = 1.
 
     On orthonormal grams this flips every matrix entry; SYMP and ODDO
     involutions are their own mirrors.
     """
-    if inv.space.kind != FormKind.EVO:
+    _, dg, flips, _ = _form(inv.space)
+    if not flips:
         return inv
-    return Involution(inv.space, F2Matrix(_mirror_rows(inv.space, inv.matrix.rows), inv.space.dim))
+    rows = tuple(r ^ dg if flips >> i & 1 else r for i, r in enumerate(inv.matrix.rows))
+    return Involution(inv.space, F2Matrix(rows, inv.space.dim))
 
 
 def dd(inv: Involution) -> DDTuple:
     """The full invariant [D, alpha, D(mirror), alpha(mirror)], read off the
-    packed rows of M and of its mirror; the mirror is never validated again."""
-    space, rows = inv.space, inv.matrix.rows
-    m = _mirror_rows(space, rows)
-    return DDTuple(_d(rows), _alpha(space, rows), _d(m), _alpha(space, m))
+    packed rows of M and of its mirror (row i gains diag(G) where Omega_i =
+    1, as in `mirror`) in one pass over the rows; the mirror is never
+    validated.  D is the rank of M + Id, by forward elimination on the packed
+    rows.  alpha reads the diagonal f of G M: G is symmetric, so bit i of the
+    XOR of rows[j] & G.rows[j] over j is sum_j M[j, i] G[i, j] = (G M)[i, i],
+    and alpha = 0 when f is 0 or, in odd dimension, diag(G)."""
+    grows, dg, flips, odd_diag = _form(inv.space)
+    f = fm = 0
+    plus_id, mirror_plus_id = [], []
+    for i, (r, g) in enumerate(zip(inv.matrix.rows, grows)):
+        bit = 1 << i
+        f ^= r & g
+        plus_id.append(r ^ bit)
+        if flips & bit:
+            r ^= dg
+        fm ^= r & g
+        mirror_plus_id.append(r ^ bit)
+    return DDTuple(
+        len(echelon(plus_id)),
+        0 if f == 0 or f == odd_diag else 1,
+        len(echelon(mirror_plus_id)),
+        0 if fm == 0 or fm == odd_diag else 1,
+    )
 
 
 # Spaces whose form data `_form` remembers; the DD oracle reads seven.
@@ -57,37 +79,14 @@ _FORM_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_FORM_CACHE_SIZE)
-def _form(space: BilinearSpace) -> Tuple[int, int]:
-    """What alpha and the mirror read off a space: diag(G) packed, and the
-    rows the mirror changes, packed (Omega on EVO spaces, none on the
-    others, which are their own mirrors)."""
+def _form(space: BilinearSpace) -> Tuple[Tuple[int, ...], int, int, int]:
+    """What alpha and the mirror read off a space: the gram's rows, diag(G)
+    packed, the rows the mirror changes, packed (Omega on EVO spaces, none on
+    the others, which are their own mirrors), and the diagonal of G M that
+    gives alpha = 0 besides 0: diag(G) in odd dimension, 0 in even."""
+    dg = space.gram.diag()
     flips = omega_vector(space) if space.kind == FormKind.EVO else 0
-    return space.gram.diag(), flips
-
-
-def _d(rows: Tuple[int, ...]) -> int:
-    """D of the matrix with these rows: the rank of M + Id."""
-    return rank(F2Matrix(tuple(r ^ (1 << i) for i, r in enumerate(rows)), len(rows)))
-
-
-def _alpha(space: BilinearSpace, rows: Tuple[int, ...]) -> int:
-    """alpha of the matrix M with these rows, from the diagonal of G M: G is
-    symmetric, so bit i of the XOR of rows[j] & G.rows[j] over j is
-    sum_j M[j, i] G[i, j] = (G M)[i, i]."""
-    f = 0
-    for r, grow in zip(rows, space.gram.rows):
-        f ^= r & grow
-    if f == 0 or (space.dim % 2 and f == _form(space)[0]):
-        return 0
-    return 1
-
-
-def _mirror_rows(space: BilinearSpace, rows: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The rows of the mirror of M: row i gains diag(G) where Omega_i = 1."""
-    dg, flips = _form(space)
-    if not flips:
-        return rows
-    return tuple(r ^ dg if flips >> i & 1 else r for i, r in enumerate(rows))
+    return space.gram.rows, dg, flips, dg if space.dim % 2 else 0
 
 
 def dd_direct_sum(sym_part: DDTuple, r: int) -> DDTuple:
@@ -123,10 +122,11 @@ def involutions_in(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> Tuple[I
 
 
 def conjugacy_oracle(a: Involution, b: Involution, bound: int = ISOMETRY_BOUND) -> bool:
-    """Whether some isometry P satisfies P^-1 a P = b, by exhaustive search."""
+    """Whether some isometry P satisfies P^-1 a P = b, by exhaustive search:
+    the scan runs through the whole group up to the first conjugator."""
     if a.space.gram != b.space.gram:
         raise ValueError("involutions live on different spaces")
-    return any(p.conjugates(a.matrix, b.matrix) for p in isometries(a.space.gram, bound=bound))
+    return next(conjugators(a.matrix, b.matrix, isometries(a.space.gram, bound=bound)), None) is not None
 
 
 def _chain_transvections(space: BilinearSpace) -> List[F2Matrix]:
@@ -179,11 +179,15 @@ def _conjugation(g: F2Matrix) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
     """The map from the rows of m to the rows of g m g, with no matrix built.
     The rows of m g come from the tables of g that this kernel holds; row i
     of g (m g) is the XOR of the rows of m g that row i of g picks: one for a
-    permutation, a few for a transvection."""
+    permutation, whose kernel maps only the row it picks, a few for a
+    transvection."""
     times_g = g.row_map()
     picks = [[j for j in range(g.ncols) if r >> j & 1] for r in g.rows]
     first = [p[0] for p in picks]
     extra = [(i, j) for i, p in enumerate(picks) for j in p[1:]]
+
+    def permute(rows: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple([times_g(rows[j]) for j in first])
 
     def conjugate(rows: Tuple[int, ...]) -> Tuple[int, ...]:
         mg = tuple(map(times_g, rows))
@@ -192,7 +196,7 @@ def _conjugation(g: F2Matrix) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
             out[i] ^= mg[j]
         return tuple(out)
 
-    return conjugate
+    return conjugate if extra else permute
 
 
 def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List[List[Involution]]:
@@ -211,8 +215,9 @@ def conjugacy_classes(space: BilinearSpace, bound: int = ISOMETRY_BOUND) -> List
 
     def images(rows: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         found = [k(rows) for k in kernels]
-        # stop at the first step out, so a wrong kernel cannot roam GL(n, 2)
-        if not all(r in invs for r in found):
+        # stop at the first step out, so a wrong kernel cannot roam GL(n, 2);
+        # one C-level scan of the dict, with no second set of the involutions
+        if not all(map(invs.__contains__, found)):
             raise AssertionError("conjugation left the involution set")
         return found
 

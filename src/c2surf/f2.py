@@ -10,9 +10,10 @@ of row i of a pick.  A caller that maps many rows through one matrix asks
 ``F2Matrix.row_map`` for subset-XOR tables of that matrix's rows, one table
 per eight rows, and holds them for as long as it reuses the matrix: the
 closures that step through a group (``group_closure``, the conjugacy orbits of
-``dd``, the vector census of ``orbits``) and the isometry search map packed
-rows and ints through them and build no matrix per step.  Nothing is kept
-between calls.
+``dd``, the vector census of ``orbits``), the conjugator scan
+(``conjugators``) and the isometry search map packed rows and ints through
+them and build no matrix per step; ``group_closure`` hands back row tuples.
+Nothing is kept between calls.
 
 The isometries of a form are found by one search, which runs column by
 column over the isometries of the inverse gram, whose columns are the rows
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 
 class DimensionMismatch(ValueError):
@@ -145,18 +146,6 @@ class F2Matrix:
             return tables[0].__getitem__
         return partial(_lookup, tables)
 
-    def conjugates(self, a: "F2Matrix", b: "F2Matrix") -> bool:
-        """Whether ``a @ self == self @ b`` (for invertible self: self^-1 a
-        self = b), compared row by row up to the first row that differs."""
-        n = self.ncols
-        if not (len(self.rows) == len(a.rows) == len(b.rows) == a.ncols == b.ncols == n):
-            raise DimensionMismatch(f"need square matrices of one size, got {a.shape}, {self.shape}, {b.shape}")
-        prows, brows = self.rows, b.rows
-        for arow, prow in zip(a.rows, prows):
-            if _picked(prows, arow) != _picked(brows, prow):
-                return False
-        return True
-
     def mul_vec(self, v: int) -> int:
         """self @ v for one packed column vector, one row dot v per entry."""
         if v < 0 or v >> self.ncols:
@@ -171,16 +160,32 @@ class F2Matrix:
         return self.is_square() and rank(self) == self.ncols
 
     def inverse(self) -> "F2Matrix":
+        """One elimination over [M | I]: row i of M carries its index bit
+        n + i, and the row that ends with coefficient part e_j carries row j
+        of the inverse above it."""
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.ncols
-        work: Optional[List[int]] = []
-        for i, r in enumerate(self.rows):  # [M | I] to reduced echelon form
-            work = _adjoin(work, r | 1 << (n + i), n, 0)
-            if work is None:  # a dependent row keeps its bit of I
-                raise SingularMatrixError("matrix is singular")
-        work.sort(key=lambda w: w & -w)  # row i pivots on column i
-        return F2Matrix(tuple(w >> n for w in work), n)
+        pivots = [0] * n  # pivots[j]: the reduced row whose lowest set bit is j
+        for i, r in enumerate(self.rows):
+            row = r | 1 << (n + i)
+            while True:
+                j = (row & -row).bit_length() - 1
+                if j >= n:  # no coefficient left: the rows are dependent
+                    raise SingularMatrixError("matrix is singular")
+                if not pivots[j]:
+                    pivots[j] = row
+                    break
+                row ^= pivots[j]
+        for j in range(n - 1, -1, -1):  # back substitution, highest pivot first
+            row = pivots[j]
+            above = (row & ((1 << n) - 1)) ^ (1 << j)
+            while above:
+                low = above & -above
+                row ^= pivots[low.bit_length() - 1]
+                above ^= low
+            pivots[j] = row
+        return F2Matrix(tuple(row >> n for row in pivots), n)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -213,23 +218,23 @@ def _lookup(tables: List[List[int]], x: int) -> int:
     return acc
 
 
-def _echelon(rows: Iterable[int]) -> List[int]:
+def echelon(rows: Iterable[int]) -> List[int]:
     """Forward elimination on packed rows: the nonzero rows left, each with
     its pivot at its lowest set bit, clear in every later one."""
-    echelon: List[int] = []
+    reduced: List[int] = []
     for row in rows:
-        for prow in echelon:
+        for prow in reduced:
             if row & prow & -prow:
                 row ^= prow
         if row:
-            echelon.append(row)
-    return echelon
+            reduced.append(row)
+    return reduced
 
 
 def rank(m: F2Matrix) -> int:
     """Row rank over GF(2): the echelon rows of a forward elimination on
     packed rows (no back substitution)."""
-    return len(_echelon(m.rows))
+    return len(echelon(m.rows))
 
 
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -323,14 +328,14 @@ def _column_search(gram: F2Matrix, involutive: bool) -> Tuple[F2Matrix, ...]:
 
     def extend(k: int, system: List[int]) -> None:
         particular, basis = _solutions(system, n, k)
-        span = [(particular, h_times(particular))]  # (c, H c) over the affine subspace
+        span = [particular]  # the affine subspace column k ranges over
         for b in basis:
-            hb = h_times(b)
-            span += [(c ^ b, hc ^ hb) for c, hc in span]
+            span += [c ^ b for c in span]
         if k + 1 == n:
-            found.extend(F2Matrix((*rows, c), n) for c, _ in span)
+            found.extend(F2Matrix((*rows, c), n) for c in span)
             return
-        for c, hc in span:
+        for c in span:
+            hc = h_times(c)
             nxt = _adjoin(system, hc | hrows[k] << n, n, k + 1)
             if involutive and nxt is not None:
                 nxt = _adjoin(nxt, hrows[k] | hc << n, n, k + 1)
@@ -389,10 +394,35 @@ def orbit(start: _Point, images: Callable[[_Point], Iterable[_Point]]) -> Set[_P
     return seen
 
 
-def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
-    """Subgroup generated by invertible square matrices, by breadth-first
-    closure on packed rows: each step maps a row tuple through a generator's
-    ``row_map``, and only the finished closure becomes matrices."""
+def conjugators(a: F2Matrix, b: F2Matrix, candidates: Iterable[F2Matrix]) -> Iterator[F2Matrix]:
+    """The candidates P with ``a @ P == P @ b`` (for invertible P: P^-1 a P =
+    b), in order.  a and b are square of one size n, checked once; each
+    candidate is taken to be n x n.  Row i of P @ b is read from the tables of
+    b, row i of a @ P is the XOR of the rows of P that row i of a picks, and a
+    candidate stops at its first row that differs.  Row 0, where most
+    candidates stop, is compared before any other."""
+    n = a.ncols
+    if not (len(a.rows) == len(b.rows) == b.ncols == n):
+        raise DimensionMismatch(f"need square matrices of one size, got {a.shape} and {b.shape}")
+    if not n:
+        yield from candidates
+        return
+    times_b = b.row_map()
+    first = [j for j in range(n) if a.rows[0] >> j & 1]
+    rest = list(enumerate(a.rows))[1:]
+    for p in candidates:
+        prows = p.rows
+        diff = times_b(prows[0])
+        for j in first:
+            diff ^= prows[j]
+        if not diff and all(_picked(prows, x) == times_b(prows[i]) for i, x in rest):
+            yield p
+
+
+def group_closure(generators: Iterable[F2Matrix]) -> Set[Tuple[int, ...]]:
+    """Subgroup generated by invertible square matrices, as the set of its
+    elements' packed row tuples, by breadth-first closure: each step maps a
+    row tuple through a generator's ``row_map``, and no matrix is built."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -403,8 +433,7 @@ def group_closure(generators: Iterable[F2Matrix]) -> frozenset:
         if rank(g) != n:
             raise SingularMatrixError(f"singular generator {g!r}")
     steps = [g.row_map() for g in gens]
-    closure = orbit(F2Matrix.identity(n).rows, lambda rows: [tuple(map(step, rows)) for step in steps])
-    return frozenset(F2Matrix(rows, n) for rows in closure)
+    return orbit(F2Matrix.identity(n).rows, lambda rows: [tuple(map(step, rows)) for step in steps])
 
 
 __all__ = [
@@ -412,10 +441,12 @@ __all__ = [
     "SingularMatrixError",
     "F2Matrix",
     "rank",
+    "echelon",
     "block_diag",
     "ISOMETRY_BOUND",
     "isometries",
     "involutive_isometries",
     "orbit",
+    "conjugators",
     "group_closure",
 ]

@@ -165,13 +165,17 @@ def test_oracle_agrees_with_dd_on_all_pairs_dim3():
 
 
 def plain_scan(a: Involution, b: Involution) -> bool:
-    """The conjugacy oracle without its early exit: whole products compared."""
+    """The conjugacy oracle as plain products: whole matrices compared for
+    every isometry, with no early exit."""
     return any(a.matrix @ p == p @ b.matrix for p in isometries(a.space.gram))
 
 
-@pytest.mark.parametrize("kind, n, pairs", [("orthogonal", 4, None), ("orthogonal", 5, 100), ("symplectic", 4, 100)])
+@pytest.mark.parametrize(
+    "kind, n, pairs",
+    [("orthogonal", 3, None), ("orthogonal", 4, None), ("orthogonal", 5, 200), ("symplectic", 4, 200)],
+)
 def test_early_exit_oracle_equals_plain_scan(kind, n, pairs):
-    # every pair on O(4, 2), seeded pairs on O(5, 2) and Sp(4, 2)
+    # every pair on O(3, 2) and O(4, 2), seeded pairs on O(5, 2) and Sp(4, 2)
     invs = involutions_in(standard_space(kind, n))
     if pairs is None:
         todo = [(a, b) for a in invs for b in invs]
@@ -181,6 +185,40 @@ def test_early_exit_oracle_equals_plain_scan(kind, n, pairs):
     answers = [conjugacy_oracle(a, b) for a, b in todo]
     assert answers == [plain_scan(a, b) for a, b in todo]
     assert True in answers and False in answers
+
+
+# The sorted (DD, class size) pairs of the conjugacy classes of each
+# standard space, written down from the closure's output.
+PARTITIONS = {
+    ("orthogonal", 2): [((0, 1, 1, 0), 1), ((1, 0, 0, 1), 1)],
+    ("orthogonal", 3): [((0, 0, 0, 0), 1), ((1, 1, 1, 1), 3)],
+    ("orthogonal", 4): [
+        ((0, 1, 1, 0), 1), ((1, 0, 0, 1), 1), ((1, 1, 2, 1), 6),
+        ((2, 0, 2, 1), 3), ((2, 1, 1, 1), 6), ((2, 1, 2, 0), 3),
+    ],
+    ("orthogonal", 5): [((0, 0, 0, 0), 1), ((1, 1, 1, 1), 15), ((2, 0, 2, 0), 15), ((2, 1, 2, 1), 45)],
+    ("orthogonal", 6): [
+        ((0, 1, 1, 0), 1), ((1, 0, 0, 1), 1), ((1, 1, 2, 1), 30), ((2, 0, 2, 1), 15),
+        ((2, 1, 1, 1), 30), ((2, 1, 2, 0), 15), ((2, 1, 3, 0), 60), ((2, 1, 3, 1), 180),
+        ((3, 0, 2, 1), 60), ((3, 1, 2, 1), 180), ((3, 1, 3, 1), 180),
+    ],
+    ("symplectic", 2): [((0, 0, 0, 0), 1), ((1, 1, 1, 1), 3)],
+    ("symplectic", 4): [((0, 0, 0, 0), 1), ((1, 1, 1, 1), 15), ((2, 0, 2, 0), 15), ((2, 1, 2, 1), 45)],
+    ("symplectic", 6): [
+        ((0, 0, 0, 0), 1), ((1, 1, 1, 1), 63), ((2, 0, 2, 0), 315), ((2, 1, 2, 1), 945), ((3, 1, 3, 1), 3780),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(PARTITIONS))
+def test_class_partition_is_pinned(kind, n):
+    # a kernel change that merges or splits a class changes this list
+    classes = conjugacy_classes(standard_space(kind, n))
+    got = []
+    for cls in classes:
+        (value,) = {dd(inv) for inv in cls}
+        got.append((value, len(cls)))
+    assert sorted(got) == PARTITIONS[kind, n]
 
 
 def test_dd_classifies_orthogonal_dim7():
@@ -308,7 +346,7 @@ def test_transvections_generate_symplectic_group():
     for n in (2, 4):
         space = standard_space("symplectic", n)
         closure = group_closure(isometry_generators(space))
-        assert closure == frozenset(isometries(space.gram))
+        assert closure == {m.rows for m in isometries(space.gram)}
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from c2surf.f2 import (
     _adjoin,
     _solutions,
     block_diag,
+    conjugators,
     group_closure,
     involutive_isometries,
     isometries,
@@ -66,7 +67,7 @@ def test_rank_of_product_bounded():
 
 
 def test_group_closure_trivial_and_small():
-    assert group_closure([F2Matrix.identity(2)]) == frozenset({F2Matrix.identity(2)})
+    assert group_closure([F2Matrix.identity(2)]) == {F2Matrix.identity(2).rows}
     perms2 = [F2Matrix.permutation([0, 1]), F2Matrix.permutation([1, 0])]
     assert len(group_closure(perms2)) == 2
     transpositions = [
@@ -84,7 +85,7 @@ def test_group_closure_rejects_singular():
 def test_group_closure_is_a_group():
     gens = [F2Matrix.permutation([1, 2, 0]), A4 @ F2Matrix.identity(4)]
     gens = [F2Matrix.permutation([1, 2, 0, 3]), A4]
-    g = group_closure(gens)
+    g = {F2Matrix(rows, 4) for rows in group_closure(gens)}
     ident = F2Matrix.identity(4)
     assert ident in g
     for m in list(g)[:40]:
@@ -101,8 +102,8 @@ def test_group_closure_equals_matrix_product_closure(kind, n):
     space = standard_space(kind, n)
     gens = isometry_generators(space)
     closure = group_closure(gens)
-    assert closure == frozenset(orbit(F2Matrix.identity(n), lambda m: [m @ g for g in gens]))
-    assert closure == frozenset(isometries(space.gram))
+    assert closure == {m.rows for m in orbit(F2Matrix.identity(n), lambda m: [m @ g for g in gens])}
+    assert closure == {m.rows for m in isometries(space.gram)}
 
 
 def test_row_map_is_the_row_vector_product():
@@ -184,14 +185,19 @@ def test_rank_matches_brute_force_kernel(shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverse_matches_brute_force(n):
+    # every n x n matrix: the |GL(n, 2)| = 1, 6, 168 invertible ones invert,
+    # the other 1, 10, 344 raise
     ident = F2Matrix.identity(n)
+    inverted = 0
     for m in all_matrices(n, n):
         if brute_kernel(m) == [0]:
             inv = m.inverse()
             assert m @ inv == ident and inv @ m == ident, m
+            inverted += 1
         else:
             with pytest.raises(SingularMatrixError):
                 m.inverse()
+    assert (inverted, (1 << n * n) - inverted) == {1: (1, 1), 2: (6, 10), 3: (168, 344)}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -350,10 +356,11 @@ def test_kernel_matches_entrywise_reference(seed):
             # a @ square == square @ b exactly when b is the conjugate of a
             a_sq = F2Matrix(tuple(rng.getrandbits(q) for _ in range(q)), q)
             conj = inv @ a_sq @ square
-            assert square.conjugates(a_sq, conj)
-            if q:  # one changed entry of the conjugate breaks the equation
-                flipped = F2Matrix((conj.rows[0] ^ 1,) + conj.rows[1:], q)
-                assert not square.conjugates(a_sq, flipped)
+            assert list(conjugators(a_sq, conj, [square, inv])) == [m for m in (square, inv) if a_sq @ m == m @ conj]
+            assert square in conjugators(a_sq, conj, [inv, square])
+            for i in range(q):  # one changed entry of any row breaks the equation
+                flipped = F2Matrix(conj.rows[:i] + (conj.rows[i] ^ 1 << rng.randrange(q),) + conj.rows[i + 1 :], q)
+                assert list(conjugators(a_sq, flipped, [square])) == []
         else:
             with pytest.raises(SingularMatrixError):
                 square.inverse()
@@ -382,8 +389,10 @@ def test_kernel_errors_unchanged():
         block_diag(F2Matrix.identity(2), F2Matrix((0, 0), 3))
     with pytest.raises(DimensionMismatch, match=r"^inverse of a non-square matrix$"):
         F2Matrix((0, 0), 3).inverse()
-    with pytest.raises(DimensionMismatch):
-        F2Matrix.identity(3).conjugates(F2Matrix.identity(3), F2Matrix.identity(2))
+    with pytest.raises(DimensionMismatch, match=r"^need square matrices of one size, got \(3, 3\) and \(2, 2\)$"):
+        next(conjugators(F2Matrix.identity(3), F2Matrix.identity(2), []))
+    with pytest.raises(DimensionMismatch, match=r"^need square matrices of one size, got \(2, 3\) and \(3, 3\)$"):
+        next(conjugators(F2Matrix((0, 0), 3), F2Matrix.identity(3), []))
     with pytest.raises(DimensionMismatch, match=r"^diagonal of a non-square matrix$"):
         F2Matrix((0, 0), 3).diag()
     with pytest.raises(DimensionMismatch, match=r"^ragged rows$"):
